@@ -37,7 +37,7 @@
    pinned fleet cell's counters sit exactly on the --fleet pins and its
    fingerprint equals the disarmed control's (the probe is
    behavior-invisible); the merged series and profiler fingerprints are
-   identical across domain counts; the four {sblocks}x{tlb} engine arms
+   identical across domain counts; the reference and fast engine arms
    fingerprint identically; interval/sample counts are pinned; and the
    per-interval deltas re-sum to the final totals.
 
@@ -336,116 +336,64 @@ let check_chaos j =
 (* ---------------- perf artifact ---------------- *)
 
 (* The perf gate never touches wall-clock numbers (seconds, ips,
-   speedups — recorded for humans, hopeless to pin).  What it gates:
+   speedups — recorded for humans, hopeless to pin).  Each workload runs
+   on the reference engine and the fast one; what the gate checks:
 
-   - behavior parity: the tlb, no-tlb and sb+tlb arms of the same
-     workload retired identical instruction and cycle counts — the fast
-     paths are optimizations, not semantic changes;
-   - the no-tlb arms really ran with the TLBs off (zero hit/miss
-     counts), and every non-sb arm kept the superblock counters silent;
-   - the tlb arms really ran with them on, and the caches work (hits
-     dominate misses); the sb arms really built, hit, chained — and on
-     the view-switching workloads, invalidated — blocks;
-   - the view-tagged arms (PCID/VPID-style per-view generations) retire
-     the identical instruction and cycle counts as their untagged twins
-     while driving view-switch- and COW-caused flushes, and superblock
-     restamps, to exactly zero — the headline claim of the tagged
-     translation cache, gated as hard equalities below;
-   - exact pins for every deterministic counter, captured from one
-     deterministic pass so they are independent of reps / --fast. *)
-let perf_counter_pins =
+   - parity: every fast arm retired the identical instruction and cycle
+     counts as its reference arm — the engine is an optimization, not a
+     semantic change;
+   - the reference arms really ran without TLBs and superblocks (zero
+     hit/miss and block counters);
+   - the fast arms' caches work (hits dominate misses and rebuilds,
+     blocks chain), and every deterministic counter sits on an exact pin
+     — including i_flushes = 0 (view switches retag, COW breaks touch a
+     frame version, RAM growth installs quietly) and sb_restamps = 0
+     (global-page stamps plus pre-stamped tag memos), captured from one
+     deterministic pass so they are independent of reps / --fast.
+
+   The arm set is closed: a missing or unknown arm label fails the gate. *)
+let perf_arms =
+  [ ("unixbench", [ ("reference+views", "fast+views");
+                    ("reference+noviews", "fast+noviews") ]);
+    ("httperf", [ ("reference", "fast") ]) ]
+
+let perf_fast_pins =
   [
     ( "unixbench",
-      "tlb+views",
-      [ ("instructions", 20348460); ("cycles", 29738269);
-        ("i_hits", 21267231); ("i_misses", 345); ("d_hits", 9133042);
-        ("d_misses", 2112); ("i_flushes", 6253); ("d_flushes", 64);
-        ("fl_view_switch", 66); ("fl_cow", 2538); ("fl_growth", 3713);
-        ("fl_explicit", 0) ] );
-    ( "unixbench",
-      "tlb+noviews",
-      [ ("instructions", 20003751); ("cycles", 26496304);
-        ("i_hits", 20620316); ("i_misses", 148); ("d_hits", 5670833);
-        ("d_misses", 1343); ("i_flushes", 3577); ("d_flushes", 46);
-        ("fl_view_switch", 0); ("fl_cow", 0); ("fl_growth", 3623);
-        ("fl_explicit", 0) ] );
-    ( "httperf",
-      "tlb",
-      [ ("instructions", 25702368); ("cycles", 45117642);
-        ("i_hits", 26071610); ("i_misses", 11703); ("d_hits", 1460460);
-        ("d_misses", 219); ("i_flushes", 2140); ("d_flushes", 5);
-        ("fl_view_switch", 1602); ("fl_cow", 141); ("fl_growth", 402);
-        ("fl_explicit", 0) ] );
-    (* superblock arms: identical retirement (parity is also asserted
-       structurally below), a tiny residue of iTLB traffic (classic-path
-       fallbacks at page tails and trap resumes), and the block-cache
-       counters.  sb_invals is zero without views — nothing remaps pages
-       mid-run — and positive on the view-switching workloads. *)
-    ( "unixbench",
-      "sb+tlb+views",
-      [ ("instructions", 20348460); ("cycles", 29738269);
-        ("i_hits", 92008); ("i_misses", 259); ("d_hits", 9133042);
-        ("d_misses", 2112); ("i_flushes", 6253); ("d_flushes", 64);
-        ("sb_built", 7378); ("sb_hits", 160450); ("sb_invals", 3049);
-        ("sb_chains", 351511); ("sb_restamps", 3031) ] );
-    ( "unixbench",
-      "sb+tlb+noviews",
-      [ ("instructions", 20003751); ("cycles", 26496304);
-        ("i_hits", 90353); ("i_misses", 103); ("d_hits", 5670833);
-        ("d_misses", 1343); ("i_flushes", 3577); ("d_flushes", 46);
-        ("sb_built", 4683); ("sb_hits", 157966); ("sb_invals", 0);
-        ("sb_chains", 347480); ("sb_restamps", 0) ] );
-    ( "httperf",
-      "sb+tlb",
-      [ ("instructions", 25702368); ("cycles", 45117642);
-        ("i_hits", 123861); ("i_misses", 9085); ("d_hits", 1460460);
-        ("d_misses", 219); ("i_flushes", 2140); ("d_flushes", 5);
-        ("sb_built", 2282); ("sb_hits", 181925); ("sb_invals", 42164);
-        ("sb_chains", 440748); ("sb_restamps", 311406) ] );
-    (* view-tagged arms: same retirement as the untagged twins, zero
-       translation-shootdown traffic.  i_flushes = 0 because under tags a
-       view switch retags instead of flushing, a COW break touches the
-       displaced frame's version instead of bumping a generation, and
-       guest-RAM growth installs pages quietly (nothing cached a negative
-       translation).  sb_restamps = 0 because blocks on never-diverged
-       pages carry a global-page stamp and blocks on diverged shared
-       frames are pre-stamped with their sibling views' tags at build
-       time.  These zeros ARE the acceptance criterion: untagged
-       view-switch flushes (66 / 1602) and restamps (3031 / 311406)
-       drop to nothing at identical instruction and cycle counts. *)
-    ( "unixbench",
-      "tag+tlb+views",
-      [ ("instructions", 20348460); ("cycles", 29738269);
-        ("i_hits", 21267261); ("i_misses", 315); ("d_hits", 9133042);
-        ("d_misses", 2112); ("i_flushes", 0); ("d_flushes", 64);
-        ("fl_view_switch", 0); ("fl_cow", 0); ("fl_growth", 64);
-        ("fl_explicit", 0) ] );
-    ( "unixbench",
-      "tag+sb+tlb+views",
+      "fast+views",
       [ ("instructions", 20348460); ("cycles", 29738269);
         ("i_hits", 92010); ("i_misses", 257); ("d_hits", 9133042);
         ("d_misses", 2112); ("i_flushes", 0); ("d_flushes", 64);
         ("sb_built", 7378); ("sb_hits", 160450); ("sb_invals", 3049);
-        ("sb_chains", 351511); ("sb_restamps", 0);
-        ("fl_view_switch", 0); ("fl_cow", 0); ("fl_growth", 64);
+        ("sb_chains", 351511); ("sb_restamps", 0); ("fl_growth", 64);
+        ("fl_explicit", 0) ] );
+    ( "unixbench",
+      "fast+noviews",
+      [ ("instructions", 20003751); ("cycles", 26496304);
+        ("i_hits", 90353); ("i_misses", 103); ("d_hits", 5670833);
+        ("d_misses", 1343); ("i_flushes", 0); ("d_flushes", 46);
+        ("sb_built", 4683); ("sb_hits", 157966); ("sb_invals", 0);
+        ("sb_chains", 347480); ("sb_restamps", 0); ("fl_growth", 46);
         ("fl_explicit", 0) ] );
     ( "httperf",
-      "tag+sb+tlb",
+      "fast",
       [ ("instructions", 25702368); ("cycles", 45117642);
         ("i_hits", 128760); ("i_misses", 4186); ("d_hits", 1460460);
         ("d_misses", 219); ("i_flushes", 0); ("d_flushes", 5);
         ("sb_built", 2282); ("sb_hits", 181925); ("sb_invals", 42164);
-        ("sb_chains", 440748); ("sb_restamps", 0);
-        ("fl_view_switch", 0); ("fl_cow", 0); ("fl_growth", 5);
+        ("sb_chains", 440748); ("sb_restamps", 0); ("fl_growth", 5);
         ("fl_explicit", 0) ] );
   ]
 
 let check_perf j =
   let geti v p = Option.bind (J.path v p) J.to_int in
   (match geti j [ "schema_version" ] with
-  | Some 1 -> ()
-  | Some v -> fail "perf: schema_version %d, expected 1" v
+  | Some 2 -> ()
+  | Some v -> fail "perf: schema_version %d, expected 2" v
   | None -> fail "perf: schema_version missing");
+  let label a =
+    match J.path a [ "label" ] with Some (J.String s) -> s | _ -> "?"
+  in
   let arms section =
     match J.path j [ "perf"; section; "arms" ] with
     | Some (J.List l) -> l
@@ -453,31 +401,23 @@ let check_perf j =
         fail "perf: %s.arms missing or not a list" section;
         []
   in
-  let find_arm section label =
-    List.find_opt
-      (fun a ->
-        match J.path a [ "label" ] with
-        | Some (J.String s) -> s = label
-        | _ -> false)
-      (arms section)
+  let find_arm section l = List.find_opt (fun a -> label a = l) (arms section) in
+  let counter section l name =
+    Option.bind (find_arm section l) (fun a -> geti a [ "counters"; name ])
   in
-  let counter section label name =
-    Option.bind (find_arm section label) (fun a ->
-        geti a [ "counters"; name ])
-  in
-  let arm_labels =
-    [ ( "unixbench",
-        [ "tlb+views"; "no-tlb+views"; "tlb+noviews"; "no-tlb+noviews";
-          "sb+tlb+views"; "sb+tlb+noviews"; "tag+tlb+views";
-          "tag+sb+tlb+views" ] );
-      ("httperf", [ "tlb"; "no-tlb"; "sb+tlb"; "tag+sb+tlb" ]) ]
-  in
+  let v section l c = Option.value ~default:0 (counter section l c) in
   List.iter
-    (fun (section, labels) ->
+    (fun (section, pairs) ->
+      let expected = List.concat_map (fun (r, f) -> [ r; f ]) pairs in
       List.iter
-        (fun label ->
-          match find_arm section label with
-          | None -> fail "perf: %s arm %s missing" section label
+        (fun a ->
+          if not (List.mem (label a) expected) then
+            fail "perf: %s has unknown arm %s" section (label a))
+        (arms section);
+      List.iter
+        (fun l ->
+          match find_arm section l with
+          | None -> fail "perf: %s arm %s missing" section l
           | Some a ->
               (* wall clock: present and finite, never compared *)
               List.iter
@@ -485,143 +425,71 @@ let check_perf j =
                   match Option.bind (J.path a [ k ]) J.to_float with
                   | Some f when Float.is_finite f -> ()
                   | Some _ | None ->
-                      fail "perf: %s/%s.%s is not a finite number" section
-                        label k)
+                      fail "perf: %s/%s.%s is not a finite number" section l k)
                 [ "seconds"; "ips" ])
-        labels)
-    arm_labels;
-  (* parity: same workload, same retirement, whatever fast paths are on *)
-  List.iter
-    (fun (section, fast_label, base_label) ->
+        expected;
       List.iter
-        (fun c ->
-          match (counter section fast_label c, counter section base_label c) with
-          | Some a, Some b when a = b -> ()
-          | Some a, Some b ->
-              fail "perf: %s %s between %s (%d) and %s (%d) — a fast path \
-                    changed guest behavior"
-                section c fast_label a base_label b
-          | _ -> fail "perf: %s %s missing on %s or %s" section c fast_label
-                   base_label)
-        [ "instructions"; "cycles" ])
-    [ ("unixbench", "tlb+views", "no-tlb+views");
-      ("unixbench", "tlb+noviews", "no-tlb+noviews");
-      ("unixbench", "sb+tlb+views", "tlb+views");
-      ("unixbench", "sb+tlb+noviews", "tlb+noviews");
-      ("unixbench", "tag+tlb+views", "tlb+views");
-      ("unixbench", "tag+sb+tlb+views", "sb+tlb+views");
-      ("httperf", "tlb", "no-tlb");
-      ("httperf", "sb+tlb", "tlb");
-      ("httperf", "tag+sb+tlb", "sb+tlb") ];
-  (* the no-tlb arms must be a true baseline *)
+        (fun (reference, fast) ->
+          (* parity: same workload, same retirement, either engine *)
+          List.iter
+            (fun c ->
+              match (counter section fast c, counter section reference c) with
+              | Some a, Some b when a = b -> ()
+              | Some a, Some b ->
+                  fail "perf: %s %s between %s (%d) and %s (%d) — the fast \
+                        engine changed guest behavior"
+                    section c fast a reference b
+              | _ -> fail "perf: %s %s missing on %s or %s" section c fast
+                       reference)
+            [ "instructions"; "cycles" ];
+          (* the reference arm must be a true baseline *)
+          List.iter
+            (fun c ->
+              match counter section reference c with
+              | Some 0 -> ()
+              | Some n ->
+                  fail "perf: %s/%s.%s = %d, expected 0 (reference engine)"
+                    section reference c n
+              | None -> fail "perf: %s/%s.%s missing" section reference c)
+            [ "i_hits"; "i_misses"; "d_hits"; "d_misses"; "sb_built";
+              "sb_hits"; "sb_invals"; "sb_chains"; "sb_restamps" ];
+          (* the fast arm's caches must work: blocks decoded once,
+             re-executed many times, chained block-to-block; TLB hits
+             dominate misses *)
+          let v = v section fast in
+          if v "sb_built" = 0 then fail "perf: %s/%s built no blocks" section fast;
+          if v "sb_chains" = 0 then
+            fail "perf: %s/%s followed no chains" section fast;
+          List.iter
+            (fun (hit, miss) ->
+              if v hit <= v miss then
+                fail "perf: %s/%s %s (%d) do not dominate %s (%d)" section
+                  fast hit (v hit) miss (v miss))
+            [ ("sb_hits", "sb_built"); ("i_hits", "i_misses");
+              ("d_hits", "d_misses") ])
+        pairs)
+    perf_arms;
+  (* exact pins on the fast arms *)
   List.iter
-    (fun (section, label) ->
-      List.iter
-        (fun c ->
-          match counter section label c with
-          | Some 0 -> ()
-          | Some v -> fail "perf: %s/%s.%s = %d, expected 0 (TLB off)" section
-                        label c v
-          | None -> fail "perf: %s/%s.%s missing" section label c)
-        [ "i_hits"; "i_misses"; "d_hits"; "d_misses" ])
-    [ ("unixbench", "no-tlb+views"); ("unixbench", "no-tlb+noviews");
-      ("httperf", "no-tlb") ];
-  (* non-sb arms must keep the superblock engine silent *)
-  List.iter
-    (fun (section, label) ->
-      List.iter
-        (fun c ->
-          match counter section label c with
-          | Some 0 -> ()
-          | Some v ->
-              fail "perf: %s/%s.%s = %d, expected 0 (superblocks off)" section
-                label c v
-          | None -> fail "perf: %s/%s.%s missing" section label c)
-        [ "sb_built"; "sb_hits"; "sb_invals"; "sb_chains" ])
-    [ ("unixbench", "tlb+views"); ("unixbench", "no-tlb+views");
-      ("unixbench", "tlb+noviews"); ("unixbench", "no-tlb+noviews");
-      ("unixbench", "tag+tlb+views");
-      ("httperf", "tlb"); ("httperf", "no-tlb") ];
-  (* the sb arms must show a working block cache: blocks decoded once,
-     re-executed many times, chained block-to-block; retention keeps
-     rebuilds far below re-executions *)
-  List.iter
-    (fun (section, label) ->
-      let v c = Option.value ~default:0 (counter section label c) in
-      if v "sb_built" = 0 then fail "perf: %s/%s built no blocks" section label;
-      if v "sb_hits" = 0 then fail "perf: %s/%s has no block hits" section label;
-      if v "sb_chains" = 0 then
-        fail "perf: %s/%s followed no chains" section label;
-      if v "sb_hits" <= v "sb_built" then
-        fail "perf: %s/%s rebuilds (%d) dominate hits (%d)" section label
-          (v "sb_built") (v "sb_hits"))
-    [ ("unixbench", "sb+tlb+views"); ("unixbench", "sb+tlb+noviews");
-      ("unixbench", "tag+sb+tlb+views"); ("httperf", "sb+tlb");
-      ("httperf", "tag+sb+tlb") ];
-  (* the tlb arms must show working caches *)
-  List.iter
-    (fun (section, label) ->
-      let v c = Option.value ~default:0 (counter section label c) in
-      if v "i_hits" = 0 then fail "perf: %s/%s has no iTLB hits" section label;
-      if v "d_hits" = 0 then fail "perf: %s/%s has no dTLB hits" section label;
-      if v "i_hits" <= v "i_misses" then
-        fail "perf: %s/%s iTLB misses (%d) dominate hits (%d)" section label
-          (v "i_misses") (v "i_hits");
-      if v "d_hits" <= v "d_misses" then
-        fail "perf: %s/%s dTLB misses (%d) dominate hits (%d)" section label
-          (v "d_misses") (v "d_hits"))
-    [ ("unixbench", "tlb+views"); ("unixbench", "tlb+noviews");
-      ("unixbench", "tag+tlb+views"); ("httperf", "tlb") ];
-  (* the acceptance criterion, stated as a relation rather than relying
-     on the pins alone: tagging must cut view-switch-caused flushes and
-     superblock restamps at least 10x against the untagged twin of the
-     same workload (in fact to zero), and must not introduce COW or
-     explicit flushes the untagged arm didn't have *)
-  List.iter
-    (fun (section, tagged, untagged, counters) ->
-      List.iter
-        (fun c ->
-          match (counter section tagged c, counter section untagged c) with
-          | Some t, Some u when u > 0 && t * 10 > u ->
-              fail
-                "perf: %s %s: tagging left %d (untagged %s had %d) — less \
-                 than the 10x reduction the tagged translation cache \
-                 promises"
-                section c t untagged u
-          | Some _, Some _ -> ()
-          | _ -> fail "perf: %s %s missing on %s or %s" section c tagged
-                   untagged)
-        counters)
-    [ ("unixbench", "tag+tlb+views", "tlb+views", [ "fl_view_switch"; "fl_cow" ]);
-      ( "unixbench",
-        "tag+sb+tlb+views",
-        "sb+tlb+views",
-        [ "fl_view_switch"; "fl_cow"; "sb_restamps" ] );
-      ( "httperf",
-        "tag+sb+tlb",
-        "sb+tlb",
-        [ "fl_view_switch"; "fl_cow"; "sb_restamps" ] ) ];
-  (* exact pins *)
-  List.iter
-    (fun (section, label, pins) ->
+    (fun (section, l, pins) ->
       List.iter
         (fun (c, expected) ->
-          match counter section label c with
-          | Some v when v = expected -> ()
-          | Some v ->
-              fail "perf: %s/%s.%s drifted: expected %d, got %d" section label
-                c expected v
-          | None -> fail "perf: %s/%s.%s missing" section label c)
+          match counter section l c with
+          | Some n when n = expected -> ()
+          | Some n ->
+              fail "perf: %s/%s.%s drifted: expected %d, got %d" section l c
+                expected n
+          | None -> fail "perf: %s/%s.%s missing" section l c)
         pins)
-    perf_counter_pins;
+    perf_fast_pins;
   (* warm/cold: instruction counts pinned, times recorded only *)
   List.iter
     (fun (leg, expected) ->
       match geti j [ "perf"; "warm_cold"; leg; "instructions" ] with
-      | Some v when v = expected -> ()
-      | Some v ->
+      | Some n when n = expected -> ()
+      | Some n ->
           fail "perf: warm_cold.%s.instructions drifted: expected %d, got %d"
-            leg expected v
+            leg expected n
       | None -> fail "perf: warm_cold.%s.instructions missing" leg)
     [ ("cold", 152121); ("warm", 155917) ]
 
@@ -885,9 +753,9 @@ let check_telemetry j =
           ("sampler fingerprint", !sampler_fps) ]
   | Some (J.List _) -> fail "telemetry: fewer than 2 armed cells"
   | Some _ | None -> fail "telemetry: armed_cells missing or not a list");
-  (* engine matrix: all four {sblocks}x{tlb} arms fingerprint identically *)
+  (* engine matrix: the reference and fast arms fingerprint identically *)
   (match J.path j [ "telemetry"; "matrix" ] with
-  | Some (J.List arms) when List.length arms = 4 ->
+  | Some (J.List arms) when List.length arms = 2 ->
       let fps = ref [] in
       List.iter
         (fun arm ->
@@ -917,10 +785,10 @@ let check_telemetry j =
       | distinct ->
           fail
             "telemetry: fingerprints differ across engine arms (%d distinct \
-             values) — an engine toggle is telemetry-visible"
+             values) — the engine is telemetry-visible"
             (List.length distinct))
   | Some (J.List arms) ->
-      fail "telemetry: expected 4 engine arms, found %d" (List.length arms)
+      fail "telemetry: expected 2 engine arms, found %d" (List.length arms)
   | Some _ | None -> fail "telemetry: matrix missing or not a list");
   (* profile: the armed unixbench-style run produced a non-empty folded
      profile whose sample count equals the ticks fired *)
@@ -966,21 +834,23 @@ let read_file path =
    identical in both grids.  Keyed by (precopy_rounds, row seed); the
    pinned fields are everything deterministic about the transfer —
    downtime_cycles is a model output recorded for humans and is NEVER
-   gated.  Re-pin only with an intended behavior change. *)
+   gated.  Re-pin only with an intended behavior change.  snapshot_bytes
+   moves with the wire format: codec v3 stores one engine byte where v2
+   stored three flags and a global generation (10 bytes fewer). *)
 let migrate_row_pins =
   [
     ( (1, 3913828523329621081),
       [ ("pages_total", 455); ("pages_copied", 455); ("final_dirty", 0);
-        ("bytes_copied", 1863680); ("snapshot_bytes", 813964) ] );
+        ("bytes_copied", 1863680); ("snapshot_bytes", 813954) ] );
     ( (1, 99671189725526193),
       [ ("pages_total", 473); ("pages_copied", 473); ("final_dirty", 0);
-        ("bytes_copied", 1937408); ("snapshot_bytes", 819604) ] );
+        ("bytes_copied", 1937408); ("snapshot_bytes", 819594) ] );
     ( (3, 725993633631596918),
       [ ("pages_total", 477); ("pages_copied", 481); ("final_dirty", 0);
-        ("bytes_copied", 1970176); ("snapshot_bytes", 853041) ] );
+        ("bytes_copied", 1970176); ("snapshot_bytes", 853031) ] );
     ( (3, 1520132603867492020),
       [ ("pages_total", 473); ("pages_copied", 480); ("final_dirty", 0);
-        ("bytes_copied", 1966080); ("snapshot_bytes", 820115) ] );
+        ("bytes_copied", 1966080); ("snapshot_bytes", 820105) ] );
   ]
 
 let check_migrate j =
@@ -1199,7 +1069,7 @@ let () =
         (List.length pinned_ints + List.length pinned_bools)
         (List.length chaos_pins_100)
         (List.fold_left (fun acc (_, _, pins) -> acc + List.length pins) 2
-           perf_counter_pins)
+           perf_fast_pins)
         (List.length fleet_cell_pins)
         (List.length telemetry_cell_pins + List.length telemetry_matrix_pins
         + List.length telemetry_profile_pins)

@@ -291,7 +291,7 @@ let chaos ~fast profiles =
        ])
 
 let perf ~fast profiles =
-  banner "Perf: execution fast path throughput (TLBs + superblocks, wall clock)";
+  banner "Perf: reference vs fast engine throughput (wall clock)";
   (* seconds are min-of-reps: even --fast takes two samples so one
      scheduler hiccup cannot pollute the recorded wall clock *)
   let reps = if fast then 2 else 3 in
@@ -300,7 +300,7 @@ let perf ~fast profiles =
   let json =
     J.Obj
       [
-        ("schema_version", J.Int Fc_obs.Export.schema_version);
+        ("schema_version", J.Int Fc_benchkit.Perf.schema_version);
         ("fast", J.Bool fast);
         ("perf", Fc_benchkit.Perf.to_json t);
       ]
@@ -314,11 +314,9 @@ let perf ~fast profiles =
     (J.Obj
        [
          ("unixbench_speedup", J.Float t.Fc_benchkit.Perf.unixbench_speedup);
+         ( "unixbench_speedup_noviews",
+           J.Float t.Fc_benchkit.Perf.unixbench_speedup_noviews );
          ("httperf_speedup", J.Float t.Fc_benchkit.Perf.httperf_speedup);
-         ( "unixbench_speedup_sblocks",
-           J.Float t.Fc_benchkit.Perf.unixbench_speedup_sblocks );
-         ( "httperf_speedup_sblocks",
-           J.Float t.Fc_benchkit.Perf.httperf_speedup_sblocks );
        ])
 
 let fleet ~fast profiles =

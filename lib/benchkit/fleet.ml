@@ -32,9 +32,7 @@ let app_pool =
 (* One guest VM, self-contained: everything below derives from the
    per-guest seed, so the result depends only on [index] — never on the
    domain that ran it.  Chaos-style (governed fault plan, enforced view,
-   full-view companion) with the fast execution engine on; the
-   differential harness (test/differential.ml) is what licenses flipping
-   [sblocks] on without changing guest behavior.
+   full-view companion) on the default (fast) engine.
 
    [?telemetry] arms the probe (ticker + sampler) at that period; the
    armed guest must produce the same digest as a disarmed one — the
@@ -48,8 +46,7 @@ let run_guest ?telemetry ?(warm_start = false) profiles ~seed index =
   let plan = Fault.gen ~seed:gseed ~rounds:100 ~n in
   let app = App.find_exn name in
   let os =
-    Os.create ~config:(App.os_config app) ~sblocks:true
-      (Profiles.image profiles)
+    Os.create ~config:(App.os_config app) (Profiles.image profiles)
   in
   let hyp = Hyp.attach os in
   let fc = Facechange.enable ~governor:Chaos.chaos_policy hyp in

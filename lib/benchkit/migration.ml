@@ -36,7 +36,7 @@ type t = {
 }
 
 (* Same pool and shape as a fleet guest: chaos-governed, enforced view,
-   full-view companion, superblocks on. *)
+   full-view companion, default (fast) engine. *)
 let app_pool =
   [ "top"; "apache"; "gvim"; "tcpdump"; "bash"; "gzip"; "vsftpd"; "eog" ]
 
@@ -49,8 +49,7 @@ let build profiles ~gseed =
   let plan = Fault.gen ~seed:gseed ~rounds:100 ~n in
   let app = App.find_exn name in
   let os =
-    Os.create ~config:(App.os_config app) ~sblocks:true
-      (Profiles.image profiles)
+    Os.create ~config:(App.os_config app) (Profiles.image profiles)
   in
   let hyp = Hyp.attach os in
   let fc = Facechange.enable ~governor:Chaos.chaos_policy hyp in

@@ -20,10 +20,7 @@ type counters = {
   c_sb_invals : int;
   c_sb_chains : int;
   c_sb_restamps : int;
-  (* fetch-TLB flushes split by cause (the tlb.flushes{cause} family):
-     the view-switch bucket is what the tagged arms drive to ~0 *)
-  c_fl_view_switch : int;
-  c_fl_cow : int;
+  (* translation invalidations by cause (the tlb.flushes{cause} family) *)
   c_fl_growth : int;
   c_fl_explicit : int;
 }
@@ -32,8 +29,7 @@ let zero_counters =
   { c_instructions = 0; c_cycles = 0; c_i_hits = 0; c_i_misses = 0;
     c_d_hits = 0; c_d_misses = 0; c_i_flushes = 0; c_d_flushes = 0;
     c_sb_built = 0; c_sb_hits = 0; c_sb_invals = 0; c_sb_chains = 0;
-    c_sb_restamps = 0; c_fl_view_switch = 0; c_fl_cow = 0; c_fl_growth = 0;
-    c_fl_explicit = 0 }
+    c_sb_restamps = 0; c_fl_growth = 0; c_fl_explicit = 0 }
 
 (* Whole-guest counters at end of life.  Guest instructions only retire
    inside [Os.run]/exec paths — exactly the spans the arms time — so
@@ -55,17 +51,13 @@ let collect os acc =
     c_sb_invals = acc.c_sb_invals + v "sb.invalidations";
     c_sb_chains = acc.c_sb_chains + v "sb.chain_follows";
     c_sb_restamps = acc.c_sb_restamps + v "sb.restamps";
-    c_fl_view_switch = acc.c_fl_view_switch + v "tlb.flushes{view_switch}";
-    c_fl_cow = acc.c_fl_cow + v "tlb.flushes{cow}";
     c_fl_growth = acc.c_fl_growth + v "tlb.flushes{growth}";
     c_fl_explicit = acc.c_fl_explicit + v "tlb.flushes{explicit}";
   }
 
 type arm = {
   a_label : string;
-  a_tagged : bool;
-  a_sblocks : bool;
-  a_tlb : bool;
+  a_engine : Os.engine;
   a_views : bool;
   a_reps : int;
   a_seconds : float;  (* min wall clock across the reps (noise floor) *)
@@ -77,12 +69,10 @@ let ips ~instructions ~reps ~seconds =
   if seconds <= 0. then 0.
   else float_of_int (instructions * reps) /. seconds
 
-let make_arm ~label ~tagged ~sblocks ~tlb ~views ~reps ~seconds ~counters =
+let make_arm ~label ~engine ~views ~reps ~seconds ~counters =
   {
     a_label = label;
-    a_tagged = tagged;
-    a_sblocks = sblocks;
-    a_tlb = tlb;
+    a_engine = engine;
     a_views = views;
     a_reps = reps;
     a_seconds = seconds;
@@ -103,12 +93,11 @@ let now () = Unix.gettimeofday ()
 let perf_view_apps = [ "top"; "apache" ]
 
 (* One subtest in a fresh guest, mirroring [Unixbench.run_one] but with
-   the engine toggles and wall-clock timing of the run spans.  Returns
+   the engine choice and wall-clock timing of the run spans.  Returns
    the elapsed seconds; the guest is handed back for counter
    collection. *)
-let run_subtest image ~tagged ~sblocks ~tlb ~views ~residents
-    (st : Unixbench.subtest) =
-  let os = Os.create ~config:Unixbench.bench_config ~sblocks ~tlb ~tagged image in
+let run_subtest image ~engine ~views ~residents (st : Unixbench.subtest) =
+  let os = Os.create ~config:Unixbench.bench_config ~engine image in
   if views <> [] then begin
     let hyp = Hyp.attach os in
     let fc = Facechange.enable hyp in
@@ -134,7 +123,7 @@ let run_subtest image ~tagged ~sblocks ~tlb ~views ~residents
   elapsed := !elapsed +. (now () -. t0);
   (os, !elapsed)
 
-let unixbench_arm profiles ~tagged ~sblocks ~tlb ~views_on ~reps =
+let unixbench_arm profiles ~engine ~views_on ~reps =
   let image = Profiles.image profiles in
   let views =
     if views_on then List.map (Profiles.config_of profiles) perf_view_apps
@@ -147,9 +136,7 @@ let unixbench_arm profiles ~tagged ~sblocks ~tlb ~views_on ~reps =
     let rep_seconds = ref 0. in
     List.iter
       (fun st ->
-        let os, dt =
-          run_subtest image ~tagged ~sblocks ~tlb ~views ~residents st
-        in
+        let os, dt = run_subtest image ~engine ~views ~residents st in
         rep_seconds := !rep_seconds +. dt;
         (* counters from the first rep only: every rep is the same
            deterministic run, so the pinned numbers are rep-independent *)
@@ -159,13 +146,10 @@ let unixbench_arm profiles ~tagged ~sblocks ~tlb ~views_on ~reps =
     seconds := Float.min !seconds !rep_seconds
   done;
   let label =
-    Printf.sprintf "%s%s%s+%s"
-      (if tagged then "tag+" else "")
-      (if sblocks then "sb+" else "")
-      (if tlb then "tlb" else "no-tlb")
+    Printf.sprintf "%s+%s" (Os.engine_name engine)
       (if views_on then "views" else "noviews")
   in
-  make_arm ~label ~tagged ~sblocks ~tlb ~views:views_on ~reps:(max 1 reps)
+  make_arm ~label ~engine ~views:views_on ~reps:(max 1 reps)
     ~seconds:!seconds ~counters:!counters
 
 (* ------------------------------------------------------------------ *)
@@ -174,14 +158,14 @@ let unixbench_arm profiles ~tagged ~sblocks ~tlb ~views_on ~reps =
 
 (* The Fig. 7 apache request batch (same scripts as [Httperf]), with
    FACE-CHANGE enabled and the apache view loaded in every arm — only
-   the engine toggles differ. *)
-let httperf_arm profiles ~tagged ~sblocks ~tlb ~reps =
+   the engine differs. *)
+let httperf_arm profiles ~engine ~reps =
   let app = Fc_apps.App.find_exn "apache" in
   let config = { (Fc_apps.App.os_config app) with Os.wake_delay = 2 } in
   let seconds = ref infinity in
   let counters = ref zero_counters in
   for rep = 1 to max 1 reps do
-    let os = Os.create ~config ~sblocks ~tlb ~tagged (Profiles.image profiles) in
+    let os = Os.create ~config ~engine (Profiles.image profiles) in
     let hyp = Hyp.attach os in
     let fc = Facechange.enable hyp in
     let (_ : int) =
@@ -200,14 +184,8 @@ let httperf_arm profiles ~tagged ~sblocks ~tlb ~reps =
     seconds := Float.min !seconds (now () -. t0);
     if rep = 1 then counters := collect os !counters
   done;
-  make_arm
-    ~label:
-      (Printf.sprintf "%s%s%s"
-         (if tagged then "tag+" else "")
-         (if sblocks then "sb+" else "")
-         (if tlb then "tlb" else "no-tlb"))
-    ~tagged ~sblocks ~tlb ~views:true ~reps:(max 1 reps) ~seconds:!seconds
-    ~counters:!counters
+  make_arm ~label:(Os.engine_name engine) ~engine ~views:true ~reps:(max 1 reps)
+    ~seconds:!seconds ~counters:!counters
 
 (* ------------------------------------------------------------------ *)
 (* Warm vs cold TLB                                                    *)
@@ -222,7 +200,7 @@ let syscall_loop =
    kernel's working set already cached (warm — only its own kernel stack
    pages miss). *)
 let warm_cold image =
-  let os = Os.create ~config:Unixbench.bench_config ~tlb:true image in
+  let os = Os.create ~config:Unixbench.bench_config image in
   let measure () =
     let p = Os.spawn os ~name:"ubench" syscall_loop in
     let i0 = Os.instructions os in
@@ -241,16 +219,15 @@ let warm_cold image =
 (* Driver + JSON                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let schema_version = 2
+
 type t = {
   reps : int;
   unixbench : arm list;
-  unixbench_speedup : float;  (* tlb vs no-tlb, views on *)
+  unixbench_speedup : float;  (* fast vs reference, views on *)
   unixbench_speedup_noviews : float;
-  unixbench_speedup_sblocks : float;  (* sb+tlb vs tlb, views on *)
-  unixbench_speedup_sblocks_noviews : float;
   httperf : arm list;
   httperf_speedup : float;
-  httperf_speedup_sblocks : float;
   cold : float * int * float;  (* seconds, instructions, ips *)
   warm : float * int * float;
 }
@@ -258,73 +235,25 @@ type t = {
 let speedup ~fast_arm ~base_arm =
   if base_arm.a_ips <= 0. then 0. else fast_arm.a_ips /. base_arm.a_ips
 
-let find_arm arms ~tagged ~sblocks ~tlb ~views =
-  List.find
-    (fun a ->
-      a.a_tagged = tagged && a.a_sblocks = sblocks && a.a_tlb = tlb
-      && a.a_views = views)
-    arms
-
+(* Each workload runs on the reference engine (the baseline whose
+   retirement the fast engine must reproduce exactly) and the fast
+   engine, reference first. *)
 let run ?(reps = 3) profiles =
-  (* The untagged arms are the legacy scheme (global translation epoch,
-     full flush on every view switch) whose deterministic counters the CI
-     gate pins; the tag+ arms run the same workloads with view-tagged
-     caching and must retire identically while flushing ~nothing on
-     switches. *)
-  let ub =
-    [
-      unixbench_arm profiles ~tagged:false ~sblocks:false ~tlb:true
-        ~views_on:true ~reps;
-      unixbench_arm profiles ~tagged:false ~sblocks:false ~tlb:false
-        ~views_on:true ~reps;
-      unixbench_arm profiles ~tagged:false ~sblocks:false ~tlb:true
-        ~views_on:false ~reps;
-      unixbench_arm profiles ~tagged:false ~sblocks:false ~tlb:false
-        ~views_on:false ~reps;
-      unixbench_arm profiles ~tagged:false ~sblocks:true ~tlb:true
-        ~views_on:true ~reps;
-      unixbench_arm profiles ~tagged:false ~sblocks:true ~tlb:true
-        ~views_on:false ~reps;
-      unixbench_arm profiles ~tagged:true ~sblocks:false ~tlb:true
-        ~views_on:true ~reps;
-      unixbench_arm profiles ~tagged:true ~sblocks:true ~tlb:true
-        ~views_on:true ~reps;
-    ]
-  in
-  let hp =
-    [
-      httperf_arm profiles ~tagged:false ~sblocks:false ~tlb:true ~reps;
-      httperf_arm profiles ~tagged:false ~sblocks:false ~tlb:false ~reps;
-      httperf_arm profiles ~tagged:false ~sblocks:true ~tlb:true ~reps;
-      httperf_arm profiles ~tagged:true ~sblocks:true ~tlb:true ~reps;
-    ]
-  in
-  let ub_arm = find_arm ub ~tagged:false in
+  let ub engine views_on = unixbench_arm profiles ~engine ~views_on ~reps in
+  let ub_ref_v = ub Os.Reference true in
+  let ub_fast_v = ub Os.Fast true in
+  let ub_ref_n = ub Os.Reference false in
+  let ub_fast_n = ub Os.Fast false in
+  let hp_ref = httperf_arm profiles ~engine:Os.Reference ~reps in
+  let hp_fast = httperf_arm profiles ~engine:Os.Fast ~reps in
   let cold, warm = warm_cold (Profiles.image profiles) in
   {
     reps = max 1 reps;
-    unixbench = ub;
-    unixbench_speedup =
-      speedup
-        ~fast_arm:(ub_arm ~sblocks:false ~tlb:true ~views:true)
-        ~base_arm:(ub_arm ~sblocks:false ~tlb:false ~views:true);
-    unixbench_speedup_noviews =
-      speedup
-        ~fast_arm:(ub_arm ~sblocks:false ~tlb:true ~views:false)
-        ~base_arm:(ub_arm ~sblocks:false ~tlb:false ~views:false);
-    unixbench_speedup_sblocks =
-      speedup
-        ~fast_arm:(ub_arm ~sblocks:true ~tlb:true ~views:true)
-        ~base_arm:(ub_arm ~sblocks:false ~tlb:true ~views:true);
-    unixbench_speedup_sblocks_noviews =
-      speedup
-        ~fast_arm:(ub_arm ~sblocks:true ~tlb:true ~views:false)
-        ~base_arm:(ub_arm ~sblocks:false ~tlb:true ~views:false);
-    httperf = hp;
-    httperf_speedup =
-      speedup ~fast_arm:(List.nth hp 0) ~base_arm:(List.nth hp 1);
-    httperf_speedup_sblocks =
-      speedup ~fast_arm:(List.nth hp 2) ~base_arm:(List.nth hp 0);
+    unixbench = [ ub_ref_v; ub_fast_v; ub_ref_n; ub_fast_n ];
+    unixbench_speedup = speedup ~fast_arm:ub_fast_v ~base_arm:ub_ref_v;
+    unixbench_speedup_noviews = speedup ~fast_arm:ub_fast_n ~base_arm:ub_ref_n;
+    httperf = [ hp_ref; hp_fast ];
+    httperf_speedup = speedup ~fast_arm:hp_fast ~base_arm:hp_ref;
     cold;
     warm;
   }
@@ -345,8 +274,6 @@ let counters_to_json c =
       ("sb_invals", J.Int c.c_sb_invals);
       ("sb_chains", J.Int c.c_sb_chains);
       ("sb_restamps", J.Int c.c_sb_restamps);
-      ("fl_view_switch", J.Int c.c_fl_view_switch);
-      ("fl_cow", J.Int c.c_fl_cow);
       ("fl_growth", J.Int c.c_fl_growth);
       ("fl_explicit", J.Int c.c_fl_explicit);
     ]
@@ -355,9 +282,7 @@ let arm_to_json a =
   J.Obj
     [
       ("label", J.String a.a_label);
-      ("tagged", J.Bool a.a_tagged);
-      ("sblocks", J.Bool a.a_sblocks);
-      ("tlb", J.Bool a.a_tlb);
+      ("engine", J.String (Os.engine_name a.a_engine));
       ("views", J.Bool a.a_views);
       ("reps", J.Int a.a_reps);
       ("seconds", J.Float a.a_seconds);
@@ -377,18 +302,15 @@ let to_json t =
         J.Obj
           [
             ("arms", J.List (List.map arm_to_json t.unixbench));
-            ("speedup_tlb_vs_no_tlb", J.Float t.unixbench_speedup);
-            ("speedup_tlb_vs_no_tlb_noviews", J.Float t.unixbench_speedup_noviews);
-            ("speedup_sblocks_vs_tlb", J.Float t.unixbench_speedup_sblocks);
-            ( "speedup_sblocks_vs_tlb_noviews",
-              J.Float t.unixbench_speedup_sblocks_noviews );
+            ("speedup_fast_vs_reference", J.Float t.unixbench_speedup);
+            ( "speedup_fast_vs_reference_noviews",
+              J.Float t.unixbench_speedup_noviews );
           ] );
       ( "httperf",
         J.Obj
           [
             ("arms", J.List (List.map arm_to_json t.httperf));
-            ("speedup_tlb_vs_no_tlb", J.Float t.httperf_speedup);
-            ("speedup_sblocks_vs_tlb", J.Float t.httperf_speedup_sblocks);
+            ("speedup_fast_vs_reference", J.Float t.httperf_speedup);
           ] );
       ( "warm_cold",
         J.Obj [ ("cold", point_to_json t.cold); ("warm", point_to_json t.warm) ]
@@ -398,36 +320,33 @@ let to_json t =
 let render t =
   let buf = Buffer.create 2048 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "Execution fast paths: wall-clock guest instructions/sec (reps=%d)\n\n"
+  pr "Execution engines: wall-clock guest instructions/sec (reps=%d)\n\n"
     t.reps;
   let arm_line a =
-    pr "  %-16s %10.3fs  %12d instr  %12.0f ips  (iTLB %d/%d, dTLB %d/%d)\n"
+    pr "  %-18s %10.3fs  %12d instr  %12.0f ips  (iTLB %d/%d, dTLB %d/%d)\n"
       a.a_label a.a_seconds a.a_counters.c_instructions a.a_ips
       a.a_counters.c_i_hits a.a_counters.c_i_misses a.a_counters.c_d_hits
       a.a_counters.c_d_misses;
-    if a.a_sblocks then
-      pr "  %-16s   sblocks: %d built, %d hits, %d invalidations, %d chains, \
-          %d restamps\n"
-        "" a.a_counters.c_sb_built a.a_counters.c_sb_hits
-        a.a_counters.c_sb_invals a.a_counters.c_sb_chains
-        a.a_counters.c_sb_restamps;
-    if a.a_tlb then
-      pr "  %-16s   flushes: %d view_switch, %d cow, %d growth, %d explicit\n"
-        "" a.a_counters.c_fl_view_switch a.a_counters.c_fl_cow
-        a.a_counters.c_fl_growth a.a_counters.c_fl_explicit
+    match a.a_engine with
+    | Os.Reference -> ()
+    | Os.Fast ->
+        pr "  %-18s   sblocks: %d built, %d hits, %d invalidations, %d \
+            chains, %d restamps\n"
+          "" a.a_counters.c_sb_built a.a_counters.c_sb_hits
+          a.a_counters.c_sb_invals a.a_counters.c_sb_chains
+          a.a_counters.c_sb_restamps;
+        pr "  %-18s   flushes: %d growth, %d explicit\n" ""
+          a.a_counters.c_fl_growth a.a_counters.c_fl_explicit
   in
   pr "UnixBench suite:\n";
   List.iter arm_line t.unixbench;
-  pr "  tlb speedup (views on):      %.2fx\n" t.unixbench_speedup;
-  pr "  tlb speedup (views off):     %.2fx\n" t.unixbench_speedup_noviews;
-  pr "  sblocks speedup (views on):  %.2fx over the tlb arm\n"
-    t.unixbench_speedup_sblocks;
-  pr "  sblocks speedup (views off): %.2fx over the tlb arm\n\n"
-    t.unixbench_speedup_sblocks_noviews;
+  pr "  fast speedup (views on):  %.2fx over the reference arm\n"
+    t.unixbench_speedup;
+  pr "  fast speedup (views off): %.2fx over the reference arm\n\n"
+    t.unixbench_speedup_noviews;
   pr "httperf batch (apache view):\n";
   List.iter arm_line t.httperf;
-  pr "  tlb speedup:     %.2fx\n" t.httperf_speedup;
-  pr "  sblocks speedup: %.2fx over the tlb arm\n\n" t.httperf_speedup_sblocks;
+  pr "  fast speedup: %.2fx over the reference arm\n\n" t.httperf_speedup;
   let s, i, v = t.cold in
   pr "syscall loop, cold TLB: %.4fs  %d instr  %.0f ips\n" s i v;
   let s, i, v = t.warm in

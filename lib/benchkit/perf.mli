@@ -1,15 +1,14 @@
-(** Wall-clock throughput benchmark for the execution fast paths.
+(** Wall-clock throughput benchmark for the two execution engines.
 
     Every other experiment in this suite measures {e simulated} cycles;
-    this one measures real elapsed time, because the software TLBs
-    (see DESIGN.md "Translation fast path"), the decode-once superblocks
-    (DESIGN.md §10) and view-tagged translation caching (DESIGN.md §14)
-    change only how fast the host executes the guest, never what the
-    guest does.  Each arm runs the same deterministic workload with the
-    toggles on or off ([Os.create ~sblocks ~tlb ~tagged]) and reports
-    guest instructions retired per wall-clock second, timing only the
-    [Os.run] spans (view builds and profiling are excluded from both the
-    numerator and the denominator).
+    this one measures real elapsed time, because the engine
+    ([Os.create ~engine]) changes only how fast the host executes the
+    guest, never what the guest does.  Each workload runs once on the
+    reference engine (the byte-level baseline) and once on the fast
+    engine (software TLBs, decode-once superblocks and view tags; see
+    DESIGN.md §9, §10, §14) and reports guest instructions retired per
+    wall-clock second, timing only the [Os.run] spans (view builds and
+    profiling are excluded from both the numerator and the denominator).
 
     Wall-clock numbers vary run to run and are {e recorded, never
     gated}; the TLB, superblock and flush-cause counters and instruction
@@ -31,20 +30,16 @@ type counters = {
   c_sb_chains : int;
   c_sb_restamps : int;
       (** in-place superblock tier restamps — the per-switch revalidation
-          tax that view tags eliminate *)
-  c_fl_view_switch : int;
-      (** fetch-TLB flushes caused by view switch-in (the
-          [tlb.flushes{view_switch}] family label) — ~0 under tags *)
-  c_fl_cow : int;
-  c_fl_growth : int;
-  c_fl_explicit : int;
+          tax the global stamp and the tag memo remove *)
+  c_fl_growth : int;  (** [tlb.flushes{growth}]: guest RAM growth *)
+  c_fl_explicit : int;  (** [tlb.flushes{explicit}]: view retirement *)
 }
 
 type arm = {
   a_label : string;
-  a_tagged : bool;  (** view-tagged caching on ([tag+] label prefix) *)
-  a_sblocks : bool;
-  a_tlb : bool;
+      (** ["reference+views"], ["fast+noviews"], … for UnixBench;
+          ["reference"] / ["fast"] for httperf *)
+  a_engine : Fc_machine.Os.engine;
   a_views : bool;
   a_reps : int;
   a_seconds : float;
@@ -56,25 +51,21 @@ type arm = {
           independent of [reps] / [--fast] *)
 }
 
+val schema_version : int
+(** The [BENCH_perf.json] schema (2: one reference and one fast arm per
+    workload). *)
+
 type t = {
   reps : int;
   unixbench : arm list;
-      (** \{tlb, no-tlb\} × \{views on (top + apache loaded, residents
-          running), views off\} over the nine UnixBench subtests, the
-          sb+tlb arms with superblocks enabled on top of the TLBs, and
-          the tag+ views-on arms re-running the tlb and sb+tlb
-          view-switching workloads under view-tagged caching *)
-  unixbench_speedup : float;  (** tlb vs no-tlb ips ratio, views on *)
+      (** \{reference, fast\} × \{views on (top + apache loaded,
+          residents running), views off\} over the nine UnixBench
+          subtests *)
+  unixbench_speedup : float;  (** fast vs reference ips ratio, views on *)
   unixbench_speedup_noviews : float;
-  unixbench_speedup_sblocks : float;
-      (** sb+tlb vs tlb ips ratio, views on — the superblock win over
-          the already-TLB'd engine *)
-  unixbench_speedup_sblocks_noviews : float;
   httperf : arm list;
-      (** apache request batch, view loaded: tlb, no-tlb, sb+tlb,
-          tag+sb+tlb *)
+      (** apache request batch, view loaded: reference, fast *)
   httperf_speedup : float;
-  httperf_speedup_sblocks : float;
   cold : float * int * float;
       (** (seconds, instructions, ips) for a syscall loop entered with
           empty TLBs *)

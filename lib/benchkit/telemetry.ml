@@ -10,11 +10,11 @@
      guest-visible work) and the merged telemetry fingerprint must match
      across domain counts (the merge is shard-independent).
 
-   - engine matrix: one fixed chaos-style guest run under all four
-     {sblocks}x{tlb} engine arms with the probe armed.  The series and
-     profiler fingerprints must be identical across arms — the ticker
-     fires at instruction marks, and instruction retirement is exactly
-     what the differential harness pins.
+   - engine matrix: one fixed chaos-style guest run on the reference and
+     the fast engine with the probe armed.  The series and profiler
+     fingerprints must be identical across the two — the ticker fires at
+     instruction marks, and instruction retirement is exactly what the
+     differential harness pins.
 
    - profile: a unixbench-style armed run producing the folded-stack
      profile (BENCH_profile.folded) and a wall-clocked series for
@@ -35,9 +35,7 @@ module Sampler = Fc_obs.Sampler
 module J = Fc_obs.Jsonx
 
 type engine_arm = {
-  ea_name : string;  (** e.g. ["sb+tlb"] *)
-  ea_sblocks : bool;
-  ea_tlb : bool;
+  ea_name : string;  (** ["reference"] or ["fast"] *)
   ea_outcome : string;
   ea_intervals : int;
   ea_samples : int;
@@ -72,22 +70,16 @@ type t = {
 (* Engine matrix                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let arm_name ~sblocks ~tlb =
-  Printf.sprintf "%s+%s"
-    (if sblocks then "sb" else "no-sb")
-    (if tlb then "tlb" else "no-tlb")
-
 (* One fixed chaos-style guest (enforced app + full-view companion +
-   governed fault plan), probe armed, under the given engine toggles.
-   Everything except the toggles is constant, so any fingerprint drift
-   across arms is the engine showing through the telemetry. *)
-let engine_arm profiles ~seed ~sblocks ~tlb =
+   governed fault plan), probe armed, on the given engine.  Everything
+   except the engine is constant, so any fingerprint drift across arms
+   is the engine showing through the telemetry. *)
+let engine_arm profiles ~seed engine =
   let name = "apache" in
   let plan = Fault.gen ~seed ~rounds:100 ~n:5 in
   let app = App.find_exn name in
   let os =
-    Os.create ~config:(App.os_config app) ~tlb ~sblocks
-      (Profiles.image profiles)
+    Os.create ~config:(App.os_config app) ~engine (Profiles.image profiles)
   in
   let hyp = Hyp.attach os in
   let fc = Facechange.enable ~governor:Chaos.chaos_policy hyp in
@@ -107,9 +99,7 @@ let engine_arm profiles ~seed ~sblocks ~tlb =
   Injector.disarm inj;
   let r = Probe.finish probe in
   {
-    ea_name = arm_name ~sblocks ~tlb;
-    ea_sblocks = sblocks;
-    ea_tlb = tlb;
+    ea_name = Os.engine_name engine;
     ea_outcome = outcome;
     ea_intervals = r.Probe.r_series.Timeseries.s_intervals;
     ea_samples = r.Probe.r_samples;
@@ -117,9 +107,6 @@ let engine_arm profiles ~seed ~sblocks ~tlb =
     ea_sampler_fp = Sampler.fingerprint r.Probe.r_folds;
     ea_resum_errors = r.Probe.r_resum_errors;
   }
-
-let engine_configs =
-  [ (false, false); (false, true); (true, false); (true, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Profile                                                             *)
@@ -137,8 +124,7 @@ let run_profile profiles =
       Unixbench.subtests
   in
   let os =
-    Os.create ~config:Unixbench.bench_config ~sblocks:true
-      (Profiles.image profiles)
+    Os.create ~config:Unixbench.bench_config (Profiles.image profiles)
   in
   let hyp = Hyp.attach os in
   let fc = Facechange.enable hyp in
@@ -188,9 +174,7 @@ let run ?(seed = 7) profiles =
     Fleet.run_cell profiles ~seed ~domains:1 ~guests:Fleet.pinned_guests
   in
   let matrix =
-    List.map
-      (fun (sblocks, tlb) -> engine_arm profiles ~seed:1021 ~sblocks ~tlb)
-      engine_configs
+    List.map (engine_arm profiles ~seed:1021) [ Os.Reference; Os.Fast ]
   in
   {
     t_seed = seed;
@@ -252,8 +236,6 @@ let arm_to_json a =
   J.Obj
     [
       ("arm", J.String a.ea_name);
-      ("sblocks", J.Bool a.ea_sblocks);
-      ("tlb", J.Bool a.ea_tlb);
       ("outcome", J.String a.ea_outcome);
       ("intervals", J.Int a.ea_intervals);
       ("samples", J.Int a.ea_samples);

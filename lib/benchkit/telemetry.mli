@@ -4,15 +4,13 @@
     behavior-invisible: the pinned fleet cell armed at 1/2/4 domains
     against a disarmed control (fleet fingerprints must match, merged
     telemetry fingerprints must match across domain counts), one fixed
-    guest under all four [{sblocks}×{tlb}] engine arms (series and
-    profiler fingerprints must be identical), and a unixbench-style
+    guest on the reference and the fast engine (series and profiler
+    fingerprints must be identical), and a unixbench-style
     armed profile run whose folded stacks feed flamegraph.pl.  Gated by
     [bench/check.exe --telemetry]. *)
 
 type engine_arm = {
-  ea_name : string;
-  ea_sblocks : bool;
-  ea_tlb : bool;
+  ea_name : string;  (** ["reference"] or ["fast"] *)
   ea_outcome : string;
   ea_intervals : int;
   ea_samples : int;

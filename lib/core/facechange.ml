@@ -121,37 +121,18 @@ let unbind t ~comm = t.bindings <- List.remove_assoc comm t.bindings
 
 (* ---------------- view switching (per-vCPU, the paper's SV-C) ------- *)
 
-(* Install a view's directory entries on one vCPU.  Cost-model parity
-   between the two paths is load-bearing: both charge
-   [Cost.ept_dir_switch] per directory, so instruction/cycle fingerprints
-   are identical with tags on or off and the differential harness can
-   hold the tagged toggle to behavior-invisibility. *)
+(* Install a view's directory entries on one vCPU (VPID-style): quiet
+   directory installs plus one active-tag change.  Nothing is flushed —
+   translations cached under [to_index] in an earlier activation still
+   carry its current (view, generation) tag and revalidate by compare. *)
 let install_tables t ~vid ~to_index tables =
-  let os = Hyp.os t.hyp in
-  let ept = Os.ept_of os ~vid in
-  if Os.tagged_on os then begin
-    (* tagged (VPID-style) switch-in: quiet directory installs plus one
-       active-tag change.  Nothing is flushed — translations cached under
-       [to_index] in an earlier activation still carry its current
-       (view, generation) tag and revalidate by compare. *)
-    List.iter
-      (fun (dir, table) ->
-        Ept.install_dir ept ~dir (Some table);
-        Hyp.charge t.hyp Cost.ept_dir_switch)
-      tables;
-    Ept.set_view ept ~view:to_index
-  end
-  else begin
-    (* legacy path: every set_dir bumps the (single) generation — a full
-       fetch-TLB/superblock flush per directory, attributed so the bench
-       can show the cost the tags remove *)
-    List.iter
-      (fun (dir, table) ->
-        Ept.set_dir ept ~dir (Some table);
-        Hyp.charge t.hyp Cost.ept_dir_switch)
-      tables;
-    Os.note_flushes os ~cause:Os.Flush_view_switch (List.length tables)
-  end
+  let ept = Os.ept_of (Hyp.os t.hyp) ~vid in
+  List.iter
+    (fun (dir, table) ->
+      Ept.install_dir ept ~dir (Some table);
+      Hyp.charge t.hyp Cost.ept_dir_switch)
+    tables;
+  Ept.set_view ept ~view:to_index
 
 let emit_switch t ~vid ~from_index ~to_index outcome =
   if Obs.armed t.obs then
@@ -686,8 +667,7 @@ let unload_view t index =
              { index; app = View.app v; cow_breaks = View.cow_breaks v });
       View.destroy v;
       (* retire only the dead view's tag — survivors (and the full view)
-         keep every cached translation; the pre-tag scheme full-flushed
-         here via the switch-away set_dirs *)
+         keep every cached translation *)
       Os.retire_view_translations (Hyp.os t.hyp) ~view:index
 
 let disable t =

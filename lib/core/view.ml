@@ -66,25 +66,19 @@ let map_page t gpa_page frame =
       Ept.table_set table ~idx (Some frame);
       (* The table just mutated may already be installed in a vCPU's EPT
          (installed tables are shared by reference), and [table_set]
-         moves no directory entry, so no generation advanced: without an
-         explicit invalidation a COW break / on-demand page would serve
-         stale bytes.  Under tagged caching the invalidation is
-         frame-targeted: every cached translation validates
-         [Phys_mem.version] of its fill-time frame, so touching the
-         displaced frame kills exactly the entries that resolve through
-         it — one page's worth, in whichever views cached it — and every
-         other translation (and superblock stamp) in this view survives
-         untouched.  A previously empty slot needs nothing: translations
-         are never cached negatively.  With tags off the legacy global
-         epoch bump is the (pinned) invalidation mechanism. *)
-      if Os.tagged_on os then begin
-        Os.note_divergent_page os ~gpa_page;
-        Os.note_view_binding os ~gpa_page ~view:t.index ~frame;
-        match prev with
-        | Some old when old <> frame -> Phys.touch (Os.phys os) old
-        | Some _ | None -> ()
-      end
-      else Os.flush_fetch_tlbs ~view:t.index ~cause:Os.Flush_cow os
+         moves no directory entry and no view generation.  The
+         invalidation is frame-targeted instead: every cached translation
+         validates [Phys_mem.version] of its fill-time frame, so touching
+         the displaced frame kills exactly the entries that resolve
+         through it — one page's worth, in whichever views cached it —
+         and every other translation (and superblock stamp) in this view
+         survives untouched.  A previously empty slot needs nothing:
+         translations are never cached negatively. *)
+      Os.note_divergent_page os ~gpa_page;
+      Os.note_view_binding os ~gpa_page ~view:t.index ~frame;
+      (match prev with
+      | Some old when old <> frame -> Phys.touch (Os.phys os) old
+      | Some _ | None -> ())
   | None -> invalid_arg "View: page outside view directories");
   Hashtbl.replace t.page_frames gpa_page frame
 

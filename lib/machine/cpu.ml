@@ -82,11 +82,10 @@ type sblock = {
          address (fall-through split, direct jump, direct call); -1 when
          the successor is dynamic (ret, indirect call, yield, ud2) *)
   mutable sb_tag : int;
-      (* Ept.tag the block was last validated under; on the tagged path a
-         re-entered view's blocks match by compare, and on the untagged
-         path the block is restamped in place when a generation bump turns
-         out not to have changed this page's translation (a view switched
-         away and back) *)
+      (* Ept.tag the block was last validated under: a re-entered view's
+         blocks match by compare, and the block is restamped in place when
+         a tag change turns out not to have changed this page's
+         translation *)
   mutable sb_tag2 : int;
   mutable sb_tag3 : int;
       (* older validation tags, MRU-ordered — a 3-deep memo (hardware
@@ -95,13 +94,11 @@ type sblock = {
          every way instead of paying a re-translation restamp on every
          switch; a fourth concurrently-hot view degrades to one restamp
          per switch-in, never to a rebuild *)
-  mutable sb_ggen : int;
-      (* the x86 global-page bit, generation-stamped: >= 0 iff the block
-         was built from a page no kernel view has ever remapped, whose
-         translation is therefore identical under every view — validity
-         then skips the tag check entirely (one compare against the
-         owner's global generation, bumped by bare full flushes).  -1 on
-         divergent pages and whenever tags are off. *)
+  sb_global : bool;
+      (* the x86 global-page bit: set iff the block was built from a page
+         no kernel view has ever remapped, whose translation is therefore
+         identical under every view — validity then skips the tag check
+         entirely *)
   sb_frame : int;  (* host frame the block decoded from *)
   sb_version : int;  (* Phys_mem.version of sb_frame at build time *)
   mutable sb_trap_gen : int;

@@ -61,8 +61,8 @@ type event =
     block entry, never between ops.  The builder (the OS) guarantees the
     safety invariants that make that sound: every instruction of a block
     lies within one host frame, no instruction at index [>= 1] is a trap
-    address, and the [(epoch, frame version, trap generation)] snapshot is
-    re-validated before every execution (see DESIGN.md §10). *)
+    address, and the [(view tag, frame version, trap generation)]
+    snapshot is re-validated before every execution (see DESIGN.md §10). *)
 
 type sop =
   | S_step          (** Nop/Alu/Or_mem/Int_sw: advance eip only *)
@@ -93,8 +93,8 @@ type sblock = {
   mutable sb_tag : int;
       (** [Ept.tag] the block was last validated under; a re-entered
           view's blocks revalidate by compare, and the owner restamps the
-          field when a generation bump left this page's translation
-          unchanged, so view switches do not force re-decodes *)
+          field when a tag change left this page's translation unchanged,
+          so view switches do not force re-decodes *)
   mutable sb_tag2 : int;
   mutable sb_tag3 : int;
       (** older validation tags, MRU-ordered — a 3-deep memo (hardware
@@ -102,11 +102,11 @@ type sblock = {
           the full kernel view plus two app views with zero restamps; a
           tag minted under any bumped generation or rolled era can never
           match again, so a stale memo entry is inert, never unsound *)
-  mutable sb_ggen : int;
-      (** the x86 global-page bit, generation-stamped: [>= 0] iff the
-          block's page has never been remapped by any kernel view, so
-          its translation is view-invariant and validity skips the tag
-          check; [-1] on divergent pages and whenever tags are off *)
+  sb_global : bool;
+      (** the x86 global-page bit: set iff the block's page had never
+          been remapped by any kernel view when it was built, so its
+          translation is view-invariant and validity skips the tag
+          check *)
   sb_frame : int;       (** host frame the block decoded from *)
   sb_version : int;     (** [Phys_mem.version] of [sb_frame] at build time *)
   mutable sb_trap_gen : int;

@@ -62,6 +62,10 @@ type irq_timer = {
   mutable next_at : int;
 }
 
+type engine = Reference | Fast
+
+let engine_name = function Reference -> "reference" | Fast -> "fast"
+
 type decode_line = {
   mutable line_version : int;
   line : Cpu.decode_result option array; (* per byte offset in the frame *)
@@ -80,14 +84,15 @@ type vcpu = {
   mutable vslice : int; (* open run-slice span id, Span.none when closed *)
   mutable vslice_start : int; (* cycle at which the current slice began *)
   vitlb : decode_line Tlb.t;
-      (* fetch-path TLB: tagged with the EPT epoch, validated against the
-         frame version, payload = the frame's decode line *)
+      (* fetch-path TLB: stamped with the EPT view tag, validated against
+         the frame version, payload = the frame's decode line *)
   vdtlb : unit Tlb.t;
       (* data-path TLB: tagged with the OS data-mapping generation; guest
          RAM mappings never change once installed, so no version check *)
   vsbc : Cpu.sblock Tlb.t;
       (* superblock cache, keyed like the iTLB but tagged with the block's
-         start pc; validity = (EPT epoch, frame version, trap generation) *)
+         start pc; validity = (EPT view tag, frame version, trap
+         generation) *)
   mutable vsb_last : Cpu.sblock option;
       (* the block this vCPU executed last: the chaining anchor — when the
          next pc is its static exit, follow sb_next instead of probing *)
@@ -108,8 +113,8 @@ type fault_hooks = {
 (* Telemetry ticker (see lib/obs Timeseries): fires every [th_period]
    retired guest instructions, checked at vCPU turn boundaries in [run].
    Instruction counts at turn boundaries are engine-invariant (the
-   differential harness pins them across the {sblocks}×{tlb} matrix), so
-   interval boundaries are reproducible and gateable.  Same
+   differential harness pins them across both engines), so interval
+   boundaries are reproducible and gateable.  Same
    zero-cost-when-disarmed contract as [fault_hooks]. *)
 type tick_hook = {
   th_period : int;
@@ -140,13 +145,10 @@ type t = {
   mutable branch_policy : (int -> bool) option;
   cycles : int ref;
   instrs : int ref; (* retired guest instructions *)
-  tlb_on : bool;
-  sblocks_on : bool;
-  tagged_on : bool;
-      (* view-tagged translation caching: when set, the facechange layer
-         switches views by retagging ([Ept.set_view] + quiet
-         [Ept.install_dir]) instead of bumping generations, so cached
-         translations survive re-entry into an already-seen view *)
+  fast : bool;
+      (* [Fast] engine: software TLBs on the guest-memory paths and
+         superblocks on the execute loop; [Reference] takes the byte-level
+         walk everywhere *)
   mutable trap_gen : int;
       (* bumped whenever the trap set changes: superblocks embed the
          generation at build time, so a new trap address landing inside a
@@ -157,15 +159,12 @@ type t = {
          Blocks on pages outside this set are view-invariant (x86
          global-page style) and skip tag validation entirely. *)
   bindings : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* divergent gpa page -> (view id -> private frame), kept current
-         by the view layer's remaps.  When several views bind one page to
-         the same shared frame, a block built there is pre-stamped with
-         the sibling views' tags, so even the first switch into a sibling
-         revalidates by compare — no memo-cold restamp. *)
-  mutable global_gen : int;
-      (* stamp for view-invariant superblocks; a bare full flush bumps
-         it so "every cached translation is suspect" stays true even for
-         blocks that skip the tag check *)
+      (* divergent gpa page -> (live view id -> private frame), kept
+         current by the view layer's remaps and pruned when a view is
+         retired.  When several views bind one page to the same shared
+         frame, a block built there is pre-stamped with the sibling views'
+         tags, so even the first switch into a sibling revalidates by
+         compare — no memo-cold restamp. *)
   mutable data_epoch : int; (* bumped when guest RAM mappings grow *)
   mutable round_no : int;
   mutable context_switches : int;
@@ -201,43 +200,24 @@ type t = {
   sb_chains : Fc_obs.Metrics.counter;
   sb_restamps : Fc_obs.Metrics.counter;
       (* in-place sb_tag restamps in [sblock_valid]: the per-switch
-         revalidation cost tags exist to eliminate (near-zero when
-         [tagged_on]) *)
+         revalidation cost the global stamp and the tag memo keep near
+         zero *)
   tlb_flushes_f : Fc_obs.Metrics.family; (* tlb.flushes{cause} *)
 }
 
 and handler = t -> Cpu.regs -> vm_exit -> exit_action
 
-(* Why was a cached fetch translation invalidated?  Surfaced as the
-   [tlb.flushes{cause}] counter family so the bench can prove that
-   view-switch-caused flushes drop to ~0 under tagged caching.
-   [Flush_patch] is reserved for live kernel patching (ROADMAP item 1),
-   whose patched-view generations will churn through the same API. *)
-type flush_cause =
-  | Flush_view_switch
-  | Flush_cow
-  | Flush_patch
-  | Flush_growth
-  | Flush_explicit
-
-let flush_cause_label = function
-  | Flush_view_switch -> "view_switch"
-  | Flush_cow -> "cow"
-  | Flush_patch -> "patch"
-  | Flush_growth -> "growth"
-  | Flush_explicit -> "explicit"
-
+(* Invalidation events, attributed by cause to the [tlb.flushes{cause}]
+   family: ["growth"] (guest RAM grew) and ["explicit"] (a view was
+   retired).  View switches and COW breaks invalidate nothing
+   machine-wide, so they have no cause of their own. *)
 let note_flushes t ~cause n =
-  if n > 0 then
-    Fc_obs.Metrics.add
-      (Fc_obs.Metrics.family_counter t.tlb_flushes_f (flush_cause_label cause))
-      n
+  Fc_obs.Metrics.add (Fc_obs.Metrics.family_counter t.tlb_flushes_f cause) n
 
 let image t = t.image
 let config t = t.config
 let obs t = t.obs
 let phys t = t.phys
-let tagged_on t = t.tagged_on
 let active_vcpu t = t.vcpus.(t.active)
 let active_vcpu_id t = t.active
 let vcpu_count t = Array.length t.vcpus
@@ -385,8 +365,8 @@ let dtlb_entry t page =
 
 (* iTLB lookup: additionally validated against the EPT view tag (the
    packed (era, view, generation): a generation bump on the cached view
-   flushes its entries in O(1), while a tagged view switch merely changes
-   the active tag — entries cached under the re-entered view match again)
+   flushes its entries in O(1), while a view switch merely changes the
+   active tag — entries cached under the re-entered view match again)
    and the backing frame's version (so a COW break or a lazy recovery
    write to the very frame we cached is caught with no eager flush; the
    version bump also proves [bytes] still belongs to this frame). *)
@@ -416,40 +396,19 @@ let itlb_entry t page =
             e)
   end
 
-(* Invalidate cached fetch translations on every vCPU.  Called by the
-   view layer when an {e installed} (reference-shared) leaf table is
-   remapped behind the directories — a COW break or an on-demand private
-   page — which no [Ept.set_dir] can observe.  When the caller knows
-   which view owns the mutated table and tagged caching is on, only that
-   view's generation is bumped, so translations other views hold (which
-   still map the old, untouched frame) survive; otherwise everything is
-   dropped. *)
-let flush_fetch_tlbs ?view ?(cause = Flush_explicit) t =
-  (match view with
-  | Some view when t.tagged_on ->
-      Array.iter (fun v -> Ept.bump_view v.vept ~view) t.vcpus
-  | None when t.tagged_on ->
-      (* no owner known: every view's cached entries are suspect —
-         including view-invariant (global) blocks, hence the global
-         generation bump *)
-      t.global_gen <- t.global_gen + 1;
-      Array.iter (fun v -> Ept.flush_all v.vept) t.vcpus
-  | _ ->
-      (* tags off: everything lives in view 0, one bump is the full
-         flush — and counts exactly what the pre-tag global epoch did *)
-      Array.iter (fun v -> Ept.bump v.vept) t.vcpus);
-  note_flushes t ~cause (Array.length t.vcpus)
-
 (* A destroyed view's translations can never be revalidated (view ids are
-   not reused), but retiring its tag keeps the invalidation honest without
-   the full flush the pre-tag scheme needed: other views' cached entries
-   are untouched.  No-op when tags are off — the legacy path's switch-away
-   bumps already flushed everything. *)
-let retire_view_translations ?(cause = Flush_explicit) t ~view =
-  if t.tagged_on then begin
-    Array.iter (fun v -> Ept.retire_view v.vept ~view) t.vcpus;
-    note_flushes t ~cause (Array.length t.vcpus)
-  end
+   not reused), but bumping its generation keeps the invalidation honest
+   while other views' cached entries stay untouched.  Its page bindings
+   go too: they only pre-stamp superblocks with the tags of views that
+   may become active again, which a retired view never does. *)
+let retire_view_translations t ~view =
+  Array.iter (fun v -> Ept.bump_view v.vept ~view) t.vcpus;
+  note_flushes t ~cause:"explicit" (Array.length t.vcpus);
+  Hashtbl.filter_map_inplace
+    (fun _ per ->
+      Hashtbl.remove per view;
+      if Hashtbl.length per = 0 then None else Some per)
+    t.bindings
 
 (* A kernel view remapped [gpa_page] to a private frame: from here on the
    page's translation is view-dependent, so blocks built from it can
@@ -460,15 +419,13 @@ let retire_view_translations ?(cause = Flush_explicit) t ~view =
    not handled here: the caller's version touch on that frame is what
    kills them. *)
 let note_divergent_page t ~gpa_page = Hashtbl.replace t.divergent gpa_page ()
-let page_divergent t ~gpa_page = Hashtbl.mem t.divergent gpa_page
 
 (* Record the current (view, page) -> frame binding.  Only accuracy at
    read time matters for soundness — see [build_sblock]'s pre-stamping:
    a stale entry could at worst mint a tag for a (view, generation) pair
-   that is either never active again (retired view, bumped generation)
-   or whose rebinding already version-touched the displaced frame and
-   killed the block.  Entries therefore need no cleanup on view
-   destruction. *)
+   whose rebinding already version-touched the displaced frame and
+   killed the block.  A retired view's entries are dropped by
+   [retire_view_translations], so view churn cannot grow the registry. *)
 let note_view_binding t ~gpa_page ~view ~frame =
   let per =
     match Hashtbl.find_opt t.bindings gpa_page with
@@ -486,7 +443,7 @@ let read_guest_byte_slow t gva =
   | Some hpa -> Some (Phys.read_byte t.phys hpa)
 
 let read_guest_byte t gva =
-  if not t.tlb_on then read_guest_byte_slow t gva
+  if not t.fast then read_guest_byte_slow t gva
   else
     let e = dtlb_entry t (gva / Layout.page_size) in
     if e.Tlb.tag >= 0 then Some (Bytes.get_uint8 e.Tlb.bytes (gva land page_mask))
@@ -503,7 +460,7 @@ let fetch_code_slow t gva =
       | Some hpa -> Some (Phys.read_byte t.phys hpa))
 
 let fetch_code t gva =
-  if not t.tlb_on then fetch_code_slow t gva
+  if not t.fast then fetch_code_slow t gva
   else
     let e = itlb_entry t (gva / Layout.page_size) in
     if e.Tlb.tag >= 0 then Some (Bytes.get_uint8 e.Tlb.bytes (gva land page_mask))
@@ -518,7 +475,7 @@ let read_guest_u32_slow t gva =
   | exception Exit -> None
 
 let read_guest_u32 t gva =
-  if not t.tlb_on then read_guest_u32_slow t gva
+  if not t.fast then read_guest_u32_slow t gva
   else
     let off = gva land page_mask in
     if off > Layout.page_size - 4 then
@@ -537,7 +494,7 @@ let write_guest_byte_slow t gva v =
   | Some hpa -> Phys.write_byte t.phys hpa v
 
 let write_guest_byte t gva v =
-  if not t.tlb_on then write_guest_byte_slow t gva v
+  if not t.fast then write_guest_byte_slow t gva v
   else
     let e = dtlb_entry t (gva / Layout.page_size) in
     if e.Tlb.tag >= 0 then begin
@@ -552,7 +509,7 @@ let write_guest_u32_slow t gva v =
   done
 
 let write_guest_u32 t gva v =
-  if not t.tlb_on then write_guest_u32_slow t gva v
+  if not t.fast then write_guest_u32_slow t gva v
   else
     let off = gva land page_mask in
     if off > Layout.page_size - 4 then write_guest_u32_slow t gva v
@@ -571,9 +528,6 @@ let write_guest_u32 t gva v =
 let map_fresh_range t ~lo ~hi =
   let lo_page = Layout.page_of lo and hi_page = Layout.page_of (hi - 1) + 1 in
   let e0 = t.vcpus.(0).vept in
-  let flushes_before =
-    Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus
-  in
   for gva_page = lo_page to hi_page - 1 do
     let gpa_page = Layout.page_of (Layout.gva_to_gpa (gva_page * Layout.page_size)) in
     let frame = Phys.alloc t.phys in
@@ -581,19 +535,15 @@ let map_fresh_range t ~lo ~hi =
     (* map in vCPU 0, then alias its leaf table into any vCPU that does
        not have that directory yet: RAM mappings stay shared while each
        vCPU keeps its own directory (views replace directory entries
-       per-vCPU).  Under tags the installs are quiet: a fresh page was
-       never cached (no negative caching), so no generation needs to
-       move — the legacy path keeps its belt-and-braces bumps because
-       they are the pinned i_flushes count. *)
-    (if t.tagged_on then Ept.install_page else Ept.map_page)
-      e0 ~gpa_page ~hpa_frame:frame;
+       per-vCPU).  The installs are quiet: a fresh page was never cached
+       (no negative caching), so no generation needs to move. *)
+    Ept.install_page e0 ~gpa_page ~hpa_frame:frame;
     let dir = Ept.dir_of_page gpa_page in
     let table = Option.get (Ept.get_dir e0 ~dir) in
     Array.iter
       (fun v ->
         if v.vid > 0 && Ept.get_dir v.vept ~dir = None then
-          (if t.tagged_on then Ept.install_dir else Ept.set_dir)
-            v.vept ~dir (Some table))
+          Ept.install_dir v.vept ~dir (Some table))
       t.vcpus;
     List.iter (fun pt -> Pt.map pt ~gva_page ~gpa_page) t.page_tables
   done;
@@ -602,12 +552,7 @@ let map_fresh_range t ~lo ~hi =
      belt-and-braces rather than load-bearing — it also serves as the
      deterministic tlb.d_flushes count. *)
   t.data_epoch <- t.data_epoch + 1;
-  let flushes_after =
-    Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus
-  in
-  (* the per-page map_page/set_dir generation bumps above, plus the data
-     epoch bump, all attribute to guest-RAM growth *)
-  note_flushes t ~cause:Flush_growth (flushes_after - flushes_before + 1)
+  note_flushes t ~cause:"growth" 1
 
 let copy_code_in t ~base (code : Bytes.t) =
   for i = 0 to Bytes.length code - 1 do
@@ -754,21 +699,59 @@ let dummy_sblock =
     sb_tag = -1;
     sb_tag2 = -1;
     sb_tag3 = -1;
-    sb_ggen = -1;
+    sb_global = false;
     sb_frame = -1;
     sb_version = -1;
     sb_trap_gen = -1;
     sb_next = None;
   }
 
-let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
-    ?(sblocks = false) ?(tagged = true) image =
+(* Per-vCPU iTLB, dTLB and block cache; the reference engine never
+   consults them, so it gets single-entry placeholders. *)
+let vcpu_caches ~fast =
+  let bits n = if fast then n else 0 in
+  ( Tlb.create ~bits:(bits 8) ~payload:dummy_decode_line (),
+    Tlb.create ~bits:(bits 8) ~payload:() (),
+    Tlb.create ~bits:(bits 12) ~payload:dummy_sblock () )
+
+(* Hooks and read-through gauges every machine carries, whether booted
+   or thawed: decode lines (and, transitively, the blocks rebuilt from
+   them) are keyed by host frame, so they die with their frame rather
+   than leaking one per freed view frame until the number is recycled;
+   the guest cycle counter is the trace timestamp source; scheduler and
+   cache state are exported as gauges. *)
+let wire_instruments t =
+  Phys.set_release_hook t.phys
+    (Some
+       (fun frame ->
+         Hashtbl.remove t.decode_cache frame;
+         Hashtbl.remove t.sb_store frame));
+  Fc_obs.Obs.set_clock t.obs (fun () -> !(t.cycles));
+  let metrics = Fc_obs.Obs.metrics t.obs in
+  let gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"os" name f in
+  gauge "cycles" (fun () -> !(t.cycles));
+  gauge "instructions" (fun () -> !(t.instrs));
+  gauge "rounds" (fun () -> t.round_no);
+  gauge "context_switches" (fun () -> t.context_switches);
+  gauge "vcpus" (fun () -> Array.length t.vcpus);
+  gauge "processes" (fun () -> List.length t.procs_rev);
+  gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache);
+  gauge "view_bindings" (fun () ->
+      Hashtbl.fold (fun _ per n -> n + Hashtbl.length per) t.bindings 0);
+  let tlb_gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"tlb" name f in
+  tlb_gauge "i_flushes" (fun () ->
+      Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
+  tlb_gauge "d_flushes" (fun () -> t.data_epoch)
+
+let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   if vcpus < 1 || vcpus > 8 then invalid_arg "Os.create: 1-8 vcpus";
   let obs = match obs with Some o -> o | None -> Fc_obs.Obs.create () in
+  let fast = match engine with Fast -> true | Reference -> false in
   let master_pt = Pt.create () in
   let mk_vcpu vid =
     let name = if vid = 0 then "swapper" else Printf.sprintf "swapper/%d" vid in
     let vidle = Process.create ~cpu:vid ~pid:vid ~name ~page_table:master_pt [] in
+    let vitlb, vdtlb, vsbc = vcpu_caches ~fast in
     {
       vid;
       vept = Ept.create ();
@@ -777,9 +760,9 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
       vin_interrupt = false;
       vslice = Fc_obs.Span.none;
       vslice_start = 0;
-      vitlb = Tlb.create ~bits:8 ~payload:dummy_decode_line ();
-      vdtlb = Tlb.create ~bits:8 ~payload:() ();
-      vsbc = Tlb.create ~bits:(if sblocks then 12 else 0) ~payload:dummy_sblock ();
+      vitlb;
+      vdtlb;
+      vsbc;
       vsb_last = None;
     }
   in
@@ -803,13 +786,10 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
       branch_policy = None;
       cycles = ref 0;
       instrs = ref 0;
-      tlb_on = tlb;
-      sblocks_on = sblocks;
-      tagged_on = tagged;
+      fast;
       trap_gen = 0;
       divergent = Hashtbl.create 64;
       bindings = Hashtbl.create 64;
-      global_gen = 0;
       data_epoch = 0;
       round_no = 0;
       context_switches = 0;
@@ -852,31 +832,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
           "flushes";
     }
   in
-  (* decode lines (and, transitively, the blocks rebuilt from them) are
-     keyed by host frame: drop the line the moment its frame dies, rather
-     than leaking one per freed view frame until the number is recycled *)
-  Phys.set_release_hook t.phys
-    (Some
-       (fun frame ->
-         Hashtbl.remove t.decode_cache frame;
-         Hashtbl.remove t.sb_store frame));
-  (* the guest cycle counter is the trace timestamp source, and the
-     scheduler state is exported as read-through gauges *)
-  Fc_obs.Obs.set_clock obs (fun () -> !(t.cycles));
-  let gauge name f = Fc_obs.Metrics.gauge (Fc_obs.Obs.metrics obs) ~subsystem:"os" name f in
-  gauge "cycles" (fun () -> !(t.cycles));
-  gauge "instructions" (fun () -> !(t.instrs));
-  gauge "rounds" (fun () -> t.round_no);
-  gauge "context_switches" (fun () -> t.context_switches);
-  gauge "vcpus" (fun () -> Array.length t.vcpus);
-  gauge "processes" (fun () -> List.length t.procs_rev);
-  gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache);
-  let tlb_gauge name f =
-    Fc_obs.Metrics.gauge (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" name f
-  in
-  tlb_gauge "i_flushes" (fun () ->
-      Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
-  tlb_gauge "d_flushes" (fun () -> t.data_epoch);
+  wire_instruments t;
   (* base kernel text *)
   let text_lo = Image.text_base image and text_hi = Image.text_end image in
   map_fresh_range t ~lo:text_lo ~hi:text_hi;
@@ -951,10 +907,10 @@ let cached_decode_slow t pc =
           end)
 
 (* Decode with the line pointer folded into the iTLB entry: the common
-   case is one array load plus three integer compares (tag, epoch,
+   case is one array load plus three integer compares (tag, view tag,
    version) before indexing the decode line. *)
 let cached_decode t pc =
-  if not t.tlb_on then cached_decode_slow t pc
+  if not t.fast then cached_decode_slow t pc
   else
     let e = itlb_entry t (pc / Layout.page_size) in
     if e.Tlb.tag < 0 then Cpu.D_unmapped
@@ -978,11 +934,11 @@ let cached_decode t pc =
    bytes of the single host frame backing its page — translated through
    the master page table and the active vCPU's EPT, exactly like the
    fetch path — and snapshots (EPT view tag, frame version, trap
-   generation) at build time.  A generation bump on the block's view
-   ([Ept.set_dir], a COW splice via [flush_fetch_tlbs]), a write to the
-   backing frame ([Phys_mem.version]) or a trap-set change invalidates it
-   with zero eager work; a tagged view switch merely changes the active
-   tag, so a re-entered view's blocks compare valid untouched. *)
+   generation) at build time.  A write to the backing frame
+   ([Phys_mem.version], which COW breaks and view materialization also
+   touch on the displaced frame) or a trap-set change invalidates it with
+   zero eager work; a view switch merely changes the active tag, so a
+   re-entered view's blocks compare valid untouched. *)
 
 let sblock_cap = 64
 
@@ -999,15 +955,9 @@ let build_sblock t pc =
             let tag = Ept.tag v.vept in
             (* global-page stamp: a page no view has ever remapped
                translates identically under every view, so the block can
-               skip tag validation for as long as no bare full flush
-               bumps the global generation (and any later divergence of
-               the page kills it through the displaced frame's version
-               touch) *)
-            let ggen =
-              if t.tagged_on && not (Hashtbl.mem t.divergent gpa_page) then
-                t.global_gen
-              else -1
-            in
+               skip tag validation (any later divergence of the page kills
+               it through the displaced frame's version touch) *)
+            let global = not (Hashtbl.mem t.divergent gpa_page) in
             (* pre-stamp the tag memo with sibling views currently
                binding this page to this very frame: the first switch
                into a sibling then revalidates the block by compare
@@ -1017,7 +967,7 @@ let build_sblock t pc =
                version-touches this frame and kills the block — so a
                stale stamp is inert, never unsound. *)
             let tag2 = ref (-1) and tag3 = ref (-1) in
-            (if ggen < 0 && t.tagged_on then
+            (if not global then
                match Hashtbl.find_opt t.bindings gpa_page with
                | None -> ()
                | Some per ->
@@ -1116,7 +1066,7 @@ let build_sblock t pc =
                   sb_tag = tag;
                   sb_tag2 = !tag2;
                   sb_tag3 = !tag3;
-                  sb_ggen = ggen;
+                  sb_global = global;
                   sb_frame = frame;
                   sb_version = version;
                   sb_trap_gen = t.trap_gen;
@@ -1154,8 +1104,8 @@ let no_trap_in t ~lo ~hi =
   i >= n || arr.(i) > hi
 
 (* The frame's bytes are what the block decoded; version unchanged means
-   they still are, so execution is byte-identical no matter how many EPT
-   epochs have passed.  The trap generation is a fast path only: the
+   they still are, so execution is byte-identical no matter how many view
+   tags have come and gone.  The trap generation is a fast path only: the
    builder split the block so no interior op was a trap, and on a
    generation bump we re-check just that — entry traps are the outer
    loop's probe, not the block's — and restamp.  The enforcement layer
@@ -1186,19 +1136,17 @@ let sblock_current_frame t (v : vcpu) pc =
    to the frame the block decoded from".  The tag stamp is a fast path
    for the second half: when it matches, the view that validated the
    block is active again with no generation bump in between, so the
-   translation check is skipped — under tagged switching this is the
-   common case and a view switched away and back costs nothing.  On a
-   mismatch we re-translate; if the frame is unchanged (always the case
-   on the untagged path after a view switched away and back, or after a
-   flush that spliced some *other* page) the block is restamped in place
-   rather than rebuilt — [sb.restamps] counts exactly these, the
-   per-switch revalidation tax tags exist to eliminate.  A genuine splice
-   of this page yields a different frame and the block dies. *)
+   translation check is skipped — the common case, so a view switched
+   away and back costs nothing.  On a mismatch we re-translate; if the
+   frame is unchanged (a view the block was not pre-stamped for, or an
+   era roll) the block is restamped in place rather than rebuilt —
+   [sb.restamps] counts exactly these.  A genuine remap of this page
+   yields a different frame and the block dies. *)
 let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
   sblock_fresh t b
   && ((* global pages first: a view-invariant block needs no tag at all —
          every view resolves its pc to the very frame it decoded *)
-      b.Cpu.sb_ggen = t.global_gen
+      b.Cpu.sb_global
      ||
      let tag = Ept.tag v.vept in
   b.Cpu.sb_tag = tag
@@ -1226,9 +1174,6 @@ let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
     b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
     b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
     b.Cpu.sb_tag <- tag;
-    (* a block stamped global before a bare full flush just re-proved its
-       translation; re-arm the fast path under the new generation *)
-    if b.Cpu.sb_ggen >= 0 then b.Cpu.sb_ggen <- t.global_gen;
     Fc_obs.Metrics.incr t.sb_restamps;
     true
   end
@@ -1323,7 +1268,7 @@ let run_cpu t (regs : Cpu.regs) dispatch =
     &&
     match t.faults with None -> true | Some h -> not (h.fh_trap_miss a)
   in
-  let sblocks = if t.sblocks_on then Some (fun pc -> sblock_find t pc) else None in
+  let sblocks = if t.fast then Some (fun pc -> sblock_find t pc) else None in
   let rec go skip =
     match
       Cpu.run ~decode ~read_u32 ~write_u32 ~is_trap ~trace:t.trace
@@ -1731,9 +1676,7 @@ type frozen_vcpu = {
 
 type frozen = {
   z_config : config;
-  z_tlb_on : bool;
-  z_sblocks_on : bool;
-  z_tagged_on : bool;
+  z_engine : engine;
   z_cycles : int;
   z_instrs : int;
   z_round_no : int;
@@ -1742,7 +1685,6 @@ type frozen = {
   z_next_module_base : int;
   z_data_epoch : int;
   z_trap_gen : int;
-  z_global_gen : int;
   z_divergent : int list; (* view-diverged gpa pages, sorted *)
   z_ram : (int * int) list; (* gpa_page -> host frame, sorted *)
   z_phys : Phys.frozen;
@@ -1782,9 +1724,7 @@ let freeze t ~table_id =
   in
   {
     z_config = t.config;
-    z_tlb_on = t.tlb_on;
-    z_sblocks_on = t.sblocks_on;
-    z_tagged_on = t.tagged_on;
+    z_engine = (if t.fast then Fast else Reference);
     z_cycles = !(t.cycles);
     z_instrs = !(t.instrs);
     z_round_no = t.round_no;
@@ -1793,7 +1733,6 @@ let freeze t ~table_id =
     z_next_module_base = t.next_module_base;
     z_data_epoch = t.data_epoch;
     z_trap_gen = t.trap_gen;
-    z_global_gen = t.global_gen;
     z_divergent =
       List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) t.divergent []);
     z_ram =
@@ -1877,6 +1816,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
   let proc_by_pid pid =
     List.find_opt (fun (p : Process.t) -> p.Process.pid = pid) procs_rev
   in
+  let fast = match z.z_engine with Fast -> true | Reference -> false in
   let vcpu_arr = Array.of_list z.z_vcpus in
   let vcpus = Array.length vcpu_arr in
   if vcpus < 1 then invalid_arg "Os.thaw: no vCPUs in frozen state";
@@ -1903,6 +1843,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
               (Printf.sprintf "Os.thaw: vCPU %d current pid %d not in snapshot"
                  vid zv.zv_current_pid)
     in
+    let vitlb, vdtlb, vsbc = vcpu_caches ~fast in
     {
       vid;
       vept;
@@ -1911,10 +1852,9 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       vin_interrupt = zv.zv_in_interrupt;
       vslice = Fc_obs.Span.none;
       vslice_start = zv.zv_slice_start;
-      vitlb = Tlb.create ~bits:8 ~payload:dummy_decode_line ();
-      vdtlb = Tlb.create ~bits:8 ~payload:() ();
-      vsbc =
-        Tlb.create ~bits:(if z.z_sblocks_on then 12 else 0) ~payload:dummy_sblock ();
+      vitlb;
+      vdtlb;
+      vsbc;
       vsb_last = None;
     }
   in
@@ -1962,9 +1902,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       branch_policy = None;
       cycles = ref z.z_cycles;
       instrs = ref z.z_instrs;
-      tlb_on = z.z_tlb_on;
-      sblocks_on = z.z_sblocks_on;
-      tagged_on = z.z_tagged_on;
+      fast;
       trap_gen = 0;
       divergent =
         (let d = Hashtbl.create 64 in
@@ -1973,7 +1911,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       (* deliberately not serialized: an empty registry only forfeits
          pre-stamping (first re-entries restamp once), never soundness *)
       bindings = Hashtbl.create 64;
-      global_gen = z.z_global_gen;
       data_epoch = z.z_data_epoch;
       round_no = z.z_round_no;
       context_switches = z.z_context_switches;
@@ -2011,24 +1948,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
     }
   in
   Phys.import t.phys z.z_phys;
-  Phys.set_release_hook t.phys
-    (Some
-       (fun frame ->
-         Hashtbl.remove t.decode_cache frame;
-         Hashtbl.remove t.sb_store frame));
-  Fc_obs.Obs.set_clock obs (fun () -> !(t.cycles));
-  let gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"os" name f in
-  gauge "cycles" (fun () -> !(t.cycles));
-  gauge "instructions" (fun () -> !(t.instrs));
-  gauge "rounds" (fun () -> t.round_no);
-  gauge "context_switches" (fun () -> t.context_switches);
-  gauge "vcpus" (fun () -> Array.length t.vcpus);
-  gauge "processes" (fun () -> List.length t.procs_rev);
-  gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache);
-  let tlb_gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"tlb" name f in
-  tlb_gauge "i_flushes" (fun () ->
-      Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
-  tlb_gauge "d_flushes" (fun () -> t.data_epoch);
+  wire_instruments t;
   (* traps: refill the set, rebuild the sorted mirror, then pin the
      generation back to the frozen value (superblock caches are empty, so
      only monotonic faithfulness matters) *)

@@ -36,11 +36,26 @@ exception Guest_panic of string
 
 type t
 
+type engine =
+  | Reference
+      (** the byte-level path: every guest access walks the full
+          translation chain and every instruction is fetched, decoded
+          (through the per-frame decode cache) and trap-probed on its
+          own — the differential oracle and the perf baseline *)
+  | Fast
+      (** software TLBs on the guest-memory paths and decode-once
+          superblocks on the execute loop, validated by view tags
+          (DESIGN.md §9, §10, §14) *)
+
+val engine_name : engine -> string
+(** ["reference"] or ["fast"] — the label bench artifacts and
+    [facechange restore] print. *)
+
 (* ---------------- construction ---------------- *)
 
 val create :
-  ?config:config -> ?vcpus:int -> ?obs:Fc_obs.Obs.t -> ?tlb:bool ->
-  ?sblocks:bool -> ?tagged:bool -> Fc_kernel.Image.t -> t
+  ?config:config -> ?vcpus:int -> ?obs:Fc_obs.Obs.t -> ?engine:engine ->
+  Fc_kernel.Image.t -> t
 (** Boots the guest: lays the base kernel image into guest-physical
     frames, builds one identity EPT {e per vCPU} (default 1, max 8 — the
     paper's §V-C extension), creates one idle process per vCPU
@@ -54,43 +69,11 @@ val create :
     layer later attached to this guest (hypervisor, FACE-CHANGE) shares
     it.
 
-    [tlb] (default [true]) enables the per-vCPU software TLBs on the
-    guest-memory fast paths (see DESIGN.md "Translation fast path").
-    Disabling it forces every access down the full two-level walk —
-    guest-visible behavior is identical either way (the benchmark's
-    [--no-tlb] baseline and the coherence tests rely on that); only the
-    [tlb.*] metrics and wall-clock speed differ.
-
-    [sblocks] (default [false]) enables decode-once superblocks on the
-    execute loop (DESIGN.md §10): each basic block is decoded once into a
-    flat micro-op array, cached per-vCPU keyed by start address like the
-    iTLB, chained across direct jumps/calls, and executed straight-line
-    with the trap probe only at block boundaries.  Invalidation rides the
-    existing machinery — the EPT translation epoch (re-validated against
-    the current translation, so a view switching away and back restamps
-    warm blocks instead of rebuilding them, helped by a per-frame
-    retention store), the backing frame's {!Fc_mem.Phys_mem.version}
-    (COW breaks and recovery writes), and a trap-set generation
-    (restamped when a trap change leaves a block's interior clear) — so
-    guest
-    behavior is bit-identical with the toggle on or off (the differential
-    harness in test/differential.ml enforces this across the whole
-    {[sblocks] × [tlb]} matrix); only the [sb.*] metrics and wall-clock
-    speed differ.  Orthogonal to [tlb].
-
-    [tagged] (default [true]) enables view-tagged translation caching,
-    the software analogue of VPID/PCID: cached translations (TLB entries,
-    superblock stamps) carry a packed [(era, view, generation)] tag
-    ({!Fc_mem.Ept.tag}) and the facechange layer switches kernel views by
-    changing the active tag ({!Fc_mem.Ept.set_view} + quiet directory
-    installs) instead of bumping generations — so a switch between two
-    already-seen views flushes nothing and re-entry revalidates by
-    compare.  With [tagged:false] every view switch bumps the active
-    generation exactly as the pre-tag global epoch did.  Guest-visible
-    behavior, instruction and cycle counts are identical either way (the
-    differential harness enforces the full {[tagged] × [sblocks] ×
-    [tlb]} matrix); only the [tlb.*]/[sb.*] metrics and wall-clock speed
-    differ. *)
+    [engine] (default [Fast]) picks how the host executes the guest.
+    Guest-visible behavior — outcome, stats, instruction and cycle
+    counts, traces — is identical on both (test/differential.ml enforces
+    it under random fault plans); only the [tlb.*]/[sb.*] metrics and
+    wall-clock speed differ. *)
 
 val obs : t -> Fc_obs.Obs.t
 (** The guest's observability hub. *)
@@ -111,11 +94,6 @@ val ept : t -> Fc_mem.Ept.t
     vCPU's (which is what per-vCPU view switching manipulates). *)
 
 val ept_of : t -> vid:int -> Fc_mem.Ept.t
-
-val tagged_on : t -> bool
-(** Whether view-tagged translation caching is enabled (the [tagged]
-    creation flag) — the facechange layer consults this to pick the
-    retag-only or legacy bump-every-directory switch-in path. *)
 
 (* ---------------- processes ---------------- *)
 
@@ -202,8 +180,8 @@ val arm_tick : t -> period:int -> (unit -> unit) -> unit
     guest instructions, checked at vCPU turn boundaries inside {!run}
     (never mid-quantum).  A turn that retires past several marks fires
     once per crossed mark, so over a whole run the callback fires exactly
-    [floor (instructions / period)] times regardless of quantum or engine
-    toggles — instruction counts at turn boundaries are engine-invariant.
+    [floor (instructions / period)] times regardless of quantum or
+    engine — instruction counts at turn boundaries are engine-invariant.
     Marks are aligned to multiples of [period] from instruction 0 even
     when armed mid-run.  Zero-cost when disarmed: the run loop pays one
     option match per vCPU turn, the same contract as {!fault_hooks}.
@@ -248,43 +226,14 @@ val ram_frame : t -> gpa_page:int -> int option
     "original kernel code pages" that recovery fetches from, and the frames
     a full kernel view maps back to. *)
 
-type flush_cause =
-  | Flush_view_switch  (** legacy (untagged) view switch-in bumps *)
-  | Flush_cow  (** COW break / on-demand private view page splice *)
-  | Flush_patch  (** reserved: live kernel patching (ROADMAP item 1) *)
-  | Flush_growth  (** guest RAM growth ([map_fresh_range]) *)
-  | Flush_explicit  (** caller-requested, incl. view retirement *)
-(** Why cached fetch translations were invalidated.  Every invalidation
-    site attributes to the [tlb.flushes{cause}] counter family, so the
-    bench can prove view-switch-caused flushes drop to ~0 under tagged
-    caching while COW/growth flushes stay put. *)
-
-val flush_fetch_tlbs : ?view:int -> ?cause:flush_cause -> t -> unit
-(** Invalidate cached fetch translations on every vCPU (O(1) per vCPU:
-    generation bumps).  Required when an {e installed}, reference-shared
-    EPT leaf table is remapped behind the directory ([Ept.table_set] — a
-    COW break or an on-demand private view page): no [Ept.set_dir] runs,
-    so no generation would otherwise move.  When [view] names the owner
-    of the mutated table and tagged caching is on, only that view's
-    generation is bumped — translations other views hold still map the
-    old, untouched frame and survive.  Without [view] (or with tags
-    off) everything is dropped.  [cause] (default [Flush_explicit])
-    labels the [tlb.flushes{cause}] attribution.  Plain view switches
-    and [map_page] calls self-invalidate and do not need this. *)
-
-val retire_view_translations : ?cause:flush_cause -> t -> view:int -> unit
+val retire_view_translations : t -> view:int -> unit
 (** Retire a destroyed view's tag on every vCPU: its cached translations
     can never revalidate (view ids are not reused), and other views'
-    entries are untouched — the tagged replacement for the full flush
-    the pre-tag unload/disable/quarantine paths paid.  No-op when tags
-    are off ([create ~tagged:false]): there the switch-away from the
-    dying view already bumped the only generation there is. *)
-
-val note_flushes : t -> cause:flush_cause -> int -> unit
-(** Attribute [n] already-performed invalidation events to
-    [tlb.flushes{cause}] — for layers (facechange's legacy switch-in
-    path) that drive [Ept] directly rather than through
-    {!flush_fetch_tlbs}. *)
+    entries are untouched.  Also drops the view's
+    {!note_view_binding} entries, so unload/load churn leaves the
+    registry (the [os.view_bindings] gauge) where it started.  Counted
+    in [tlb.flushes{explicit}]; guest-RAM growth is [tlb.flushes{growth}]
+    — view switches and COW breaks flush nothing. *)
 
 val note_divergent_page : t -> gpa_page:int -> unit
 (** Record that a kernel view remapped [gpa_page] to a private frame, so
@@ -298,9 +247,6 @@ val note_divergent_page : t -> gpa_page:int -> unit
     that version bump is what kills any already-built global block on
     it. *)
 
-val page_divergent : t -> gpa_page:int -> bool
-(** Whether {!note_divergent_page} was ever called for [gpa_page]. *)
-
 val note_view_binding : t -> gpa_page:int -> view:int -> frame:int -> unit
 (** Record that [view] currently maps [gpa_page] to [frame], replacing
     the view's previous binding for the page.  When several views bind a
@@ -308,7 +254,8 @@ val note_view_binding : t -> gpa_page:int -> view:int -> frame:int -> unit
     with every sibling's tag ({!Fc_mem.Ept.tag_for}), so even the {e
     first} switch into a sibling revalidates them by compare — the last
     source of per-switch restamps.  Call on every view-private remap of
-    a kernel page (the view layer's materialization/COW path does). *)
+    a kernel page (the view layer's materialization/COW path does).
+    The [os.view_bindings] gauge counts the live entries. *)
 
 val vmi_current_task : t -> int * string
 (** Read the guest's current-task pointer chain: (pid, comm). *)
@@ -423,9 +370,7 @@ type frozen_vcpu = {
 
 type frozen = {
   z_config : config;
-  z_tlb_on : bool;
-  z_sblocks_on : bool;
-  z_tagged_on : bool;
+  z_engine : engine;
   z_cycles : int;
   z_instrs : int;
   z_round_no : int;
@@ -434,7 +379,6 @@ type frozen = {
   z_next_module_base : int;
   z_data_epoch : int;
   z_trap_gen : int;
-  z_global_gen : int;
   z_divergent : int list;  (** view-diverged gpa pages, sorted *)
   z_ram : (int * int) list;  (** gpa_page -> host frame, sorted *)
   z_phys : Fc_mem.Phys_mem.frozen;

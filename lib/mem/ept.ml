@@ -53,7 +53,6 @@ let create () : t =
 let gen t ~view = Option.value ~default:0 (Hashtbl.find_opt t.gens view)
 let tag t = t.active_tag
 let tag_for t ~view = pack ~era:t.era ~view ~gen:(gen t ~view)
-let view t = t.view
 let flushes t = t.flushes
 let retag t = t.active_tag <- pack ~era:t.era ~view:t.view ~gen:(gen t ~view:t.view)
 
@@ -77,15 +76,6 @@ let bump_view t ~view =
     if view = t.view then retag t
   end
 
-let bump t = bump_view t ~view:t.view
-let retire_view t ~view = bump_view t ~view
-
-let set_dir t ~dir v =
-  bump t;
-  match v with
-  | Some table -> Hashtbl.replace t.dirs dir table
-  | None -> Hashtbl.remove t.dirs dir
-
 let install_dir t ~dir v =
   match v with
   | Some table -> Hashtbl.replace t.dirs dir table
@@ -106,10 +96,6 @@ let install_page t ~gpa_page ~hpa_frame =
         tb
   in
   table_set table ~idx:(slot_of_page gpa_page) (Some hpa_frame)
-
-let map_page t ~gpa_page ~hpa_frame =
-  bump t;
-  install_page t ~gpa_page ~hpa_frame
 
 let translate_page t gpa_page =
   match get_dir t ~dir:(dir_of_page gpa_page) with

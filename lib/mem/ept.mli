@@ -6,7 +6,7 @@
     host frames.  Kernel view switching (§III-B2, steps 3A/3B) does not
     remap individual pages — it swaps {e directory entries} so that the
     guest-physical pages holding kernel code resolve to the view's frames
-    instead of the original ones.  [set_dir] is therefore the unit of
+    instead of the original ones.  [install_dir] is therefore the unit of
     switching cost.
 
     Page tables are first-class ({!table}) so that every kernel view can
@@ -15,15 +15,14 @@
 
     {1 View-tagged translation validity}
 
-    Cached translations (software TLB entries, superblock stamps) are not
-    validated against a single global epoch but against a packed
-    {e (era, view, generation)} tag, mirroring hardware VPID/PCID:
+    Cached translations (software TLB entries, superblock stamps) are
+    validated against a packed {e (era, view, generation)} tag,
+    mirroring hardware VPID/PCID:
 
     - every kernel view gets a compact id; view 0 is the full/original
       kernel view;
-    - each view carries its own generation counter, bumped whenever that
-      view's gpa→frame mapping may have changed ([set_dir], [map_page],
-      {!bump_view});
+    - each view carries its own generation counter, bumped when that
+      view's cached translations must die ({!bump_view});
     - the {e active tag} packs the era, the active view id and that
       view's current generation into one int.
 
@@ -31,8 +30,8 @@
     one integer compare.  Switching between two already-seen views only
     changes the active tag ({!set_view} + {!install_dir}); nothing is
     flushed, and translations cached under the re-entered view revalidate
-    by comparison.  Mutating one view's mapping bumps only that view's
-    generation, so other views' cached translations survive.
+    by comparison.  Retiring one view bumps only that view's generation,
+    so other views' cached translations survive.
 
     Generation wraparound: when a view's generation would exceed
     [2^gen_bits - 1] the {e era} is bumped instead and every per-view
@@ -88,18 +87,12 @@ val tag_for : t -> view:int -> int
     superblock on a frame several views share): the stamp is inert unless
     that view is re-activated at this same era and generation. *)
 
-val view : t -> int
-(** The active view id. *)
-
 val gen : t -> view:int -> int
 (** Current generation of [view] (0 if never bumped this era). *)
 
 val flushes : t -> int
 (** Number of invalidation events ever applied: every generation bump
-    ({!set_dir}, {!map_page}, {!bump}, {!bump_view}, {!retire_view})
-    plus every {!flush_all}.  When {!set_view} is never called the
-    structure degenerates to the pre-tag global-epoch scheme and this
-    counts exactly what the old [epoch] did. *)
+    ({!bump_view}) plus every {!flush_all}. *)
 
 val set_view : t -> view:int -> unit
 (** Make [view] the active view.  {b Flushes nothing} — translations
@@ -108,50 +101,33 @@ val set_view : t -> view:int -> unit
     the view's tables ({!install_dir}).
     @raise Invalid_argument if [view] is outside [[0, max_view]]. *)
 
-val bump : t -> unit
-(** Bump the {e active} view's generation, invalidating translations
-    cached under it.  Other views' cached translations survive. *)
-
 val bump_view : t -> view:int -> unit
-(** Bump [view]'s generation (whether or not it is active).  Used when a
-    page table owned by a non-active view is mutated behind the
-    directory — e.g. a COW break on a frame the view maps privately. *)
-
-val retire_view : t -> view:int -> unit
-(** Invalidate every translation cached under [view] because the view is
-    being destroyed (unload, disable, quarantine).  Equivalent to a
-    generation bump; other views are untouched.  View ids are never
-    reused by the hypervisor, so a retired tag can never be minted
-    again. *)
+(** Bump [view]'s generation (whether or not it is active), invalidating
+    every translation cached under it; other views are untouched.  Used
+    to retire a destroyed view (unload, disable, quarantine): view ids
+    are never reused by the hypervisor, so a retired tag can never be
+    minted again. *)
 
 val flush_all : t -> unit
 (** Drop every cached translation for {e all} views by bumping the era:
     any tag minted before this call mismatches forever.  The
     belt-and-braces big hammer; per-view bumps are the normal path. *)
 
-val set_dir : t -> dir:int -> table option -> unit
-(** Point directory entry [dir] at a (possibly shared) page table.
-    Bumps the active view's generation — the legacy epoch-like path used
-    when tags are off. *)
-
 val install_dir : t -> dir:int -> table option -> unit
-(** Like {!set_dir} but {b quiet}: no generation bump.  The tagged
-    view-switch path — combined with {!set_view}, switching to an
+(** Point directory entry [dir] at a (possibly shared) page table, or
+    clear it with [None].  {b Quiet}: no generation moves.  The view
+    switch path — combined with {!set_view}, switching to an
     already-seen view flushes nothing because its cached translations
     carry the view's own still-current tag. *)
 
 val get_dir : t -> dir:int -> table option
 
-val map_page : t -> gpa_page:int -> hpa_frame:int -> unit
-(** Convenience single-page mapping; allocates the directory's table if
-    absent.  Used to build the initial identity-style guest mapping.
-    Bumps the active view's generation. *)
-
 val install_page : t -> gpa_page:int -> hpa_frame:int -> unit
-(** Like {!map_page} but {b quiet}: no generation bump.  Sound only for
-    mapping a {e previously unmapped} page — consumers never cache
-    negative translations, so nothing stale can exist for it.  The
-    tagged guest-RAM growth path. *)
+(** Single-page mapping; allocates the directory's table if absent.
+    {b Quiet}: no generation moves, so it is sound only for mapping a
+    {e previously unmapped} page — consumers never cache negative
+    translations, so nothing stale can exist for it.  The guest-RAM
+    growth path. *)
 
 val translate_page : t -> int -> int option
 (** [translate_page t gpa_page] — host frame number. *)
@@ -197,5 +173,4 @@ val freeze_tags : t -> tags
 val restore_tags : t -> tags -> unit
 (** Overwrites the live tag state (view, era, generations, flush count)
     and recomputes the active tag.  Directory contents are untouched —
-    the snapshot layer installs those separately via {!install_dir} /
-    {!set_dir}. *)
+    the snapshot layer installs those separately via {!install_dir}. *)

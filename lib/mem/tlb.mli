@@ -66,6 +66,6 @@ val fill :
 val invalidate_all : 'a t -> unit
 (** Drop every entry.  A last-resort reset: stamp mismatches are the
     normal flush mechanism, and retiring a single view's tag
-    ({!Ept.retire_view}) invalidates just that view's entries without
+    ({!Ept.bump_view}) invalidates just that view's entries without
     touching translations other views still hold — prefer those over
     this full wipe outside tests. *)

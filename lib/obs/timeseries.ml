@@ -255,12 +255,15 @@ let merge = function
 (* Fingerprint                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Keys whose values legitimately differ across the behavior-invisible
-   engine toggles ({sblocks}×{tlb}): the fast-path hit/miss accounting
-   and the decode-cache occupancy.  Everything else is pinned identical
-   by the differential harness, so a fingerprint excluding these must
-   match across all four engine arms (and across fleet domain counts). *)
-let engine_excludes = [ "tlb"; "sb"; "os.decode_cache_frames" ]
+(* Keys describing the host's translation caches rather than the guest:
+   the fast-path hit/miss accounting (which differs between engines), the
+   decode-cache occupancy and the superblock pre-stamp registry (which a
+   restored machine rebuilds from empty).  Everything else is pinned
+   identical by the differential harness, so a fingerprint excluding
+   these must match across both engines (and across fleet domain
+   counts). *)
+let engine_excludes =
+  [ "tlb"; "sb"; "os.decode_cache_frames"; "os.view_bindings" ]
 
 let excluded exclude key =
   let sub =

@@ -83,9 +83,11 @@ val merge : series list -> series
     how guests were sharded across Domains. *)
 
 val engine_excludes : string list
-(** Keys that legitimately differ across the behavior-invisible engine
-    toggles ([{sblocks}×{tlb}]): the ["tlb"] and ["sb"] subsystems and
-    ["os.decode_cache_frames"].  The default {!fingerprint} exclusion. *)
+(** Keys that describe the host's translation caches rather than the
+    guest: the ["tlb"] and ["sb"] subsystems (which differ between the
+    reference and the fast engine), ["os.decode_cache_frames"] and
+    ["os.view_bindings"] (cache bookkeeping a restored machine rebuilds
+    from empty).  The default {!fingerprint} exclusion. *)
 
 val fingerprint : ?exclude:string list -> series -> string
 (** Hex MD5 over every (boundary, key, integer) row of the series,

@@ -250,6 +250,14 @@ let r_clocksource r =
   | 1 -> Irq_paths.Kvmclock
   | n -> fail r (Printf.sprintf "bad clocksource tag %d" n)
 
+let w_engine b = function Os.Reference -> w_tag b 0 | Os.Fast -> w_tag b 1
+
+let r_engine r =
+  match r_tag r with
+  | 0 -> Os.Reference
+  | 1 -> Os.Fast
+  | n -> fail r (Printf.sprintf "bad engine tag %d" n)
+
 let w_irq_source b = function
   | Irq_paths.Timer cs ->
       w_tag b 0;
@@ -588,9 +596,7 @@ let r_phys ~content_of r =
 
 let w_os ~content_id b (z : Os.frozen) =
   w_config b z.Os.z_config;
-  w_bool b z.Os.z_tlb_on;
-  w_bool b z.Os.z_sblocks_on;
-  w_bool b z.Os.z_tagged_on;
+  w_engine b z.Os.z_engine;
   w_int b z.Os.z_cycles;
   w_int b z.Os.z_instrs;
   w_int b z.Os.z_round_no;
@@ -599,7 +605,6 @@ let w_os ~content_id b (z : Os.frozen) =
   w_int b z.Os.z_next_module_base;
   w_int b z.Os.z_data_epoch;
   w_int b z.Os.z_trap_gen;
-  w_int b z.Os.z_global_gen;
   w_list b w_int z.Os.z_divergent;
   w_list b w_int_pair z.Os.z_ram;
   w_phys ~content_id b z.Os.z_phys;
@@ -614,9 +619,7 @@ let w_os ~content_id b (z : Os.frozen) =
 
 let r_os ~content_of r =
   let z_config = r_config r in
-  let z_tlb_on = r_bool r in
-  let z_sblocks_on = r_bool r in
-  let z_tagged_on = r_bool r in
+  let z_engine = r_engine r in
   let z_cycles = r_int r in
   let z_instrs = r_int r in
   let z_round_no = r_int r in
@@ -625,7 +628,6 @@ let r_os ~content_of r =
   let z_next_module_base = r_int r in
   let z_data_epoch = r_int r in
   let z_trap_gen = r_int r in
-  let z_global_gen = r_int r in
   let z_divergent = r_list r r_int in
   let z_ram = r_list r r_int_pair in
   let z_phys = r_phys ~content_of r in
@@ -639,9 +641,7 @@ let r_os ~content_of r =
   let z_sleep_override = r_option r r_int in
   {
     Os.z_config;
-    z_tlb_on;
-    z_sblocks_on;
-    z_tagged_on;
+    z_engine;
     z_cycles;
     z_instrs;
     z_round_no;
@@ -650,7 +650,6 @@ let r_os ~content_of r =
     z_next_module_base;
     z_data_epoch;
     z_trap_gen;
-    z_global_gen;
     z_divergent;
     z_ram;
     z_phys;
@@ -822,10 +821,11 @@ let r_metric r =
 
 let magic = "FCSN"
 
-(* 2: the OS section carries per-vCPU EPT tag state (view-tagged
-   translation caching) and the tagged_on flag.  Version-1 snapshots are
-   rejected with the typed unsupported-version error, as always. *)
-let version = 2
+(* 3: the OS section carries one engine byte (reference or fast) in place
+   of version 2's tlb/sblocks/tagged flags and global generation.  2: the
+   OS section gained per-vCPU EPT tag state.  Older streams are rejected
+   with the typed unsupported-version error, as always. *)
+let version = 3
 
 let encode t =
   (* content-keyed page store: unique page bytes, MD5-keyed, referenced
@@ -1063,8 +1063,8 @@ let describe t =
        (List.length os.Os.z_procs));
   Buffer.add_string b
     (Printf.sprintf
-       "  engines: tlb=%b sblocks=%b tagged=%b; %d live frame(s), %d EPT table(s)\n"
-       os.Os.z_tlb_on os.Os.z_sblocks_on os.Os.z_tagged_on
+       "  engine: %s; %d live frame(s), %d EPT table(s)\n"
+       (Os.engine_name os.Os.z_engine)
        (List.length os.Os.z_phys.Phys.z_live)
        (Array.length t.s_tables));
   (match t.s_fc with

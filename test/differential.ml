@@ -1,16 +1,15 @@
 (* Differential-testing harness: run the same randomized, fault-injected
-   guest under different execution-engine configurations and digest
-   everything observable about the run into one comparable fingerprint.
+   guest on both execution engines and digest everything observable
+   about the run into one comparable fingerprint.
 
-   The execution fast paths — the software TLBs ([?tlb]), the
-   decode-once superblocks ([?sblocks]) and view-tagged translation
-   caching ([?tagged]) — are sound only if they are behavior-invisible:
-   a guest must retire the same instructions, charge the same cycles,
-   emit the same per-instruction and call/return traces, and capture
-   identical stats with any combination of them enabled, even while a
-   fault plan is switching views, injecting spurious exits and storming
-   the recovery governor underneath.  test_tlb.ml and test_sblocks.ml
-   both drive their parity properties through this module. *)
+   The fast engine — software TLBs, decode-once superblocks and view
+   tags ([Os.Fast]) — is sound only if it is behavior-invisible: a guest
+   must retire the same instructions, charge the same cycles, emit the
+   same per-instruction and call/return traces, and capture identical
+   stats as on the byte-level reference engine ([Os.Reference]), even
+   while a fault plan is switching views, injecting spurious exits and
+   storming the recovery governor underneath.  test_tlb.ml drives the
+   parity run and property through this module. *)
 
 module Os = Fc_machine.Os
 module Process = Fc_machine.Process
@@ -42,7 +41,7 @@ type fingerprint = {
   fp_series : string;
       (* Timeseries.fingerprint of the armed telemetry probe: interval
          boundaries and per-interval deltas (engine counters excluded)
-         must not move under any engine toggle — the ticker fires at
+         must not move across engines — the ticker fires at
          instruction marks, and instruction retirement is pinned *)
   fp_sampler : string; (* Sampler.fingerprint: the folded profiler stacks *)
 }
@@ -50,7 +49,7 @@ type fingerprint = {
 (* Engine counters of the run, reported alongside the fingerprint so
    tests can assert the fast paths actually engaged (or stayed silent)
    without polluting the parity comparison. *)
-type engine = {
+type engine_counters = {
   en_sb_built : int;
   en_sb_hits : int;
   en_sb_invalidations : int;
@@ -58,30 +57,11 @@ type engine = {
   en_itlb_hits : int;
 }
 
-(* The full {sblocks} x {tlb} matrix, baseline first. *)
-let configs = [ (false, false); (false, true); (true, false); (true, true) ]
-
-(* The {tagged} x {sblocks} x {tlb} cube: the view-tag dimension crossed
-   with every engine combination tags interact with. *)
-let tagged_configs =
-  List.concat_map
-    (fun tagged -> List.map (fun (sb, tlb) -> (tagged, sb, tlb)) configs)
-    [ false; true ]
-
-let describe ?tagged ~sblocks ~tlb () =
-  Printf.sprintf "%s%s+%s"
-    (match tagged with
-    | None -> ""
-    | Some true -> "tag+"
-    | Some false -> "untag+")
-    (if sblocks then "sb" else "no-sb")
-    (if tlb then "tlb" else "no-tlb")
-
 (* One enforced run: a random application from the pool (plus a fixed
    companion, so context switches and cross-app view switching happen), a
    random fault plan derived from the seed, FACE-CHANGE enabled with the
    default governor, full tracing armed. *)
-let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
+let run ~profiles ~engine ~fault_seed () =
   let r = Frand.create (fault_seed lxor 0x7157) in
   let pool = [ "top"; "apache"; "gvim"; "bash"; "gzip" ] in
   let name = Frand.pick r pool in
@@ -89,8 +69,7 @@ let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
   let plan = Fault.gen ~seed:fault_seed ~rounds:120 ~n in
   let app = App.find_exn name in
   let os =
-    Os.create ~config:(App.os_config app) ~tlb ~sblocks ~tagged
-      (Profiles.image profiles)
+    Os.create ~config:(App.os_config app) ~engine (Profiles.image profiles)
   in
   let ih = ref 0 and eh = ref 0 in
   Os.set_trace os (Some (fun a len -> ih := (((!ih * 31) + a) * 31) + len));
@@ -139,9 +118,6 @@ let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
       en_sb_chain_follows = c "sb.chain_follows";
       en_itlb_hits = c "tlb.i_hits";
     } )
-
-let fingerprint ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
-  fst (run ~tagged ~profiles ~sblocks ~tlb ~fault_seed ())
 
 (* Field-by-field Alcotest comparison: a mismatch names the diverging
    observable instead of dumping two opaque tuples. *)

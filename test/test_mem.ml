@@ -165,7 +165,7 @@ let test_pt_copy_range () =
 
 let test_ept_map_translate () =
   let e = Ept.create () in
-  Ept.map_page e ~gpa_page:0x12345 ~hpa_frame:7;
+  Ept.install_page e ~gpa_page:0x12345 ~hpa_frame:7;
   check_bool "mapped" true (Ept.translate_page e 0x12345 = Some 7);
   check_bool "neighbor unmapped" true (Ept.translate_page e 0x12346 = None);
   check_int "address offset" ((7 * 4096) + 5)
@@ -183,11 +183,11 @@ let test_ept_dir_swap () =
   Ept.table_set orig ~idx:5 (Some 100);
   Ept.table_set view ~idx:5 (Some 200);
   let page = (9 * 1024) + 5 in
-  Ept.set_dir e ~dir:9 (Some orig);
+  Ept.install_dir e ~dir:9 (Some orig);
   check_bool "original frame" true (Ept.translate_page e page = Some 100);
-  Ept.set_dir e ~dir:9 (Some view);
+  Ept.install_dir e ~dir:9 (Some view);
   check_bool "view frame" true (Ept.translate_page e page = Some 200);
-  Ept.set_dir e ~dir:9 (Some orig);
+  Ept.install_dir e ~dir:9 (Some orig);
   check_bool "back to original" true (Ept.translate_page e page = Some 100)
 
 let test_ept_table_copy_is_independent () =
@@ -200,8 +200,8 @@ let test_ept_table_copy_is_independent () =
 
 let test_ept_unmap_dir () =
   let e = Ept.create () in
-  Ept.map_page e ~gpa_page:0 ~hpa_frame:1;
-  Ept.set_dir e ~dir:0 None;
+  Ept.install_page e ~gpa_page:0 ~hpa_frame:1;
+  Ept.install_dir e ~dir:0 None;
   check_bool "violation after unmap" true (Ept.translate_page e 0 = None)
 
 (* table_set/table_get no longer pre-check the index (callers derive it

@@ -2,15 +2,15 @@
    coherence of the invalidation sources — a view switch that remaps a
    page to a different host frame, the backing frame's version (COW
    breaks and in-place recovery writes), trap-set changes — plus the
-   retention fast paths (an EPT epoch bump whose translations are
-   unchanged restamps warm blocks instead of rebuilding them, and the
-   per-frame store resurrects blocks when a view switches back); chain
-   fallback across invalidated targets; interrupt delivery parity; and
-   the full {sblocks} x {tlb} differential matrix under random fault
-   plans.  Every test runs its scenario on twin guests (superblocks on
-   and off) and requires identical observables, so the coherence
-   machinery is proven not just to invalidate, but to invalidate without
-   changing behavior. *)
+   retention fast paths (a tag change whose translations are unchanged
+   restamps warm blocks instead of rebuilding them, and the per-frame
+   store resurrects blocks when a view switches back); chain fallback
+   across invalidated targets; interrupt delivery parity; bounded caches
+   under view churn; the fast engine as the default; and reference-vs-
+   fast parity under a random fault plan.  Every scenario test runs on
+   twin guests (fast and reference engine) and requires identical
+   observables, so the coherence machinery is proven not just to
+   invalidate, but to invalidate without changing behavior. *)
 
 module Os = Fc_machine.Os
 module Process = Fc_machine.Process
@@ -41,8 +41,8 @@ let metric os key =
    per-run scratchpad: scheduled hooks stash counter snapshots there so a
    test can compare hook-time values against end-of-run values without
    sharing mutable state between the two twins. *)
-let run_engine ~sblocks scenario =
-  let os = Os.create ~sblocks (image ()) in
+let run_engine ~engine scenario =
+  let os = Os.create ~engine (image ()) in
   let noted : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let ih = ref 0 and eh = ref 0 in
   Os.set_trace os (Some (fun a len -> ih := (((!ih * 31) + a) * 31) + len));
@@ -56,11 +56,11 @@ let note os noted name key = Hashtbl.replace noted name (metric os key)
 let noted_exn noted key = Hashtbl.find noted key
 
 (* Identical observables on both twins, or the scenario is not
-   behavior-invisible under superblocks.  Returns the sblocks guest (and
+   behavior-invisible on the fast engine.  Returns the fast guest (and
    its scratchpad) for counter assertions. *)
 let twin_check ~label scenario =
-  let os_on, noted_on, on = run_engine ~sblocks:true scenario in
-  let _os_off, _noted_off, off = run_engine ~sblocks:false scenario in
+  let os_on, noted_on, on = run_engine ~engine:Os.Fast scenario in
+  let _os_off, _noted_off, off = run_engine ~engine:Os.Reference scenario in
   let i_off, c_off, ih_off, eh_off, task_off = off in
   let i_on, c_on, ih_on, eh_on, task_on = on in
   check_int (label ^ ": instructions retired") i_off i_on;
@@ -105,11 +105,12 @@ let test_view_switch_invalidates () =
   check_bool "retention keeps rebuilds below hits" true
     (metric os_on "sb.hits" > metric os_on "sb.blocks_built")
 
-(* The converse retention property: [Ept.set_dir] bumps the epoch even
-   when the directories it installs translate identically (install a
-   view, restore the original — net effect nil).  Warm blocks must be
-   restamped in place, not invalidated: the epoch is a fast path, the
-   frame identity is the truth. *)
+(* The converse retention property: an era roll ([Ept.flush_all], what a
+   generation overflow does) kills every tag even though no translation
+   changed.  Warm blocks must be restamped in place, not invalidated:
+   the tag is a fast path, the frame identity is the truth.  Building a
+   view first diverges the pages it covers, so blocks there carry tags
+   rather than the global stamp and really take the restamp path. *)
 let test_epoch_restamp_retains () =
   let scenario os noted =
     let hyp = Hyp.attach os in
@@ -118,14 +119,9 @@ let test_epoch_restamp_retains () =
     spawn_app os ~name:"gzip" ();
     Os.schedule_at_round os 3 (fun os ->
         note os noted "hits_pre" "sb.hits";
+        note os noted "restamps_pre" "sb.restamps";
         note os noted "flushes_pre" "tlb.i_flushes";
-        List.iter
-          (fun (dir, tbl) -> Ept.set_dir (Os.ept os) ~dir (Some tbl))
-          (View.tables v);
-        List.iter
-          (fun (dir, _) ->
-            Ept.set_dir (Os.ept os) ~dir (Hyp.original_table hyp ~dir))
-          (View.tables v));
+        Ept.flush_all (Os.ept os));
     Os.run os;
     note os noted "flushes_end" "tlb.i_flushes";
     View.destroy v
@@ -134,13 +130,15 @@ let test_epoch_restamp_retains () =
   check_bool "blocks warm before the bump" true (noted_exn noted "hits_pre" > 0);
   check_bool "the epoch really moved" true
     (noted_exn noted "flushes_end" > noted_exn noted "flushes_pre");
+  check_bool "warm blocks were restamped" true
+    (metric os_on "sb.restamps" > noted_exn noted "restamps_pre");
   check_int "unchanged translations never invalidate" 0
     (metric os_on "sb.invalidations")
 
 (* In-place write: [Phys.touch] on the hot syscall-path text frame bumps
    its version without changing a byte — the signal an in-place
    lazy-recovery write emits, and the only invalidation source in this
-   scenario (no set_dir, no map_page, no table_set after boot). *)
+   scenario (no view switch, no table_set after boot). *)
 let test_version_invalidates () =
   let scenario os noted =
     spawn_app os ~name:"gzip" ();
@@ -161,16 +159,16 @@ let test_version_invalidates () =
   check_int "no invalidations before the write" 0 (noted_exn noted "invals_pre");
   check_bool "the write invalidated warm blocks" true
     (metric os_on "sb.invalidations" > 0);
-  (* and the epoch never moved: the invalidation was version-driven *)
+  (* and no tag moved: the invalidation was version-driven *)
   check_int "no epoch bump involved"
     (noted_exn noted "flushes_at_write")
     (noted_exn noted "flushes_end")
 
 (* A COW break during enforced execution: the first write into a shared
    view frame splices a private copy into the installed table
-   ([Ept.table_set] + the flush hook) while superblocks built from the
-   old frame are live.  Rewriting the byte with its current value keeps
-   the twins comparable. *)
+   ([Ept.table_set] + a version touch on the displaced frame) while
+   superblocks built from the old frame are live.  Rewriting the byte
+   with its current value keeps the twins comparable. *)
 let test_cow_break_invalidates () =
   let covered_gva v =
     let base = Image.text_base (image ()) in
@@ -210,29 +208,6 @@ let test_cow_break_invalidates () =
     (noted_exn noted "cow_breaks" > 0);
   check_bool "warm blocks invalidated" true (metric os_on "sb.invalidations" > 0)
 
-(* [Os.flush_fetch_tlbs] — the hook the view layer fires after a
-   table_set splice — bumps the epoch conservatively over every page.
-   Pages the splice did not actually remap must survive it (restamp, not
-   rebuild); a page the splice did remap changes frame and is caught by
-   the probe's re-translation, which the COW test exercises end to end. *)
-let test_flush_hook_restamps_unchanged () =
-  let scenario os noted =
-    spawn_app os ~name:"gzip" ();
-    Os.schedule_at_round os 3 (fun os ->
-        note os noted "invals_pre" "sb.invalidations";
-        note os noted "hits_pre" "sb.hits";
-        note os noted "built_pre" "sb.blocks_built";
-        Os.flush_fetch_tlbs os);
-    Os.run os
-  in
-  let os_on, noted = twin_check ~label:"flush-hook" scenario in
-  check_bool "blocks warm before the flush" true (noted_exn noted "hits_pre" > 0);
-  check_int "no invalidations before the flush" 0 (noted_exn noted "invals_pre");
-  check_int "unchanged mappings survive the flush" 0
-    (metric os_on "sb.invalidations");
-  check_bool "warm execution continued after the flush" true
-    (metric os_on "sb.hits" > noted_exn noted "hits_pre")
-
 (* Chained blocks: direct jumps/calls follow sb_next without re-probing
    the cache — but a chain link into an invalidated target must fall
    back to a rebuild, never execute the stale block. *)
@@ -253,7 +228,7 @@ let test_chain_rebuild_fallback () =
     Os.run os
   in
   let os_on, noted = twin_check ~label:"chain-fallback" scenario in
-  check_bool "chains were followed before the flush" true
+  check_bool "chains were followed before the write" true
     (noted_exn noted "chains_pre" > 0);
   check_bool "invalidated chain targets were rebuilt" true
     (metric os_on "sb.blocks_built" > noted_exn noted "built_pre");
@@ -326,52 +301,62 @@ let test_decode_cache_bounded_under_view_churn () =
         check_int (Printf.sprintf "cycle %d holds the steady size" i) steady s)
     sizes
 
-(* ---------------- the full differential matrix ---------------- *)
+(* Bindings (the page -> view -> frame registry that pre-stamps
+   superblocks) must die with their view: view ids are never reused, so
+   an entry left behind would leak one per diverged page per
+   load/unload cycle.  Every unload returns the [os.view_bindings] gauge
+   to its pre-load value. *)
+let test_view_bindings_bounded_under_view_churn () =
+  let os = Os.create (image ()) in
+  let hyp = Hyp.attach os in
+  let fc = Facechange.enable hyp in
+  let p = profiles () in
+  let base = metric os "os.view_bindings" in
+  for cycle = 1 to 50 do
+    let loaded =
+      List.map
+        (fun app -> Facechange.load_view fc (Profiles.config_of p app))
+        [ "top"; "apache" ]
+    in
+    if cycle = 1 then
+      check_bool "loaded views bind their private pages" true
+        (metric os "os.view_bindings" > base);
+    List.iter (Facechange.unload_view fc) loaded;
+    check_int
+      (Printf.sprintf "cycle %d returns to the pre-load count" cycle)
+      base
+      (metric os "os.view_bindings")
+  done
+
+(* ---------------- the engines ---------------- *)
+
+(* A bare [Os.create] boots the fast engine: the profiler, every paper
+   experiment and the benchmark measure whatever this default is. *)
+let test_default_engine_is_fast () =
+  let os = Os.create (image ()) in
+  let hyp = Hyp.attach os in
+  let fc = Facechange.enable hyp in
+  ignore (Facechange.load_view fc (Profiles.config_of (profiles ()) "top") : int);
+  spawn_app os ~name:"top" ~len:8 ();
+  Os.run os;
+  check_bool "superblocks built" true (metric os "sb.blocks_built" > 0);
+  check_bool "iTLB hits" true (metric os "tlb.i_hits" > 0)
 
 let test_enforced_matrix () =
   let p = profiles () in
-  let base, _ =
-    Differential.run ~tagged:false ~profiles:p ~sblocks:false ~tlb:false
-      ~fault_seed:2 ()
+  let base, ren =
+    Differential.run ~profiles:p ~engine:Os.Reference ~fault_seed:2 ()
   in
-  List.iter
-    (fun (tagged, sblocks, tlb) ->
-      let fp, en =
-        Differential.run ~tagged ~profiles:p ~sblocks ~tlb ~fault_seed:2 ()
-      in
-      let label = Differential.describe ~tagged ~sblocks ~tlb () in
-      Differential.check_parity ~label ~expect:base ~got:fp;
-      if sblocks then begin
-        check_bool (label ^ ": blocks built") true (en.Differential.en_sb_built > 0);
-        check_bool (label ^ ": block hits") true (en.Differential.en_sb_hits > 0);
-        check_bool (label ^ ": chains followed") true
-          (en.Differential.en_sb_chain_follows > 0);
-        check_bool (label ^ ": view switching invalidates") true
-          (en.Differential.en_sb_invalidations > 0)
-      end
-      else begin
-        check_int (label ^ ": sb counters silent") 0 en.Differential.en_sb_built;
-        check_int (label ^ ": sb hits silent") 0 en.Differential.en_sb_hits
-      end)
-    (List.tl Differential.tagged_configs)
-
-let prop_matrix_invisible =
-  QCheck.Test.make
-    ~name:
-      "tagged, superblock'd, TLB'd and plain guests are indistinguishable \
-       under faults"
-    ~count:4 (QCheck.int_range 1 1_000_000) (fun seed ->
-      let p = profiles () in
-      let base =
-        Differential.fingerprint ~tagged:false ~profiles:p ~sblocks:false
-          ~tlb:false ~fault_seed:seed ()
-      in
-      List.for_all
-        (fun (tagged, sblocks, tlb) ->
-          Differential.fingerprint ~tagged ~profiles:p ~sblocks ~tlb
-            ~fault_seed:seed ()
-          = base)
-        (List.tl Differential.tagged_configs))
+  let fp, en = Differential.run ~profiles:p ~engine:Os.Fast ~fault_seed:2 () in
+  Differential.check_parity ~label:"fast-vs-reference" ~expect:base ~got:fp;
+  check_bool "fast: blocks built" true (en.Differential.en_sb_built > 0);
+  check_bool "fast: block hits" true (en.Differential.en_sb_hits > 0);
+  check_bool "fast: chains followed" true
+    (en.Differential.en_sb_chain_follows > 0);
+  check_bool "fast: view switching invalidates" true
+    (en.Differential.en_sb_invalidations > 0);
+  check_int "reference: sb counters silent" 0 ren.Differential.en_sb_built;
+  check_int "reference: sb hits silent" 0 ren.Differential.en_sb_hits
 
 let suites =
   [
@@ -386,8 +371,6 @@ let suites =
           test_version_invalidates;
         tc "COW break during enforced execution invalidates warm blocks"
           test_cow_break_invalidates;
-        tc "flush_fetch_tlbs leaves unchanged mappings warm"
-          test_flush_hook_restamps_unchanged;
         tc "chained jump across an invalidated target rebuilds, then re-chains"
           test_chain_rebuild_fallback;
         tc "arming a trap inside a hot block splits rebuilt blocks"
@@ -396,9 +379,10 @@ let suites =
           test_interrupt_at_boundary;
         tc "decode cache stays bounded under view churn"
           test_decode_cache_bounded_under_view_churn;
+        tc "view bindings return to baseline under view churn"
+          test_view_bindings_bounded_under_view_churn;
+        tc "a bare Os.create runs the fast engine" test_default_engine_is_fast;
         tc "enforced faulted run: fingerprint parity across the matrix"
           test_enforced_matrix;
       ] );
-    ( "sblocks.properties",
-      List.map QCheck_alcotest.to_alcotest [ prop_matrix_invisible ] );
   ]

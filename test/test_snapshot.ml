@@ -3,8 +3,8 @@
    - the split-run differential property — snapshot at round k, push the
      machine through the wire format, restore, run to the end: the
      outcome, stats, instruction/cycle totals and both trace digests
-     must be identical to an uninterrupted run, across the whole
-     {sblocks} x {tlb} matrix under random governed fault plans;
+     must be identical to an uninterrupted run, on both engines under
+     random governed fault plans;
    - decode∘encode = id on captured machines (QCheck);
    - corrupt-input totality: bit flips, truncations and version bumps
      return typed errors naming section and offset — never raise;
@@ -54,7 +54,7 @@ type fp = {
    snapshots capture machines, not probes): a seed-picked app under its
    enforced view, a companion, a governed random fault plan, full
    tracing. *)
-let setup ~sblocks ~tlb ~fault_seed =
+let setup ~engine ~fault_seed =
   let r = Frand.create (fault_seed lxor 0x7157) in
   let pool = [ "top"; "apache"; "gvim"; "bash"; "gzip" ] in
   let name = Frand.pick r pool in
@@ -62,8 +62,7 @@ let setup ~sblocks ~tlb ~fault_seed =
   let plan = Fault.gen ~seed:fault_seed ~rounds:120 ~n in
   let app = App.find_exn name in
   let os =
-    Os.create ~config:(App.os_config app) ~tlb ~sblocks
-      (Profiles.image (profiles ()))
+    Os.create ~config:(App.os_config app) ~engine (Profiles.image (profiles ()))
   in
   let ih = ref 0 and eh = ref 0 in
   let arm_traces os =
@@ -94,8 +93,8 @@ let finalize ~outcome ~os ~fc ~ih ~eh =
     fp_events = !eh;
   }
 
-let continuous ~sblocks ~tlb ~fault_seed =
-  let os, _hyp, fc, inj, ih, eh, _ = setup ~sblocks ~tlb ~fault_seed in
+let continuous ~engine ~fault_seed =
+  let os, _hyp, fc, inj, ih, eh, _ = setup ~engine ~fault_seed in
   let outcome =
     match Os.run ~max_rounds:budget os with
     | () -> "ok"
@@ -107,8 +106,8 @@ let continuous ~sblocks ~tlb ~fault_seed =
 (* Snapshot at round [at], encode, decode, restore, run the rest.  The
    trace refs survive the handoff: segment 2 keeps folding into the same
    digests, exactly like an uninterrupted run would. *)
-let split ~sblocks ~tlb ~fault_seed ~at =
-  let os, hyp, fc, inj, ih, eh, arm_traces = setup ~sblocks ~tlb ~fault_seed in
+let split ~engine ~fault_seed ~at =
+  let os, hyp, fc, inj, ih, eh, arm_traces = setup ~engine ~fault_seed in
   match Os.run ~until:(fun t -> Os.round t >= at) ~max_rounds:budget os with
   | exception Os.Guest_panic m ->
       Injector.disarm inj;
@@ -145,18 +144,16 @@ let check_fp ~label expect got =
 
 let seeds_per_arm = 8
 
-let differential_case ~sblocks ~tlb () =
+let differential_case ~engine () =
   for i = 0 to seeds_per_arm - 1 do
     let fault_seed = 9000 + (97 * i) in
     (* snapshot rounds spread over the fault plan's active window *)
     let at = 10 + (Frand.mix fault_seed 1 land 0x3F) in
     let label =
-      Printf.sprintf "seed %d @%d (%s+%s)" fault_seed at
-        (if sblocks then "sb" else "no-sb")
-        (if tlb then "tlb" else "no-tlb")
+      Printf.sprintf "seed %d @%d (%s)" fault_seed at (Os.engine_name engine)
     in
-    let expect = continuous ~sblocks ~tlb ~fault_seed in
-    let got = split ~sblocks ~tlb ~fault_seed ~at in
+    let expect = continuous ~engine ~fault_seed in
+    let got = split ~engine ~fault_seed ~at in
     check_fp ~label expect got
   done
 
@@ -166,7 +163,8 @@ let differential_case ~sblocks ~tlb () =
    every layer. *)
 let capture_machine ~fault_seed ~at =
   let os, hyp, fc, inj, _, _, _ =
-    setup ~sblocks:(fault_seed land 1 = 0) ~tlb:(fault_seed land 2 = 0)
+    setup
+      ~engine:(if fault_seed land 1 = 0 then Os.Fast else Os.Reference)
       ~fault_seed
   in
   (match Os.run ~until:(fun t -> Os.round t >= at) ~max_rounds:budget os with
@@ -254,24 +252,22 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let old_version_rejected () =
-  (* the v1 wire format predates per-view tag state (EPT generations,
-     the OS global-gen / divergent-page set): a v1 byte stream must come
-     back as the typed unsupported-version error naming both versions,
-     never a silent partial decode *)
+(* An older wire format must come back as the typed unsupported-version
+   error naming both versions, never a silent partial decode. *)
+let version_rejected v () =
   let snap = capture_machine ~fault_seed:9 ~at:12 in
   let b = Bytes.of_string (Snapshot.encode snap) in
-  Bytes.set b 4 '\x01';
+  Bytes.set b 4 (Char.chr v);
   match Snapshot.decode (Bytes.to_string b) with
   | Error ({ section = "header"; offset = 4; _ } as e) ->
       let msg = Snapshot.error_to_string e in
       check_bool "error names the rejected version" true
-        (contains msg "unsupported format version 1");
+        (contains msg (Printf.sprintf "unsupported format version %d" v));
       check_bool "error names the expected version" true
         (contains msg (Printf.sprintf "expect %d" Snapshot.version))
   | Error e ->
       Alcotest.fail ("expected version error, got " ^ Snapshot.error_to_string e)
-  | Ok _ -> Alcotest.fail "previous-version (v1) snapshot decoded"
+  | Ok _ -> Alcotest.failf "previous-version (v%d) snapshot decoded" v
 
 let empty_and_trailing () =
   (match Snapshot.decode "" with
@@ -419,14 +415,11 @@ let suites =
   [
     ( "snapshot-differential",
       [
+        (* the reference engine (no superblocks, no TLBs) and the fast
+           one (superblocks + TLBs + view tags) *)
         Alcotest.test_case "no-sb + no-tlb" `Slow
-          (differential_case ~sblocks:false ~tlb:false);
-        Alcotest.test_case "no-sb + tlb" `Slow
-          (differential_case ~sblocks:false ~tlb:true);
-        Alcotest.test_case "sb + no-tlb" `Slow
-          (differential_case ~sblocks:true ~tlb:false);
-        Alcotest.test_case "sb + tlb" `Slow
-          (differential_case ~sblocks:true ~tlb:true);
+          (differential_case ~engine:Os.Reference);
+        Alcotest.test_case "sb + tlb" `Slow (differential_case ~engine:Os.Fast);
       ] );
     ( "snapshot-codec",
       [
@@ -435,7 +428,9 @@ let suites =
         Alcotest.test_case "corrupt errors name section and offset" `Quick
           corrupt_errors_name_sections;
         Alcotest.test_case "previous-version (v1) stream rejected" `Quick
-          old_version_rejected;
+          (version_rejected 1);
+        Alcotest.test_case "previous-version (v2) stream rejected" `Quick
+          (version_rejected 2);
         Alcotest.test_case "empty input and trailing bytes" `Quick
           empty_and_trailing;
         Alcotest.test_case "save/load roundtrip + missing file" `Quick

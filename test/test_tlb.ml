@@ -1,9 +1,10 @@
 (* The software TLBs (lib/mem/tlb.ml + the Os fast paths): coherence
    under view switches, COW breaks and in-place recovery writes, dTLB
-   visibility of new mappings, and the load-bearing property that the
-   fast path is behavior-invisible — a TLB'd guest and a TLB-disabled
-   guest retire the same instructions, charge the same cycles, emit the
-   same traces and capture identical stats, faults and all. *)
+   visibility of new mappings, view-tag survival, and the load-bearing
+   property that the fast engine is behavior-invisible — a fast guest
+   and a reference guest retire the same instructions, charge the same
+   cycles, emit the same traces and capture identical stats, faults and
+   all. *)
 
 module Os = Fc_machine.Os
 module Process = Fc_machine.Process
@@ -50,7 +51,7 @@ let image = lazy (Image.build_exn ())
 
 (* A text address the view remaps to different bytes than the original
    kernel: warming the iTLB there and then changing the translation is
-   exactly the staleness the epoch/version protocol must catch. *)
+   exactly the staleness the tag/version protocol must catch. *)
 let divergent_gva os view =
   let img = Lazy.force image in
   let base = Image.text_base img in
@@ -63,23 +64,14 @@ let divergent_gva os view =
   in
   go base
 
-(* Mirror the facechange switch-in.  Tagged: quiet directory installs
-   plus a tag swap — nothing is flushed, and the active tag names the
-   view so a later COW splice (which bumps the owning view's generation)
-   invalidates exactly this vCPU's warm entries.  Untagged: the legacy
-   bumping set_dir path. *)
+(* Mirror the facechange switch-in: quiet directory installs plus a tag
+   swap — nothing is flushed, and the active tag names the view. *)
 let install_view os view =
   let ept = Os.ept os in
-  if Os.tagged_on os then begin
-    List.iter
-      (fun (dir, tbl) -> Ept.install_dir ept ~dir (Some tbl))
-      (View.tables view);
-    Ept.set_view ept ~view:(View.index view)
-  end
-  else
-    List.iter
-      (fun (dir, tbl) -> Ept.set_dir ept ~dir (Some tbl))
-      (View.tables view)
+  List.iter
+    (fun (dir, tbl) -> Ept.install_dir ept ~dir (Some tbl))
+    (View.tables view);
+  Ept.set_view ept ~view:(View.index view)
 
 let test_view_switch_invalidates_itlb () =
   let os = Os.create (Lazy.force image) in
@@ -88,8 +80,8 @@ let test_view_switch_invalidates_itlb () =
   let v = View.build ~hyp ~index:1 cfg in
   let g = divergent_gva os v in
   let before = Os.fetch_code os g in
-  (* warm the iTLB on the original translation, then switch: set_dir
-     bumps the EPT epoch, so the warm entry must not be served *)
+  (* warm the iTLB on the original translation, then switch: the active
+     tag changes, so the warm entry must not be served *)
   check_bool "warm fetch stable" true (Os.fetch_code os g = before);
   install_view os v;
   check_bool "post-switch fetch sees the view, not the stale TLB entry"
@@ -105,8 +97,8 @@ let test_cow_break_visible_on_next_fetch () =
   let v1 = View.build ~hyp ~index:1 cfg in
   (* a byte-identical sibling forces v1's pages into shared frames, so
      the write below must break COW: a fresh frame is spliced into the
-     installed table with no set_dir and no version change on the old
-     frame — only the explicit flush hook can invalidate the TLB *)
+     installed table with no directory install and no tag change — only
+     the version touch on the displaced frame can invalidate the TLB *)
   let v2 = View.build ~hyp ~index:2 cfg in
   let g = divergent_gva os v1 in
   install_view os v1;
@@ -242,9 +234,8 @@ let test_cow_break_invalidates_only_broken_page () =
   View.destroy v2;
   View.destroy v1
 
-(* Regression for the quarantine/unload paths: retiring one view's tag
-   must invalidate only that view's cached translations.  The pre-tag
-   scheme full-flushed both TLBs here, taxing every surviving view. *)
+(* The quarantine/unload paths: retiring one view's tag must invalidate
+   only that view's cached translations, never tax surviving views. *)
 let test_retire_view_spares_other_views () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
@@ -275,48 +266,43 @@ let test_ept_gen_overflow_era_bump () =
   let e = Ept.create () in
   Ept.set_view e ~view:3;
   let t0 = Ept.tag e in
-  Ept.bump e;
+  Ept.bump_view e ~view:3;
   let t1 = Ept.tag e in
   check_bool "a bump changes the tag" true (t1 <> t0);
   let max_gen = (1 lsl Ept.gen_bits) - 1 in
   (* drive the generation to the ceiling... *)
   for _ = 2 to max_gen do
-    Ept.bump e
+    Ept.bump_view e ~view:3
   done;
   check_int "at the ceiling" max_gen (Ept.gen e ~view:3);
   (* ...then one more bump must roll the era instead of overflowing *)
-  Ept.bump e;
+  Ept.bump_view e ~view:3;
   check_int "generations restart in the new era" 0 (Ept.gen e ~view:3);
   let fresh = Ept.tag e in
   check_bool "old-era tags never match again" true
     (fresh <> t0 && fresh <> t1);
   check_bool "the tag stays non-negative" true (fresh >= 0)
 
-(* ---------------- behavior parity: TLB on vs off ---------------- *)
+(* ---------------- behavior parity: reference vs fast ---------------- *)
 
-(* The fingerprint machinery lives in test/differential.ml, shared with
-   the superblock suite — this file exercises the {tlb} axis with
-   superblocks off; test_sblocks.ml covers the full matrix. *)
-let run_enforced ?tagged ~tlb ~fault_seed () =
-  Differential.fingerprint ?tagged ~profiles:(profiles ()) ~sblocks:false ~tlb
-    ~fault_seed ()
+(* The fingerprint machinery lives in test/differential.ml. *)
+let run_enforced ~engine ~fault_seed () =
+  Differential.run ~profiles:(profiles ()) ~engine ~fault_seed ()
 
 let test_parity_enforced_run () =
-  let on = run_enforced ~tlb:true ~fault_seed:1 () in
-  let off = run_enforced ~tlb:false ~fault_seed:1 () in
-  Differential.check_parity ~label:"tlb-vs-no-tlb" ~expect:off ~got:on
-
-let test_parity_tagged_run () =
-  let tagged = run_enforced ~tagged:true ~tlb:true ~fault_seed:1 () in
-  let untagged = run_enforced ~tagged:false ~tlb:true ~fault_seed:1 () in
-  Differential.check_parity ~label:"tag-vs-untag" ~expect:untagged ~got:tagged
+  let fast, en = run_enforced ~engine:Os.Fast ~fault_seed:1 () in
+  let reference, ren = run_enforced ~engine:Os.Reference ~fault_seed:1 () in
+  Differential.check_parity ~label:"fast-vs-reference" ~expect:reference
+    ~got:fast;
+  check_bool "fast: iTLB hits" true (en.Differential.en_itlb_hits > 0);
+  check_int "reference: iTLB silent" 0 ren.Differential.en_itlb_hits
 
 let prop_tlb_invisible =
   QCheck.Test.make
     ~name:"TLB'd and TLB-disabled guests are indistinguishable under faults"
     ~count:8 (QCheck.int_range 1 1_000_000) (fun seed ->
-      run_enforced ~tlb:true ~fault_seed:seed ()
-      = run_enforced ~tlb:false ~fault_seed:seed ())
+      fst (run_enforced ~engine:Os.Fast ~fault_seed:seed ())
+      = fst (run_enforced ~engine:Os.Reference ~fault_seed:seed ()))
 
 let suites =
   [
@@ -325,7 +311,7 @@ let suites =
       [
         tc "direct-mapped slots, conflict eviction, invalidate_all"
           test_tlb_direct_mapped;
-        tc "view switch (set_dir) invalidates warm iTLB entries"
+        tc "view switch invalidates warm iTLB entries"
           test_view_switch_invalidates_itlb;
         tc "COW break visible on the next fetch"
           test_cow_break_visible_on_next_fetch;
@@ -345,8 +331,6 @@ let suites =
           test_ept_gen_overflow_era_bump;
         tc "enforced faulted run: full fingerprint parity"
           test_parity_enforced_run;
-        tc "enforced faulted run: tagged caching is behavior-invisible"
-          test_parity_tagged_run;
       ] );
     ( "tlb.properties",
       List.map QCheck_alcotest.to_alcotest [ prop_tlb_invisible ] );
