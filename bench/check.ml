@@ -350,6 +350,11 @@ let check_chaos j =
      frame version, RAM growth installs quietly) and sb_restamps = 0
      (global-page stamps plus pre-stamped tag memos), captured from one
      deterministic pass so they are independent of reps / --fast.
+     d_hits/d_misses count guest data accesses only: host-side copies
+     (boot, view building, recovery) translate each page once and bypass
+     the dTLB, which is what took fast+views from 9133042/2112 to
+     821938/834, fast+noviews from 5670833/1343 to 557969/65 and httperf
+     fast from 1460460/219 to 657804/77.
 
    The arm set is closed: a missing or unknown arm label fails the gate. *)
 let perf_arms =
@@ -362,24 +367,24 @@ let perf_fast_pins =
     ( "unixbench",
       "fast+views",
       [ ("instructions", 20348460); ("cycles", 29738269);
-        ("i_hits", 92010); ("i_misses", 257); ("d_hits", 9133042);
-        ("d_misses", 2112); ("i_flushes", 0); ("d_flushes", 64);
+        ("i_hits", 92010); ("i_misses", 257); ("d_hits", 821938);
+        ("d_misses", 834); ("i_flushes", 0); ("d_flushes", 64);
         ("sb_built", 7378); ("sb_hits", 160450); ("sb_invals", 3049);
         ("sb_chains", 351511); ("sb_restamps", 0); ("fl_growth", 64);
         ("fl_explicit", 0) ] );
     ( "unixbench",
       "fast+noviews",
       [ ("instructions", 20003751); ("cycles", 26496304);
-        ("i_hits", 90353); ("i_misses", 103); ("d_hits", 5670833);
-        ("d_misses", 1343); ("i_flushes", 0); ("d_flushes", 46);
+        ("i_hits", 90353); ("i_misses", 103); ("d_hits", 557969);
+        ("d_misses", 65); ("i_flushes", 0); ("d_flushes", 46);
         ("sb_built", 4683); ("sb_hits", 157966); ("sb_invals", 0);
         ("sb_chains", 347480); ("sb_restamps", 0); ("fl_growth", 46);
         ("fl_explicit", 0) ] );
     ( "httperf",
       "fast",
       [ ("instructions", 25702368); ("cycles", 45117642);
-        ("i_hits", 128760); ("i_misses", 4186); ("d_hits", 1460460);
-        ("d_misses", 219); ("i_flushes", 0); ("d_flushes", 5);
+        ("i_hits", 128760); ("i_misses", 4186); ("d_hits", 657804);
+        ("d_misses", 77); ("i_flushes", 0); ("d_flushes", 5);
         ("sb_built", 2282); ("sb_hits", 181925); ("sb_invals", 42164);
         ("sb_chains", 440748); ("sb_restamps", 0); ("fl_growth", 5);
         ("fl_explicit", 0) ] );

@@ -363,11 +363,9 @@ let fetch_fill_code t view addr =
       match Scan.function_bounds ~read ~lo ~hi addr with
       | None -> None
       | Some (start, stop) ->
-          for gva = start to stop - 1 do
-            match read gva with
-            | Some b -> View.write_code view ~gva b
-            | None -> ()
-          done;
+          Hyp.iter_original_code t.hyp ~lo:start ~hi:stop
+            (fun ~gva src src_off len ->
+              View.write_code_range view ~gva ~src ~src_off ~len);
           Hyp.charge t.hyp ((stop - start) / 16 * Cost.code_copy_per_16_bytes);
           Metrics.add t.recovered_bytes (stop - start);
           Metrics.add

@@ -133,6 +133,21 @@ let write_code t ~gva v =
     (Phys.addr_of_frame frame + (gpa mod Phys.page_size))
     v
 
+let write_code_range t ~gva ~src ~src_off ~len =
+  let phys = Os.phys (Hyp.os t.hyp) in
+  let rec go i =
+    if i < len then begin
+      let gpa = Layout.gva_to_gpa (gva + i) in
+      let off = gpa mod Phys.page_size in
+      let n = min (len - i) (Phys.page_size - off) in
+      let frame = writable_frame t (Layout.page_of gpa) in
+      Phys.blit_bytes phys ~src ~src_off:(src_off + i)
+        ~dst:(Phys.addr_of_frame frame + off) ~len:n;
+      go (i + n)
+    end
+  in
+  go 0
+
 let read_code t ~gva =
   if not (Layout.is_kernel_address gva) then None
   else
@@ -174,35 +189,34 @@ let note_span t loads ~whole_function_load ~region_lo ~region_hi (s : Span.t) =
     go s.Span.lo
   end
 
-(* Build one page's final contents in a host buffer: phase-aligned UD2
-   fill, then the covered parts of the load set overlaid from the
-   original code.  The interval index makes the overlay O(log n) per
-   page plus the covered bytes. *)
-let page_contents t loads gpa_page =
-  let buf = Bytes.create Phys.page_size in
-  for i = 0 to Phys.page_size - 1 do
-    Bytes.set_uint8 buf i
-      (if i land 1 = 0 then Fc_isa.Insn.ud2_first_byte
-       else Fc_isa.Insn.ud2_second_byte)
-  done;
+(* One page of phase-aligned UD2 fill: the background every view page
+   starts from.  Never written after initialization. *)
+let ud2_page =
+  Bytes.init Phys.page_size (fun i ->
+      Char.chr
+        (if i land 1 = 0 then Fc_isa.Insn.ud2_first_byte
+         else Fc_isa.Insn.ud2_second_byte))
+
+(* Build one page's final contents in [buf] (one buffer per build, reused
+   page after page): UD2 fill, then the covered parts of the load set
+   overlaid from the original code a page chunk at a time.  The interval
+   index makes the overlay O(log n) per page plus the covered bytes. *)
+let page_contents t loads buf gpa_page =
+  Bytes.blit ud2_page 0 buf 0 Phys.page_size;
   let gva_lo = Layout.gpa_to_gva (gpa_page * Phys.page_size) in
   let window = Span.make ~lo:gva_lo ~hi:(gva_lo + Phys.page_size) in
   List.iter
     (fun (s : Span.t) ->
-      for gva = s.Span.lo to s.Span.hi - 1 do
-        match Hyp.read_original_code t.hyp gva with
-        | Some b -> Bytes.set_uint8 buf (gva - gva_lo) b
-        | None -> ()
-      done)
-    (Range_list.covered_spans loads Segment.Base_kernel window);
-  buf
+      Hyp.iter_original_code t.hyp ~lo:s.Span.lo ~hi:s.Span.hi
+        (fun ~gva src off len -> Bytes.blit src off buf (gva - gva_lo) len))
+    (Range_list.covered_spans loads Segment.Base_kernel window)
 
 (* Back one page: intern through the hypervisor's content-keyed frame
    cache when sharing, allocate privately otherwise.  Both modes charge
    exactly {!Cost.view_page_init}. *)
-let materialize_page t loads gpa_page =
+let materialize_page t loads buf gpa_page =
   let phys = Os.phys (Hyp.os t.hyp) in
-  let buf = page_contents t loads gpa_page in
+  page_contents t loads buf gpa_page;
   let fill_fresh () =
     let f = Phys.alloc phys in
     Phys.blit_bytes phys ~src:buf ~src_off:0 ~dst:(Phys.addr_of_frame f)
@@ -307,17 +321,18 @@ let build ~hyp ?(whole_function_load = true) ?(share_frames = true) ~index
   let loads = !loads in
   (* Pass 2: materialize every base text page and the code pages of every
      VMI-visible module from their final contents. *)
+  let buf = Bytes.create Phys.page_size in
   let lo_page = Layout.page_of (Layout.gva_to_gpa text_lo) in
   let hi_page = Layout.page_of (Layout.gva_to_gpa (text_hi - 1)) in
   for p = lo_page to hi_page do
-    materialize_page t loads p
+    materialize_page t loads buf p
   done;
   List.iter
     (fun (_name, base, size) ->
       let lo_page = Layout.page_of (Layout.gva_to_gpa base) in
       let hi_page = Layout.page_of (Layout.gva_to_gpa (base + size - 1)) in
       for p = lo_page to hi_page do
-        materialize_page t loads p
+        materialize_page t loads buf p
       done)
     visible;
   t

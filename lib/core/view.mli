@@ -72,6 +72,12 @@ val write_code : t -> gva:int -> int -> unit
 (** Patch one byte of the view's copy (code recovery).  Breaks the
     page's frame out of sharing first if needed (copy-on-write). *)
 
+val write_code_range :
+  t -> gva:int -> src:Bytes.t -> src_off:int -> len:int -> unit
+(** Patch [[gva, gva+len)] of the view's copy from [src] (whole-function
+    code recovery): per page, the same copy-on-write step as
+    {!write_code}, then one blit. *)
+
 val read_code : t -> gva:int -> int option
 (** Read a byte as the vCPU would see it under this view. *)
 

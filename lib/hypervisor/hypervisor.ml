@@ -75,6 +75,7 @@ let module_list t = Os.vmi_module_list t.os
 let read_guest_byte t a = Os.read_guest_byte t.os a
 let read_guest_u32 t a = Os.read_guest_u32 t.os a
 let read_original_code t a = Os.read_guest_byte t.os a
+let iter_original_code t ~lo ~hi f = Os.iter_ram t.os ~lo ~hi f
 let read_active_code t a = Os.fetch_code t.os a
 let original_frame t ~gpa_page = Os.ram_frame t.os ~gpa_page
 let original_table t ~dir = Hashtbl.find_opt t.original_tables dir
@@ -153,22 +154,31 @@ let sample_stack t ~eip ~ebp ?esp ?(max_depth = 64) () =
 let stack_frames t ~eip ~ebp ?esp ?max_depth () =
   (stack_walk t ~eip ~ebp ?esp ?max_depth ()).frames
 
-let refresh_symbols t =
+(* The table is a function of the image and the VMI module list only. *)
+let symbols_for os mods =
   let syms = Symbols.create () in
   (* System.map: the base kernel's function symbols. *)
-  Symbols.add_unit syms (Image.unit_image (Os.image t.os));
+  Symbols.add_unit syms (Image.unit_image (Os.image os));
   (* VMI-visible modules: if the name matches a known distro module, we
      have its .ko symbols; assemble its layout at the observed base. *)
-  let mods = module_list t in
   List.iter
     (fun (name, base, _size) ->
       if List.mem_assoc name Catalog.module_functions then
-        match Image.assemble_module (Os.image t.os) ~name ~base with
+        match Image.assemble_module (Os.image os) ~name ~base with
         | Ok u -> Symbols.add_unit syms ~module_name:name u
         | Error _ -> ())
     mods;
-  t.visible_modules <- mods;
-  t.symbols <- syms
+  syms
+
+(* Runs at every invalid-opcode exit, so an unchanged module list keeps
+   the table; a hidden or newly loaded module changes the list and gets
+   a rebuilt one. *)
+let refresh_symbols t =
+  let mods = module_list t in
+  if mods <> t.visible_modules then begin
+    t.visible_modules <- mods;
+    t.symbols <- symbols_for t.os mods
+  end
 
 let symbols t = t.symbols
 let addr_of_symbol t name = Symbols.addr_of t.symbols name
@@ -236,14 +246,15 @@ let snapshot_tables os =
 let attach os =
   let obs = Os.obs os in
   let m = Obs.metrics obs in
+  let mods = Os.vmi_module_list os in
   let t =
     {
       os;
       obs;
       original_tables = snapshot_tables os;
       frame_cache = Fc_mem.Frame_cache.create ~obs (Os.phys os);
-      symbols = Symbols.create ();
-      visible_modules = [];
+      symbols = symbols_for os mods;
+      visible_modules = mods;
       bp_handlers = [];
       io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
       breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
@@ -262,7 +273,6 @@ let attach os =
   Metrics.reset t.cycles_charged;
   Metrics.reset_histogram t.charge_cycles;
   Metrics.reset_family t.app_cycles;
-  refresh_symbols t;
   Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
   t
 
@@ -298,14 +308,15 @@ let restore ~os ~table_of (z : frozen) =
     z.zh_tables;
   let frame_cache = Fc_mem.Frame_cache.create ~obs (Os.phys os) in
   Fc_mem.Frame_cache.import frame_cache z.zh_cache;
+  let mods = Os.vmi_module_list os in
   let t =
     {
       os;
       obs;
       original_tables;
       frame_cache;
-      symbols = Symbols.create ();
-      visible_modules = [];
+      symbols = symbols_for os mods;
+      visible_modules = mods;
       bp_handlers = [];
       io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
       breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
@@ -319,6 +330,5 @@ let restore ~os ~table_of (z : frozen) =
   in
   (* no counter resets here: the codec applies its metrics section after
      every layer is restored, and a fresh registry already reads zero *)
-  refresh_symbols t;
   Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
   t

@@ -72,6 +72,12 @@ val read_original_code : t -> int -> int option
     the source of truth that code recovery copies from, unaffected by any
     installed view. *)
 
+val iter_original_code :
+  t -> lo:int -> hi:int -> (gva:int -> Bytes.t -> int -> int -> unit) -> unit
+(** The bulk form of {!read_original_code}: the original code of
+    [[lo, hi)] a page chunk at a time ({!Fc_machine.Os.iter_ram}), for
+    view building and recovery.  Unmapped chunks are skipped. *)
+
 val read_active_code : t -> int -> int option
 (** Read a byte through the EPT — what the vCPU would fetch right now
     (i.e. the active view's contents). *)
@@ -121,10 +127,12 @@ val sample_stack :
 (* ---------------- symbols ---------------- *)
 
 val refresh_symbols : t -> unit
-(** Rebuild the symbol registry: base kernel (System.map) plus per-function
-    symbols for VMI-visible modules whose names match known distro modules.
-    Modules hidden from the guest list disappear — their frames render as
-    [<UNKNOWN>], as in Fig. 5. *)
+(** Re-read the VMI module list and, if it changed, rebuild the symbol
+    registry: base kernel (System.map) plus per-function symbols for
+    VMI-visible modules whose names match known distro modules.  Modules
+    hidden from the guest list disappear — their frames render as
+    [<UNKNOWN>], as in Fig. 5.  The registry depends on nothing else, so
+    an unchanged list keeps the current one. *)
 
 val symbols : t -> Fc_kernel.Symbols.t
 

@@ -5,7 +5,22 @@ type t = {
   by_name : (string, Asm.placed) Hashtbl.t;
   (* function starts sorted by address, for binary search *)
   starts : Asm.placed array;
+  boot_modules : (string * Asm.unit_image) list;
+      (* every catalog module, assembled once at its boot base, in load
+         order; never mutated after [build], so guests booted on other
+         domains share them without a lock *)
 }
+
+let next_module_base (u : Asm.unit_image) =
+  let stop = u.Asm.base + Bytes.length u.Asm.code in
+  ((stop + Layout.page_size - 1) / Layout.page_size * Layout.page_size)
+  + Layout.page_size
+
+let addr_of t name = Option.map (fun (p : Asm.placed) -> p.addr) (Hashtbl.find_opt t.by_name name)
+
+let assemble_module_fns t ~base fns =
+  let specs = List.map Kfunc.to_spec fns in
+  Asm.assemble ~base ~resolve:(addr_of t) specs
 
 let build () =
   let specs = List.map Kfunc.to_spec Catalog.base_functions in
@@ -17,7 +32,15 @@ let build () =
         (fun (p : Asm.placed) -> Hashtbl.replace by_name p.pname p)
         unit_image.functions;
       let starts = Array.of_list unit_image.functions in
-      Ok { unit_image; by_name; starts }
+      let t = { unit_image; by_name; starts; boot_modules = [] } in
+      let rec boot acc base = function
+        | [] -> Ok { t with boot_modules = List.rev acc }
+        | (name, fns) :: rest -> (
+            match assemble_module_fns t ~base fns with
+            | Error e -> Error (Printf.sprintf "module %s: %s" name e)
+            | Ok u -> boot ((name, u) :: acc) (next_module_base u) rest)
+      in
+      boot [] Layout.module_area_base Catalog.module_functions
 
 let build_exn () =
   match build () with
@@ -27,7 +50,6 @@ let build_exn () =
 let unit_image t = t.unit_image
 let text_base t = t.unit_image.base
 let text_end t = t.unit_image.base + Bytes.length t.unit_image.code
-let addr_of t name = Option.map (fun (p : Asm.placed) -> p.addr) (Hashtbl.find_opt t.by_name name)
 
 let addr_of_exn t name =
   match addr_of t name with
@@ -57,14 +79,15 @@ let read_byte t gva =
     Some (Bytes.get_uint8 t.unit_image.code off)
   else None
 
-let assemble_module_fns t ~base fns =
-  let specs = List.map Kfunc.to_spec fns in
-  Asm.assemble ~base ~resolve:(addr_of t) specs
+let boot_modules t = t.boot_modules
 
 let assemble_module t ~name ~base =
-  match List.assoc_opt name Catalog.module_functions with
-  | None -> Error ("unknown module: " ^ name)
-  | Some fns -> assemble_module_fns t ~base fns
+  match List.assoc_opt name t.boot_modules with
+  | Some u when u.Asm.base = base -> Ok u
+  | Some _ | None -> (
+      match List.assoc_opt name Catalog.module_functions with
+      | None -> Error ("unknown module: " ^ name)
+      | Some fns -> assemble_module_fns t ~base fns)
 
 let false_prologues t =
   let read = read_byte t in

@@ -1,12 +1,18 @@
 (** The assembled base kernel image and module assembly.
 
     [build ()] compiles the whole {!Catalog} base-kernel function list to
-    bytes at {!Layout.text_base}.  Loadable modules are assembled on
-    demand at their runtime load address ([assemble_module]), resolving
-    their calls into the base kernel — this is why the profiler records
-    module ranges relative to the module base: the same module assembled
-    at a different base yields different absolute call displacements but
-    identical structure. *)
+    bytes at {!Layout.text_base}, and every {!Catalog.module_functions}
+    module at its boot base — the bases a fresh guest loads them at, in
+    catalog order from {!Layout.module_area_base} by
+    {!next_module_base}.  Other modules, or modules at another base, are
+    assembled on demand ([assemble_module]), resolving their calls into
+    the base kernel — this is why the profiler records module ranges
+    relative to the module base: the same module assembled at a
+    different base yields different absolute call displacements but
+    identical structure.
+
+    An image is immutable once built, so guests on several domains can
+    share one. *)
 
 type t
 
@@ -31,14 +37,25 @@ val functions : t -> Fc_isa.Asm.placed list
 val read_byte : t -> int -> int option
 (** Read a byte of base kernel code by guest-virtual address. *)
 
+val next_module_base : Fc_isa.Asm.unit_image -> int
+(** The base of the module loaded after [u]: the first page boundary
+    past its code, plus one guard page.  The one placement rule, shared
+    by boot-time and runtime module loading. *)
+
+val boot_modules : t -> (string * Fc_isa.Asm.unit_image) list
+(** Every {!Catalog.module_functions} module, assembled at its boot base,
+    in load order. *)
+
 val assemble_module :
   t -> name:string -> base:int -> (Fc_isa.Asm.unit_image, string) result
-(** Assemble one of {!Catalog.module_functions} (or any registered
-    function list via [assemble_module_fns]) at [base], resolving
-    unresolved calls against the base kernel symbol table. *)
+(** One of {!Catalog.module_functions} at [base], resolving unresolved
+    calls against the base kernel symbol table: the unit from
+    {!boot_modules} itself when [base] is its boot base, a fresh
+    assembly otherwise. *)
 
 val assemble_module_fns :
   t -> base:int -> Kfunc.t list -> (Fc_isa.Asm.unit_image, string) result
+(** Assemble any function list at [base] (always a fresh assembly). *)
 
 val false_prologues : t -> int list
 (** Alignment-boundary addresses inside the text section that carry the

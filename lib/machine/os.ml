@@ -554,10 +554,38 @@ let map_fresh_range t ~lo ~hi =
   t.data_epoch <- t.data_epoch + 1;
   note_flushes t ~cause:"growth" 1
 
+(* Host-side bulk access to guest RAM (kernel text and module code in,
+   original code out for view building and recovery): [f gva hpa n] for
+   each page chunk [gva, gva+n) of [lo, hi), with [hpa] its RAM address
+   ([None] if unmapped).  Each page is translated once through
+   [ram_translate] and moved with one blit by the caller, so the guest's
+   dTLB is neither consulted nor counted — [tlb.d_*] count guest accesses
+   only. *)
+let ram_chunks t ~lo ~hi f =
+  let rec go gva =
+    if gva < hi then begin
+      let n = min (hi - gva) (Layout.page_size - (gva land page_mask)) in
+      f gva (ram_translate t gva) n;
+      go (gva + n)
+    end
+  in
+  go lo
+
 let copy_code_in t ~base (code : Bytes.t) =
-  for i = 0 to Bytes.length code - 1 do
-    write_guest_byte t (base + i) (Bytes.get_uint8 code i)
-  done
+  ram_chunks t ~lo:base ~hi:(base + Bytes.length code) (fun gva hpa n ->
+      match hpa with
+      | None -> invalid_arg (Printf.sprintf "Os.write_guest_byte: unmapped 0x%x" gva)
+      | Some hpa ->
+          Phys.blit_bytes t.phys ~src:code ~src_off:(gva - base) ~dst:hpa ~len:n)
+
+let iter_ram t ~lo ~hi f =
+  ram_chunks t ~lo ~hi (fun gva hpa n ->
+      match hpa with
+      | None -> ()
+      | Some hpa ->
+          f ~gva
+            (Phys.frame_bytes t.phys (Phys.frame_of_addr hpa))
+            (Phys.offset_of_addr hpa) n)
 
 (* ---------------- VMI surface ---------------- *)
 
@@ -632,24 +660,24 @@ let rewrite_guest_module_list t =
   write_guest_u32 t Layout.module_list_head
     (match visible with [] -> 0 | m :: _ -> Hashtbl.find node_of m.mod_name)
 
+(* Copy an assembled module into the module area at its base (which must
+   be [t.next_module_base]) and publish it: symbols and the guest's
+   module list. *)
+let install_module t ~name (u : Asm.unit_image) =
+  if u.Asm.base + Bytes.length u.Asm.code > Layout.module_area_limit then
+    raise (Guest_panic "module area exhausted");
+  copy_code_in t ~base:u.Asm.base u.Asm.code;
+  t.next_module_base <- Image.next_module_base u;
+  let info = { mod_name = name; unit_image = u; hidden = false } in
+  t.modules <- t.modules @ [ info ];
+  register_symbols t u;
+  rewrite_guest_module_list t;
+  info
+
 let load_module_fns t ~name fns =
-  let base = t.next_module_base in
-  match Image.assemble_module_fns t.image ~base fns with
+  match Image.assemble_module_fns t.image ~base:t.next_module_base fns with
   | Error e -> raise (Guest_panic (Printf.sprintf "module %s: %s" name e))
-  | Ok u ->
-      let len = Bytes.length u.Asm.code in
-      if base + len > Layout.module_area_limit then
-        raise (Guest_panic "module area exhausted");
-      copy_code_in t ~base u.Asm.code;
-      (* leave a guard page between modules *)
-      t.next_module_base <-
-        ((base + len + Layout.page_size - 1) / Layout.page_size * Layout.page_size)
-        + Layout.page_size;
-      let info = { mod_name = name; unit_image = u; hidden = false } in
-      t.modules <- t.modules @ [ info ];
-      register_symbols t u;
-      rewrite_guest_module_list t;
-      info
+  | Ok u -> install_module t ~name u
 
 let load_module t name =
   match List.assoc_opt name Fc_kernel.Catalog.module_functions with
@@ -854,10 +882,10 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
         ~lo:(Layout.kstack_base + (v.vid * Layout.kstack_size))
         ~hi:(Layout.kstack_base + ((v.vid + 1) * Layout.kstack_size)))
     t.vcpus;
-  (* default modules *)
+  (* default modules, assembled once per image at these very bases *)
   List.iter
-    (fun (name, _) -> ignore (load_module t name))
-    Fc_kernel.Catalog.module_functions;
+    (fun (name, u) -> ignore (install_module t ~name u))
+    (Image.boot_modules image);
   t
 
 let spawn ?cpu t ~name script =

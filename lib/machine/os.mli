@@ -60,8 +60,8 @@ val create :
     frames, builds one identity EPT {e per vCPU} (default 1, max 8 — the
     paper's §V-C extension), creates one idle process per vCPU
     ("swapper", "swapper/1", …) with per-CPU current-task pointers, and
-    loads the default modules from
-    {!Fc_kernel.Catalog.module_functions}.
+    loads the default modules — the units
+    {!Fc_kernel.Image.boot_modules} assembled once for the image.
 
     The guest owns an observability hub ([obs], freshly created unless
     given): its trace clock is the guest cycle counter, physical memory
@@ -215,6 +215,16 @@ val read_guest_byte : t -> int -> int option
     path — they only redirect instruction fetch. *)
 
 val read_guest_u32 : t -> int -> int option
+
+val iter_ram :
+  t -> lo:int -> hi:int -> (gva:int -> Bytes.t -> int -> int -> unit) -> unit
+(** Host-side bulk read of guest RAM (the {!read_guest_byte} path, a
+    page at a time): [f ~gva buf off len] for each page chunk of
+    guest-virtual [[lo, hi)] in ascending order, where [buf] is the
+    chunk's RAM frame and [off] the chunk's offset in it.  Chunks on
+    unmapped pages are skipped.  [buf] is the live frame, valid only
+    during the call: read it, never write it.  Each page is translated
+    once and the guest's dTLB is neither consulted nor counted. *)
 
 val fetch_code : t -> int -> int option
 (** Instruction-fetch path: translates through the {e EPT}, so it sees the

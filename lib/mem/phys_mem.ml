@@ -119,24 +119,61 @@ let write_u32 t hpa v =
     write_byte t (hpa + i) ((v lsr (8 * i)) land 0xff)
   done
 
+(* Bulk writes go one frame chunk at a time: the frame is looked up once,
+   written with one [Bytes] operation, and its version advanced by the
+   bytes written — exactly what a [write_byte] loop over the chunk leaves,
+   including the partial state when a later frame turns out dead. *)
+let chunk addr len = min len (page_size - offset_of_addr addr)
+
+let wrote t f n = t.versions.(f) <- t.versions.(f) + n
+
 let fill t ~addr ~len ~pattern =
   match pattern with
   | [] -> invalid_arg "Phys_mem.fill: empty pattern"
   | _ ->
-      let p = Array.of_list pattern in
-      for i = 0 to len - 1 do
-        write_byte t (addr + i) p.(i mod Array.length p)
-      done
+      let p = Array.of_list (List.map (fun v -> v land 0xff) pattern) in
+      let plen = Array.length p in
+      let rec go i =
+        if i < len then begin
+          let a = addr + i in
+          let n = chunk a (len - i) in
+          let f = frame_of_addr a in
+          let b = frame_bytes t f and off = offset_of_addr a in
+          for k = 0 to n - 1 do
+            Bytes.set_uint8 b (off + k) p.((i + k) mod plen)
+          done;
+          wrote t f n;
+          go (i + n)
+        end
+      in
+      go 0
 
 let blit_bytes t ~src ~src_off ~dst ~len =
-  for i = 0 to len - 1 do
-    write_byte t (dst + i) (Bytes.get_uint8 src (src_off + i))
-  done
+  let rec go i =
+    if i < len then begin
+      let a = dst + i in
+      let n = chunk a (len - i) in
+      let f = frame_of_addr a in
+      Bytes.blit src (src_off + i) (frame_bytes t f) (offset_of_addr a) n;
+      wrote t f n;
+      go (i + n)
+    end
+  in
+  go 0
 
 let copy t ~src ~dst ~len =
-  for i = 0 to len - 1 do
-    write_byte t (dst + i) (read_byte t (src + i))
-  done
+  let rec go i =
+    if i < len then begin
+      let s = src + i and d = dst + i in
+      let n = chunk d (chunk s (len - i)) in
+      let from = frame_bytes t (frame_of_addr s) in
+      let f = frame_of_addr d in
+      Bytes.blit from (offset_of_addr s) (frame_bytes t f) (offset_of_addr d) n;
+      wrote t f n;
+      go (i + n)
+    end
+  in
+  go 0
 
 let frame_count t = t.next
 

@@ -62,23 +62,33 @@ val write_u32 : t -> int -> int -> unit
 val fill : t -> addr:int -> len:int -> pattern:int list -> unit
 (** Tile [pattern] over [[addr, addr+len)] — e.g. UD2-filling a view page
     with [pattern = [0x0f; 0x0b]].  The pattern restarts at [addr], so a
-    2-byte pattern keeps its phase with respect to [addr]. *)
+    2-byte pattern keeps its phase with respect to [addr].
+
+    [fill], {!blit_bytes} and {!copy} are bulk writes: they work one
+    frame at a time and advance each frame's {!version} by the number of
+    bytes written into it — the same bytes and versions a {!write_byte}
+    loop over the range leaves.  A dead target (or source) frame raises
+    [Invalid_argument] after the frames before it have been written, as
+    that loop would. *)
 
 val blit_bytes : t -> src:Bytes.t -> src_off:int -> dst:int -> len:int -> unit
-(** Copy from an OCaml buffer into physical memory. *)
+(** Copy from an OCaml buffer into physical memory (a bulk write). *)
 
 val copy : t -> src:int -> dst:int -> len:int -> unit
-(** Physical-to-physical copy (code recovery: original frame → view
-    frame). *)
+(** Physical-to-physical copy (copy-on-write: shared frame → private
+    frame), frame to frame with no intermediate buffer.  The two ranges
+    must not overlap. *)
 
 val frame_of_addr : int -> int
 val offset_of_addr : int -> int
 val addr_of_frame : int -> int
 
 val version : t -> int -> int
-(** A counter bumped on every write into the frame (and on reallocation).
-    Decoded-instruction caches key their entries on (frame, version) so
-    that code patched by recovery or module loading is never stale. *)
+(** A counter bumped on every byte written into the frame (and on
+    reallocation): a bulk write of [n] bytes into a frame advances it by
+    [n].  Decoded-instruction caches key their entries on (frame,
+    version) so that code patched by recovery or module loading is never
+    stale. *)
 
 val touch : t -> int -> unit
 (** Bump the version of a live frame without writing — used by word-level

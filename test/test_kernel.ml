@@ -187,21 +187,68 @@ let test_module_assembly () =
         (Image.addr_of_exn img "pvclock_clocksource_read")
         (find_call kcr.Asm.addr)
 
+let placed (u : Asm.unit_image) =
+  List.map (fun (p : Asm.placed) -> (p.Asm.pname, p.Asm.addr, p.Asm.size)) u.Asm.functions
+
 let test_module_relocation_identical_structure () =
   let img = Lazy.force image in
-  let u1 =
-    Result.get_ok (Image.assemble_module img ~name:"af_packet" ~base:Layout.module_area_base)
-  in
-  let u2 =
-    Result.get_ok
-      (Image.assemble_module img ~name:"af_packet" ~base:(Layout.module_area_base + 0x10000))
-  in
+  (* no catalog module boots here, so every unit at [other] is assembled
+     on demand — and must be exactly what a fresh assembly yields *)
+  let other = Layout.module_area_base + 0x20000 in
+  List.iter
+    (fun (name, fns) ->
+      let at base = Result.get_ok (Image.assemble_module img ~name ~base) in
+      let u1 = at Layout.module_area_base and u2 = at other in
+      let fresh = Result.get_ok (Image.assemble_module_fns img ~base:other fns) in
+      check_bool (name ^ ": code of a fresh assembly") true
+        (Bytes.equal u2.Asm.code fresh.Asm.code);
+      check_bool (name ^ ": symbols of a fresh assembly") true
+        (placed u2 = placed fresh);
+      List.iter
+        (fun (u : Asm.unit_image) ->
+          List.iter2
+            (fun (p1 : Asm.placed) (p2 : Asm.placed) ->
+              check_bool "same name" true (p1.Asm.pname = p2.Asm.pname);
+              check_int "same relative offset" (p1.Asm.addr - u1.Asm.base)
+                (p2.Asm.addr - u.Asm.base);
+              check_int "same size" p1.Asm.size p2.Asm.size)
+            u1.Asm.functions u.Asm.functions)
+        [ u2; fresh ])
+    Catalog.module_functions
+
+(* (name, base, size) of every module in a freshly booted guest's VMI
+   module list — the layout guests booted with before the placement rule
+   moved into [Image.next_module_base], pinned so that it provably moved
+   no module. *)
+let boot_module_layout =
+  [
+    ("kvmclock", 0xf8000000, 208);
+    ("af_packet", 0xf8002000, 44944);
+    ("snd_hda", 0xf800e000, 26407);
+    ("crypto_aes", 0xf8016000, 20119);
+  ]
+
+let test_modules_assembled_once () =
+  let img = Lazy.force image in
+  Alcotest.(check (list string))
+    "every catalog module, in load order"
+    (List.map fst Catalog.module_functions)
+    (List.map fst (Image.boot_modules img));
+  List.iter
+    (fun (name, (u : Asm.unit_image)) ->
+      match Image.assemble_module img ~name ~base:u.Asm.base with
+      | Ok u' -> check_bool (name ^ ": the prebuilt unit itself") true (u' == u)
+      | Error e -> Alcotest.fail e)
+    (Image.boot_modules img);
+  let os = Fc_machine.Os.create img in
+  Alcotest.(check (list (triple string int int)))
+    "boot module layout" boot_module_layout
+    (Fc_machine.Os.vmi_module_list os);
   List.iter2
-    (fun (p1 : Asm.placed) (p2 : Asm.placed) ->
-      check_bool "same name" true (p1.Asm.pname = p2.Asm.pname);
-      check_int "same relative offset" (p1.Asm.addr - u1.Asm.base) (p2.Asm.addr - u2.Asm.base);
-      check_int "same size" p1.Asm.size p2.Asm.size)
-    u1.Asm.functions u2.Asm.functions
+    (fun (m : Fc_machine.Os.module_info) (_, u) ->
+      check_bool (m.Fc_machine.Os.mod_name ^ ": guest runs the prebuilt unit")
+        true (m.Fc_machine.Os.unit_image == u))
+    (Fc_machine.Os.modules os) (Image.boot_modules img)
 
 let test_unknown_module () =
   let img = Lazy.force image in
@@ -334,6 +381,7 @@ let suites =
         tc "Fig.3 call-site parity layout" test_fig3_parity_layout;
         tc "module assembly resolves into base" test_module_assembly;
         tc "module relocation keeps relative structure" test_module_relocation_identical_structure;
+        tc "catalog modules assembled once, at their boot bases" test_modules_assembled_once;
         tc "unknown module rejected" test_unknown_module;
       ] );
     ( "kernel.syscalls",

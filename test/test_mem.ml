@@ -212,21 +212,106 @@ let test_ept_bad_slot () =
   Alcotest.check_raises "slot range" (Invalid_argument "index out of bounds")
     (fun () -> Ept.table_set t ~idx:1024 (Some 0))
 
+(* Bulk writes against a [write_byte] loop on a twin pool.  Frames 0-3
+   are the target, frames 4-7 the copy source; the range starts anywhere
+   in frame 0 and is up to three frames long; optionally one target frame
+   is dead.  Both pools must end with the same bytes on every live frame
+   and the same version on every frame, and the bulk write must raise
+   [Invalid_argument] exactly when the loop does. *)
+type bulk_case = {
+  op : [ `Fill | `Blit | `Copy ];
+  off : int;
+  len : int;
+  src_off : int;
+  pattern : int list;
+  seed : int;
+  dead : int option;
+}
+
+let gen_bulk_case =
+  let open QCheck.Gen in
+  let page = Phys.page_size in
+  map
+    (fun ((op, off, len), (src_off, pattern, seed), dead) ->
+      { op; off; len; src_off; pattern; seed; dead })
+    (triple
+       (triple (oneofl [ `Fill; `Blit; `Copy ]) (int_bound (page - 1))
+          (int_bound (3 * page)))
+       (triple (int_bound (page - 1))
+          (list_size (int_range 1 4) (int_bound 255))
+          nat)
+       (opt (int_bound 3)))
+
+let print_bulk_case c =
+  Printf.sprintf "{op=%s; off=%d; len=%d; src_off=%d; pattern=[%s]; seed=%d; dead=%s}"
+    (match c.op with `Fill -> "fill" | `Blit -> "blit_bytes" | `Copy -> "copy")
+    c.off c.len c.src_off
+    (String.concat ";" (List.map string_of_int c.pattern))
+    c.seed
+    (match c.dead with Some f -> string_of_int f | None -> "none")
+
 let prop_fill_tiles =
-  QCheck.Test.make ~name:"fill tiles the pattern with stable phase" ~count:100
-    QCheck.(pair (int_bound 200) (int_bound 2000))
-    (fun (off, len) ->
-      let m = Phys.create () in
-      let f = Phys.alloc m in
-      let _ = Phys.alloc m in
-      let a = Phys.addr_of_frame f + off in
-      Phys.fill m ~addr:a ~len ~pattern:[ 0x0f; 0x0b ];
-      let ok = ref true in
-      for i = 0 to len - 1 do
-        let want = if i mod 2 = 0 then 0x0f else 0x0b in
-        if Phys.read_byte m (a + i) <> want then ok := false
-      done;
-      !ok)
+  QCheck.Test.make
+    ~name:"fill tiles the pattern with stable phase; bulk writes equal a byte loop"
+    ~count:200
+    (QCheck.make gen_bulk_case ~print:print_bulk_case)
+    (fun c ->
+      let rng = Random.State.make [| c.seed |] in
+      let random_bytes n =
+        Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      let init = random_bytes (4 * Phys.page_size) in
+      let src = random_bytes c.len in
+      let twin () =
+        let m = Phys.create () in
+        let frames = Phys.alloc_n m 8 in
+        assert (frames = [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
+        Bytes.iteri
+          (fun i ch -> Phys.write_byte m (Phys.addr_of_frame 4 + i) (Char.code ch))
+          init;
+        Option.iter (Phys.free m) c.dead;
+        m
+      in
+      let bulk = twin () and loop = twin () in
+      let dst = Phys.addr_of_frame 0 + c.off in
+      let src_addr = Phys.addr_of_frame 4 + c.src_off in
+      let p = Array.of_list c.pattern in
+      let raised f =
+        match f () with () -> false | exception Invalid_argument _ -> true
+      in
+      let bulk_raised =
+        raised (fun () ->
+            match c.op with
+            | `Fill -> Phys.fill bulk ~addr:dst ~len:c.len ~pattern:c.pattern
+            | `Blit -> Phys.blit_bytes bulk ~src ~src_off:0 ~dst ~len:c.len
+            | `Copy -> Phys.copy bulk ~src:src_addr ~dst ~len:c.len)
+      in
+      let loop_raised =
+        raised (fun () ->
+            for i = 0 to c.len - 1 do
+              Phys.write_byte loop (dst + i)
+                (match c.op with
+                | `Fill -> p.(i mod Array.length p)
+                | `Blit -> Bytes.get_uint8 src i
+                | `Copy -> Phys.read_byte loop (src_addr + i))
+            done)
+      in
+      let same_frame f =
+        Phys.version bulk f = Phys.version loop f
+        && Phys.is_live bulk f = Phys.is_live loop f
+        && ((not (Phys.is_live bulk f))
+           || Bytes.equal (Phys.frame_bytes bulk f) (Phys.frame_bytes loop f))
+      in
+      let tiled () =
+        (* the phase property, stated directly *)
+        c.op <> `Fill || bulk_raised
+        || List.for_all
+             (fun i -> Phys.read_byte bulk (dst + i) = p.(i mod Array.length p))
+             (List.init c.len Fun.id)
+      in
+      bulk_raised = loop_raised
+      && List.for_all same_frame [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      && tiled ())
 
 let tc name f = Alcotest.test_case name `Quick f
 
