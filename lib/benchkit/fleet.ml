@@ -36,8 +36,8 @@ let app_pool =
 
    [?telemetry] arms the probe (ticker + sampler) at that period; the
    armed guest must produce the same digest as a disarmed one — the
-   probe is behavior-invisible — which bench/check.exe --telemetry
-   gates. *)
+   probe is behavior-invisible — which bench/check.exe gates on
+   BENCH_telemetry.json. *)
 let run_guest ?telemetry ?(warm_start = false) profiles ~seed index =
   let gseed = Frand.mix seed index in
   let r = Frand.create gseed in

@@ -9,9 +9,9 @@
     guest-instructions/sec and the fleet-wide frame-dedup ratio (what a
     cross-guest content-keyed cache would save on top of each guest's own
     sharing); the pinned cell re-runs a fixed 40-guest fleet at 1, 2 and
-    4 domains so the CI gate ([bench/check.exe --fleet]) can prove the
-    merged fingerprints identical and pin the deterministic counters
-    independent of [--fast]. *)
+    4 domains so the CI gate ([bench/check.exe BENCH_fleet.json]) can
+    prove the merged fingerprints identical and pin the deterministic
+    counters independent of [--fast]. *)
 
 type cell = {
   c_report : Fc_host.Fleet.report;
@@ -50,7 +50,7 @@ val run_cell :
     [telemetry] arms the {!Probe} on every guest at that period
     (instructions per interval); the probe is behavior-invisible, so an
     armed cell's fingerprint and counters match a disarmed one's —
-    [bench/check.exe --telemetry] holds it to that.  [warm_start]
+    [bench/check.exe BENCH_telemetry.json] holds it to that.  [warm_start]
     (default [false]) freezes each fully-armed guest at its boot round,
     round-trips it through {!Fc_snapshot.Snapshot} wire bytes, and runs
     the restored machine — digests must match a cold boot's. *)

@@ -9,9 +9,9 @@
     tabulates how the final dirty set — and so the modeled downtime —
     shrinks as pre-copy rounds grow.
 
-    [bench/check.exe --migrate] pins the deterministic counters (pages,
-    bytes, snapshot sizes, parity, zero panics); [downtime_cycles] is a
-    cost model and is recorded but never gated. *)
+    [bench/check.exe BENCH_migrate.json] pins the deterministic counters
+    (pages, bytes, snapshot sizes, parity, zero panics); [downtime_cycles]
+    is a cost model, only required positive, never pinned. *)
 
 type row = {
   w_seed : int;

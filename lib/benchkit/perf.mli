@@ -13,7 +13,7 @@
     Wall-clock numbers vary run to run and are {e recorded, never
     gated}; the TLB, superblock and flush-cause counters and instruction
     counts come from one deterministic pass and are pinned by
-    [bench/check.exe --perf]. *)
+    [bench/check.exe BENCH_perf.json]. *)
 
 type counters = {
   c_instructions : int;

@@ -9,8 +9,8 @@
    the probe touches is the software TLB warmed by its VMI reads, whose
    counters live in the fingerprint exclusion list — so an armed run
    retires the same instructions, charges the same cycles and captures
-   the same stats as a disarmed one, which bench/check.exe --telemetry
-   pins. *)
+   the same stats as a disarmed one, which bench/check.exe pins on
+   BENCH_telemetry.json. *)
 
 module Os = Fc_machine.Os
 module Cpu = Fc_machine.Cpu

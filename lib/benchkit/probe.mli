@@ -6,7 +6,8 @@
     walked through [Hypervisor.sample_stack] (uncharged, span-free) and
     the scrape only reads the registry, so an armed run retires the same
     instructions, charges the same cycles and captures the same stats as
-    a disarmed one.  [bench/check.exe --telemetry] pins exactly that. *)
+    a disarmed one.  [bench/check.exe BENCH_telemetry.json] pins exactly
+    that. *)
 
 type t
 

@@ -2,7 +2,7 @@
    continuous-telemetry layer deterministic and behavior-invisible, and
    produce the artifacts the CLI renders (`facechange top`, flamegraphs).
 
-   Three sections, all gated by bench/check.exe --telemetry:
+   Three sections, all gated by bench/check.exe BENCH_telemetry.json:
 
    - armed fleet: the pinned 40-guest cell re-run at 1/2/4 domains with
      the probe armed on every guest, plus one disarmed control cell.

@@ -7,7 +7,7 @@
     guest on the reference and the fast engine (series and profiler
     fingerprints must be identical), and a unixbench-style
     armed profile run whose folded stacks feed flamegraph.pl.  Gated by
-    [bench/check.exe --telemetry]. *)
+    [bench/check.exe BENCH_telemetry.json]. *)
 
 type engine_arm = {
   ea_name : string;  (** ["reference"] or ["fast"] *)
@@ -43,7 +43,7 @@ type t = {
 
 val run : ?seed:int -> Profiles.t -> t
 (** [seed] defaults to 7 — the fleet gate's seed, so the armed cells are
-    the exact fleet the [--fleet] pins describe. *)
+    the exact fleet the fleet pins (bench/pins/fleet.json) describe. *)
 
 val to_json : t -> Fc_obs.Jsonx.t
 (** The [BENCH_telemetry.json] payload (under the ["telemetry"] key). *)

@@ -11,7 +11,7 @@
     depends only on its index (callers derive per-guest PRNG seeds from
     the index, see {!Fc_faults.Frand.mix}), the merged report is
     bit-identical for 1 domain and N domains, which
-    [bench/check.exe --fleet] and [test/test_fleet.ml] enforce. *)
+    [bench/check.exe BENCH_fleet.json] and [test/test_fleet.ml] enforce. *)
 
 type telemetry = {
   t_series : Fc_obs.Timeseries.series;

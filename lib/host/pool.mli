@@ -7,8 +7,8 @@
     joined, so no locking is involved; when each job depends only on its
     own index, the results — and anything merged from them in index
     order — are identical for any worker count.  That invariant is what
-    the fleet determinism gate ([bench/check.exe --fleet]) enforces
-    end-to-end. *)
+    the fleet determinism gate ([bench/check.exe BENCH_fleet.json])
+    enforces end-to-end. *)
 
 type t
 

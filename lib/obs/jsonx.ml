@@ -129,10 +129,22 @@ let of_string s =
     end
   in
   let hex4 () =
+    (* exactly four hex digits: int_of_string would also take '_' and
+       raise on anything else *)
     if !pos + 4 > n then error "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> error "bad \\u escape: want four hex digits"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -156,11 +168,15 @@ let of_string s =
               advance ();
               let hi = hex4 () in
               let code =
-                if hi >= 0xD800 && hi <= 0xDBFF && !pos + 6 <= n
-                   && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
+                if hi >= 0xD800 && hi <= 0xDBFF then begin
+                  (* a high surrogate must be followed by a low one *)
+                  if
+                    not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u')
+                  then error "unpaired high surrogate";
                   pos := !pos + 2;
                   let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then
+                    error "high surrogate not followed by a low one";
                   0x10000 + (((hi - 0xD800) lsl 10) lor (lo - 0xDC00))
                 end
                 else hi

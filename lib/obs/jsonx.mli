@@ -23,7 +23,9 @@ val to_string : ?pretty:bool -> t -> string
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error carries a character
     offset.  Numbers without [.], [e] or [E] that fit in [int] parse as
-    [Int]; everything else as [Float]. *)
+    [Int]; everything else as [Float].  Total: malformed input, including
+    a [\u] escape without exactly four hex digits or a high surrogate not
+    followed by a low one, is an [Error], never an exception. *)
 
 (** {1 Accessors} *)
 

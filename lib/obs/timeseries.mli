@@ -6,7 +6,8 @@
     boundary, histograms as per-interval bucket-delta rows.  The first
     tick counts from zero, so over a full run the per-interval counter
     deltas re-sum {e exactly} to the final registry totals — the
-    invariant [bench/check.exe --telemetry] gates on.
+    invariant the bench gate ([bench/check.exe BENCH_telemetry.json])
+    checks.
 
     Ticks are driven externally — by the deterministic instruction-count
     ticker ([Os.arm_tick]), never wall clock — so a series is a pure

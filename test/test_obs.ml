@@ -123,7 +123,78 @@ let test_json_parse_escapes () =
     (Result.is_error (Jsonx.of_string "{\"a\": 1"));
   check_bool "trailing garbage rejected" true
     (Result.is_error (Jsonx.of_string "1 2"));
-  check_bool "bare word rejected" true (Result.is_error (Jsonx.of_string "nope"))
+  check_bool "bare word rejected" true
+    (Result.is_error (Jsonx.of_string "nope"));
+  (match Jsonx.of_string "\"\\ud83d\\ude00\"" with
+  | Ok (Jsonx.String s) -> check_string "surrogate pair" "\xf0\x9f\x98\x80" s
+  | Ok _ | Error _ -> Alcotest.fail "surrogate pair parse failed");
+  (* bad \u escapes are errors with an offset, not exceptions, and a
+     high surrogate never pairs with something that is not a low one *)
+  List.iter
+    (fun doc ->
+      match Jsonx.of_string doc with
+      | Error e ->
+          check_bool ("offset in: " ^ e) true
+            (String.starts_with ~prefix:"at " e)
+      | Ok _ -> Alcotest.failf "accepted %S" doc)
+    [ "\"\\uZZZZ\""; "\"\\u+123\""; "\"\\u00_1\""; "\"\\u12\"";
+      "\"\\uD800\\u0041\""; "\"\\uD800\""; "\"\\uDBFFx\"" ]
+
+(* The parser is total: arbitrary bytes, and byte-mutated serializations
+   of random values, give Ok or Error and never raise. *)
+let gen_json =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return Jsonx.Null; map (fun b -> Jsonx.Bool b) bool;
+               map (fun i -> Jsonx.Int i) int;
+               map (fun f -> Jsonx.Float f) float;
+               map (fun s -> Jsonx.String s) string ]
+         in
+         if n = 0 then leaf
+         else
+           let sub g = list_size (int_bound 4) g in
+           let child = self (n / 4) in
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Jsonx.List l) (sub child));
+               (1, map (fun l -> Jsonx.Obj l) (sub (pair string child))) ])
+
+let json_alphabet = "\\u\"{}[],: 0123456789abcdefABCDEF+-.eEtrulsnxZ_\n"
+
+let prop_json_total_on_bytes =
+  let gen =
+    QCheck.Gen.(
+      let jsonish =
+        string_of
+          (map (String.get json_alphabet)
+             (int_bound (String.length json_alphabet - 1)))
+      in
+      oneof [ string; jsonish; map (( ^ ) "\"\\u") jsonish ])
+  in
+  QCheck.Test.make ~name:"of_string never raises on arbitrary strings"
+    ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun s ->
+      match Jsonx.of_string s with Ok _ | Error _ -> true)
+
+let prop_json_total_on_mutations =
+  let gen =
+    QCheck.Gen.(
+      triple gen_json (list_size (int_range 1 4) (pair nat char)) bool)
+  in
+  let mutate (v, edits, pretty) =
+    let b = Bytes.of_string (Jsonx.to_string ~pretty v) in
+    List.iter
+      (fun (i, c) ->
+        if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c)
+      edits;
+    Bytes.to_string b
+  in
+  QCheck.Test.make ~name:"of_string never raises on mutated serializations"
+    ~count:1000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%S" (mutate x)) gen)
+    (fun x -> match Jsonx.of_string (mutate x) with Ok _ | Error _ -> true)
 
 let test_json_accessors () =
   let j =
@@ -679,7 +750,9 @@ let suites =
         Alcotest.test_case "escape parsing and rejects" `Quick
           test_json_parse_escapes;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_json_total_on_bytes; prop_json_total_on_mutations ] );
     ( "obs-export",
       [
         Alcotest.test_case "trace json golden" `Quick

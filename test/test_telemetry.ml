@@ -3,7 +3,8 @@
    exposition, the [obs.trace_dropped] gauge and the deterministic
    instruction-count ticker.  Cross-engine parity of armed telemetry is
    proven by the differential harness (test_tlb / test_sblocks); the
-   end-to-end fleet pins live in bench/check.exe --telemetry. *)
+   end-to-end fleet pins live in bench/pins/telemetry.json, gated by
+   bench/check.exe. *)
 
 module Action = Fc_machine.Action
 module Process = Fc_machine.Process
