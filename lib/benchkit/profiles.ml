@@ -12,6 +12,7 @@ let compute ?(iterations = 12) image =
   { image; configs }
 
 let image t = t.image
+let with_image t image = { t with image }
 let apps t = List.map fst t.configs
 
 let config_of t name =

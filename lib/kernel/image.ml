@@ -1,4 +1,13 @@
 module Asm = Fc_isa.Asm
+module Block = Fc_isa.Block
+
+(* Decoded superblock bodies by (start pc, MD5 of the page's bytes). *)
+module Bodies = Map.Make (struct
+  type t = int * Digest.t
+
+  let compare (pc, d) (pc', d') =
+    match Int.compare pc pc' with 0 -> String.compare d d' | c -> c
+end)
 
 type t = {
   unit_image : Asm.unit_image;
@@ -9,6 +18,10 @@ type t = {
       (* every catalog module, assembled once at its boot base, in load
          order; never mutated after [build], so guests booted on other
          domains share them without a lock *)
+  bodies : Block.body Bodies.t Atomic.t;
+      (* the one mutable part: append-only, and a body is a pure function
+         of its key, so whichever domain publishes a key first publishes
+         the same body any other would have *)
 }
 
 let next_module_base (u : Asm.unit_image) =
@@ -32,7 +45,15 @@ let build () =
         (fun (p : Asm.placed) -> Hashtbl.replace by_name p.pname p)
         unit_image.functions;
       let starts = Array.of_list unit_image.functions in
-      let t = { unit_image; by_name; starts; boot_modules = [] } in
+      let t =
+        {
+          unit_image;
+          by_name;
+          starts;
+          boot_modules = [];
+          bodies = Atomic.make Bodies.empty;
+        }
+      in
       let rec boot acc base = function
         | [] -> Ok { t with boot_modules = List.rev acc }
         | (name, fns) :: rest -> (
@@ -80,6 +101,28 @@ let read_byte t gva =
   else None
 
 let boot_modules t = t.boot_modules
+
+let body t ~pc ~page decode =
+  let key = (pc, page) in
+  match Bodies.find_opt key (Atomic.get t.bodies) with
+  | Some b -> Some b
+  | None -> (
+      match decode () with
+      | None -> None
+      | Some b ->
+          (* publish by compare-and-set; a lost race means another guest
+             published this key meanwhile, with an equal body *)
+          let rec publish () =
+            let m = Atomic.get t.bodies in
+            match Bodies.find_opt key m with
+            | Some b' -> b'
+            | None ->
+                if Atomic.compare_and_set t.bodies m (Bodies.add key b m) then b
+                else publish ()
+          in
+          Some (publish ()))
+
+let decoded_blocks t = Bodies.cardinal (Atomic.get t.bodies)
 
 let assemble_module t ~name ~base =
   match List.assoc_opt name t.boot_modules with

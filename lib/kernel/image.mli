@@ -11,8 +11,11 @@
     different base yields different absolute call displacements but
     identical structure.
 
-    An image is immutable once built, so guests on several domains can
-    share one. *)
+    An image's code is immutable once built.  Its one mutable part is
+    the memo of decoded superblock bodies ({!body}), and guests on
+    several domains share one image safely: the memo only grows, each
+    entry is a pure function of its key, and entries are published by
+    compare-and-set on an immutable map. *)
 
 type t
 
@@ -56,6 +59,22 @@ val assemble_module :
 val assemble_module_fns :
   t -> base:int -> Kfunc.t list -> (Fc_isa.Asm.unit_image, string) result
 (** Assemble any function list at [base] (always a fresh assembly). *)
+
+val body :
+  t ->
+  pc:int ->
+  page:Digest.t ->
+  (unit -> Fc_isa.Block.body option) ->
+  Fc_isa.Block.body option
+(** [body t ~pc ~page decode] is the superblock body starting at [pc]
+    in a page whose bytes have MD5 [page]: the one already published for
+    that key, or else [decode ()]'s, which is published.  [decode] must
+    decode the block at [pc] from those bytes with no trap stops
+    ({!Fc_isa.Block.decode}), so every guest of the image gets the same
+    body for the same key; a [None] is not remembered. *)
+
+val decoded_blocks : t -> int
+(** The number of bodies published so far. *)
 
 val false_prologues : t -> int list
 (** Alignment-boundary addresses inside the text section that carry the

@@ -1,4 +1,5 @@
 module Insn = Fc_isa.Insn
+module Block = Fc_isa.Block
 
 type regs = { mutable eip : int; mutable ebp : int; mutable esp : int }
 
@@ -46,41 +47,9 @@ type event = Ev_call of int | Ev_return
 
 (* ---------------- superblocks ---------------- *)
 
-(* One decoded instruction of a superblock, flattened into a micro-op
-   discriminant plus parallel arrays (pc, byte length, argument) — no
-   per-instruction closures, no re-decoding.  The executor below retires
-   each op with exactly the same observable effects (cycles, retired
-   count, trace callbacks, events, register/stack mutations, eip at every
-   step) as the per-instruction path; any divergence is a bug the
-   differential tests in test/differential.ml are built to catch. *)
-type sop =
-  | S_step  (* Nop / Alu / Or_mem / Int_sw: advance eip only *)
-  | S_push_ebp
-  | S_mov_ebp_esp
-  | S_leave
-  | S_jcc  (* arg = taken target; falls through in-block otherwise *)
-  | S_jmp  (* arg = target *)
-  | S_call  (* arg = target *)
-  | S_call_ind
-  | S_ret  (* ret and iret: identical semantics at this modelling level *)
-  | S_yield  (* arg = yield id *)
-  | S_ud2
-
 type sblock = {
   sb_start : int;  (* guest-virtual address of the first instruction *)
-  sb_ops : sop array;
-  sb_pcs : int array;
-  sb_lens : int array;
-  sb_args : int array;
-  sb_steps : int array;
-      (* sb_steps.(i) = length of the run of consecutive S_step ops
-         starting at i (0 when op i is not S_step): a pure-step run has no
-         observable effect beyond the three counters and the final eip, so
-         the executor retires it in one strike when no tracer is armed *)
-  sb_exit : int;
-      (* static successor pc when the block always continues at one known
-         address (fall-through split, direct jump, direct call); -1 when
-         the successor is dynamic (ret, indirect call, yield, ud2) *)
+  sb_body : Block.body;  (* the decoded ops, shared by every guest of the image *)
   mutable sb_tag : int;
       (* Ept.tag the block was last validated under: a re-entered view's
          blocks match by compare, and the block is restamped in place when
@@ -105,7 +74,7 @@ type sblock = {
       (* trap-set generation the block was last validated under; restamped
          when a trap-set change left the block's interior trap-free (entry
          traps are probed by the outer loop, not the block) *)
-  mutable sb_next : sblock option;  (* chained block at sb_exit *)
+  mutable sb_next : sblock option;  (* chained block at the body's exit *)
 }
 
 let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
@@ -186,23 +155,24 @@ let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
             regs.eip <- pc + len)
   in
   (* Straight-line execution of a pre-validated block: no trap probe, no
-     decode, no per-instruction dispatch through closures — just parallel
-     array walks.  eip is kept exact at every op so a Stop raised mid-block
-     (unmapped stack slot, yield, ud2, dispatch underflow) leaves the same
-     register file as the classic path would. *)
+     decode, no per-instruction dispatch through closures — one packed
+     word per op, read inline in the layout Block states (op in bits
+     0..3, len in 4..6, step run in 7..13, run bytes in 14..22, arg from
+     bit 23), with the pc carried along from the block's start.  eip is
+     kept exact at every op so a Stop raised mid-block (unmapped stack
+     slot, yield, ud2, dispatch underflow) leaves the same register file
+     as the classic path would. *)
   let untraced = match trace with None -> true | Some _ -> false in
   let exec_block (b : sblock) =
-    let ops = b.sb_ops
-    and pcs = b.sb_pcs
-    and lens = b.sb_lens
-    and args = b.sb_args
-    and steps = b.sb_steps in
-    let n = Array.length ops in
+    let words = b.sb_body.Block.words in
+    let n = Array.length words in
     let i = ref 0 in
+    let pc = ref b.sb_start in
     let continue_ = ref true in
     while !continue_ && !i < n && !executed < max_instr do
       let k = !i in
-      let st = Array.unsafe_get steps k in
+      let w = Array.unsafe_get words k in
+      let st = (w lsr 7) land 0x7f in
       if st > 0 && untraced then begin
         (* a run of pure steps: observable state after r of them is just
            the three counters plus eip at the next instruction, so retire
@@ -211,56 +181,61 @@ let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
         instr_ctr := !instr_ctr + r;
         executed := !executed + r;
         cycles := !cycles + r;
-        let last = k + r - 1 in
-        regs.eip <- Array.unsafe_get pcs last + Array.unsafe_get lens last;
+        (if r = st then pc := !pc + ((w lsr 14) land 0x1ff)
+         else
+           for j = k to k + r - 1 do
+             pc := !pc + ((Array.unsafe_get words j lsr 4) land 0x7)
+           done);
+        regs.eip <- !pc;
         i := k + r
       end
       else begin
-      let pc = Array.unsafe_get pcs k in
-      let len = Array.unsafe_get lens k in
-      (match trace with Some f -> f pc len | None -> ());
+      let pc0 = !pc in
+      let len = (w lsr 4) land 0x7 in
+      let next = pc0 + len in
+      (match trace with Some f -> f pc0 len | None -> ());
       incr instr_ctr;
       incr executed;
       incr cycles;
-      (match Array.unsafe_get ops k with
-      | S_step -> regs.eip <- pc + len
-      | S_push_ebp ->
+      (match w land 0xf with
+      | 0 (* Step *) -> regs.eip <- next
+      | 1 (* Push_ebp *) ->
           push regs.ebp;
-          regs.eip <- pc + len
-      | S_mov_ebp_esp ->
+          regs.eip <- next
+      | 2 (* Mov_ebp_esp *) ->
           regs.ebp <- regs.esp;
-          regs.eip <- pc + len
-      | S_leave ->
+          regs.eip <- next
+      | 3 (* Leave *) ->
           regs.esp <- regs.ebp;
           regs.ebp <- pop ();
-          regs.eip <- pc + len
-      | S_jcc ->
-          if branch pc then begin
-            regs.eip <- Array.unsafe_get args k;
+          regs.eip <- next
+      | 4 (* Jcc *) ->
+          if branch pc0 then begin
+            regs.eip <- w asr 23;
             continue_ := false
           end
-          else regs.eip <- pc + len
-      | S_jmp ->
-          regs.eip <- Array.unsafe_get args k;
+          else regs.eip <- next
+      | 5 (* Jmp *) ->
+          regs.eip <- w asr 23;
           continue_ := false
-      | S_call ->
+      | 6 (* Call *) ->
           incr cycles;
-          push (pc + len);
-          regs.eip <- Array.unsafe_get args k;
+          push next;
+          regs.eip <- w asr 23;
           emit (Ev_call regs.eip);
           continue_ := false
-      | S_call_ind ->
+      | 7 (* Call_ind *) ->
           incr cycles;
           if Queue.is_empty dispatch then
-            raise (Stop (Fault (Dispatch_underflow pc)))
+            raise (Stop (Fault (Dispatch_underflow pc0)))
           else begin
             let target = Queue.pop dispatch in
-            push (pc + len);
+            push next;
             regs.eip <- target;
             emit (Ev_call target);
             continue_ := false
           end
-      | S_ret ->
+      | 8 (* Ret *) ->
           incr cycles;
           let target = pop () in
           if target = sentinel_return then raise (Stop Returned)
@@ -269,10 +244,11 @@ let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
             regs.eip <- target;
             continue_ := false
           end
-      | S_yield ->
-          regs.eip <- pc + len;
-          raise (Stop (Blocked (Array.unsafe_get args k)))
-      | S_ud2 -> raise (Stop Invalid_opcode));
+      | 9 (* Yield *) ->
+          regs.eip <- next;
+          raise (Stop (Blocked (w asr 23)))
+      | _ (* Ud2 *) -> raise (Stop Invalid_opcode));
+      pc := next;
       incr i
       end
     done

@@ -55,41 +55,26 @@ type event =
 
 (** {2 Superblocks}
 
-    A superblock is one basic block decoded {e once} into flat parallel
-    arrays of micro-op records — no per-instruction closures, no
-    re-decoding — and executed straight-line: the trap probe runs only at
-    block entry, never between ops.  The builder (the OS) guarantees the
-    safety invariants that make that sound: every instruction of a block
-    lies within one host frame, no instruction at index [>= 1] is a trap
-    address, and the [(view tag, frame version, trap generation)]
-    snapshot is re-validated before every execution (see DESIGN.md §10). *)
-
-type sop =
-  | S_step          (** Nop/Alu/Or_mem/Int_sw: advance eip only *)
-  | S_push_ebp
-  | S_mov_ebp_esp
-  | S_leave
-  | S_jcc           (** arg = taken target; falls through in-block *)
-  | S_jmp           (** arg = target; ends the block *)
-  | S_call          (** arg = target; ends the block *)
-  | S_call_ind
-  | S_ret           (** ret/iret (identical semantics here) *)
-  | S_yield         (** arg = yield id *)
-  | S_ud2
+    A superblock is one basic block decoded {e once} and executed
+    straight-line: the trap probe runs only at block entry, never between
+    ops.  It has two halves.  Its {e body} ({!Fc_isa.Block.body}) holds
+    the decoded ops, packed one word per op — no per-instruction
+    closures, no re-decoding — and is immutable and shared: guests of one
+    kernel image build their blocks from the same body when the page
+    bytes and start pc agree.  The {e per-guest state} below stamps that
+    body with what this guest validated it under.  The builder (the OS)
+    guarantees the safety invariants that make entry-only checking
+    sound: every instruction of a block lies within one host frame, no
+    instruction at index [>= 1] is a trap address, and the
+    [(view tag, frame version, trap generation)] snapshot is
+    re-validated before every execution (see DESIGN.md §10). *)
 
 type sblock = {
-  sb_start : int;       (** address of the first instruction *)
-  sb_ops : sop array;
-  sb_pcs : int array;   (** per-op instruction address *)
-  sb_lens : int array;  (** per-op byte length *)
-  sb_args : int array;  (** per-op argument (targets, yield id) *)
-  sb_steps : int array;
-      (** [sb_steps.(i)] = length of the consecutive [S_step] run starting
-          at op [i] ([0] when op [i] is not a step) — the executor retires
-          a whole run at once when no per-instruction tracer is armed *)
-  sb_exit : int;
-      (** static successor pc (fall-through split, direct jump/call), or
-          [-1] when the successor is dynamic — drives block chaining *)
+  sb_start : int;  (** address of the first instruction *)
+  sb_body : Fc_isa.Block.body;
+      (** the decoded ops; op pcs follow from [sb_start] and the op
+          lengths, and the body's [exit] (static successor pc, or [-1]
+          when dynamic) drives block chaining *)
   mutable sb_tag : int;
       (** [Ept.tag] the block was last validated under; a re-entered
           view's blocks revalidate by compare, and the owner restamps the
@@ -107,12 +92,12 @@ type sblock = {
           been remapped by any kernel view when it was built, so its
           translation is view-invariant and validity skips the tag
           check *)
-  sb_frame : int;       (** host frame the block decoded from *)
-  sb_version : int;     (** [Phys_mem.version] of [sb_frame] at build time *)
+  sb_frame : int;  (** host frame the block decoded from *)
+  sb_version : int;  (** [Phys_mem.version] of [sb_frame] at build time *)
   mutable sb_trap_gen : int;
       (** trap-set generation last validated under; the owner restamps it
           when a trap-set change left the block's interior trap-free *)
-  mutable sb_next : sblock option;  (** chained block at [sb_exit] *)
+  mutable sb_next : sblock option;  (** chained block at the body's exit *)
 }
 
 val run :

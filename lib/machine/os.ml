@@ -7,8 +7,7 @@ module Image = Fc_kernel.Image
 module Syscalls = Fc_kernel.Syscalls
 module Irq_paths = Fc_kernel.Irq_paths
 module Asm = Fc_isa.Asm
-module Insn = Fc_isa.Insn
-module Scan = Fc_isa.Scan
+module Block = Fc_isa.Block
 
 type clocksource = Irq_paths.clocksource
 
@@ -181,6 +180,10 @@ type t = {
          switches — a switch back to a frame resurrects its blocks
          without re-decoding — and die with the frame (same release hook
          as [decode_cache]) or on a version/trap-generation mismatch. *)
+  page_digests : (int, int * Digest.t) Hashtbl.t;
+      (* host frame -> (version, MD5 of its bytes at that version): the
+         key of the image's body memo, hashed once per frame version and
+         evicted with the frame *)
   mutable at_round : (int * (t -> unit)) list;
   mutable rewriter : (Syscalls.t -> (string * string list) option) option;
   itimers : (int, unit) Hashtbl.t;
@@ -718,12 +721,7 @@ let dummy_decode_line = { line_version = min_int; line = [||] }
 let dummy_sblock =
   {
     Cpu.sb_start = -1;
-    sb_ops = [||];
-    sb_pcs = [||];
-    sb_lens = [||];
-    sb_args = [||];
-    sb_steps = [||];
-    sb_exit = -1;
+    sb_body = Block.empty;
     sb_tag = -1;
     sb_tag2 = -1;
     sb_tag3 = -1;
@@ -753,7 +751,8 @@ let wire_instruments t =
     (Some
        (fun frame ->
          Hashtbl.remove t.decode_cache frame;
-         Hashtbl.remove t.sb_store frame));
+         Hashtbl.remove t.sb_store frame;
+         Hashtbl.remove t.page_digests frame));
   Fc_obs.Obs.set_clock t.obs (fun () -> !(t.cycles));
   let metrics = Fc_obs.Obs.metrics t.obs in
   let gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"os" name f in
@@ -833,6 +832,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
              config.background_irqs;
       decode_cache = Hashtbl.create 512;
       sb_store = Hashtbl.create 512;
+      page_digests = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
       itimers = Hashtbl.create 8;
@@ -958,6 +958,30 @@ let cached_decode t pc =
 
 (* ---------------- superblocks ---------------- *)
 
+(* No trap address in [lo, hi]?  One probe of the sorted trap mirror. *)
+let no_trap_in t ~lo ~hi =
+  lo > hi || t.trap_hi < lo || t.trap_lo > hi
+  ||
+  let arr = t.trap_arr in
+  let n = Array.length arr in
+  let rec least l r =
+    if l >= r then l
+    else
+      let m = (l + r) / 2 in
+      if arr.(m) < lo then least (m + 1) r else least l m
+  in
+  let i = least 0 n in
+  i >= n || arr.(i) > hi
+
+(* The MD5 of a frame's bytes, hashed once per frame version. *)
+let page_digest t frame ~version =
+  match Hashtbl.find_opt t.page_digests frame with
+  | Some (v, d) when v = version -> d
+  | Some _ | None ->
+      let d = Digest.bytes (Phys.frame_bytes t.phys frame) in
+      Hashtbl.replace t.page_digests frame (version, d);
+      d
+
 (* Decode-once basic blocks (DESIGN.md §10).  A block is built from the
    bytes of the single host frame backing its page — translated through
    the master page table and the active vCPU's EPT, exactly like the
@@ -966,20 +990,26 @@ let cached_decode t pc =
    ([Phys_mem.version], which COW breaks and view materialization also
    touch on the displaced frame) or a trap-set change invalidates it with
    zero eager work; a view switch merely changes the active tag, so a
-   re-entered view's blocks compare valid untouched. *)
+   re-entered view's blocks compare valid untouched.
 
-let sblock_cap = 64
+   The decoded ops come from the image's body memo, keyed by the start pc
+   and the page's digest, so each body is decoded once per image for all
+   its guests.  Memo bodies are decoded with no trap stops; a guest uses
+   one only when no trap lies in its interior (the entry pc is never a
+   trap here), and otherwise decodes a private, trap-split body exactly
+   as the memo's would be split — so every guest's blocks are the ones a
+   private decoder would build. *)
 
 let build_sblock t pc =
   let v = active_vcpu t in
-  if pc land page_mask > Layout.page_size - 6 then None
+  if pc land page_mask > Layout.page_size - 6 || is_trap_addr t pc then None
   else
     match Pt.translate_page t.master_pt (pc / Layout.page_size) with
     | None -> None
     | Some gpa_page -> (
         match Ept.translate_page v.vept gpa_page with
         | None -> None
-        | Some frame ->
+        | Some frame -> (
             let tag = Ept.tag v.vept in
             (* global-page stamp: a page no view has ever remapped
                translates identically under every view, so the block can
@@ -1017,80 +1047,26 @@ let build_sblock t pc =
                 Some (Bytes.get_uint8 bytes o)
               else None
             in
-            (* (op, pc, len, arg) in reverse; the block ends before the
-               page tail (where an instruction could straddle pages),
-               before any trap address at index >= 1 (so the executor's
-               entry-only trap probe is exact), at the op cap, and at any
-               unconditional terminator.  Jcc continues in-block: its
-               fall-through is the next op, its taken target exits. *)
-            let ops = ref [] in
-            let n = ref 0 in
-            let exit_pc = ref (-1) in
-            let add op ~pc ~len ~arg =
-              ops := (op, pc, len, arg) :: !ops;
-              incr n
+            let decode stop =
+              Block.decode ~read ~last:(base + Layout.page_size - 6) ~stop pc
             in
-            let rec go a =
-              if
-                !n >= sblock_cap
-                || a land page_mask > Layout.page_size - 6
-                || is_trap_addr t a
-              then exit_pc := a
-              else
-                match Insn.decode ~read a with
-                | Error _ ->
-                    (* undecodable bytes: stop before them; the classic
-                       path raises Invalid_opcode there with eip = a *)
-                    exit_pc := a
-                | Ok (insn, len) -> (
-                    match Scan.boundary insn ~pc:a ~len with
-                    | Scan.B_seq ->
-                        let op =
-                          match insn with
-                          | Insn.Push_ebp -> Cpu.S_push_ebp
-                          | Insn.Mov_ebp_esp -> Cpu.S_mov_ebp_esp
-                          | Insn.Leave -> Cpu.S_leave
-                          | _ -> Cpu.S_step
-                        in
-                        add op ~pc:a ~len ~arg:0;
-                        go (a + len)
-                    | Scan.B_cond taken ->
-                        add Cpu.S_jcc ~pc:a ~len ~arg:taken;
-                        go (a + len)
-                    | Scan.B_jump target ->
-                        add Cpu.S_jmp ~pc:a ~len ~arg:target;
-                        exit_pc := target
-                    | Scan.B_call target ->
-                        add Cpu.S_call ~pc:a ~len ~arg:target;
-                        exit_pc := target
-                    | Scan.B_call_dynamic ->
-                        add Cpu.S_call_ind ~pc:a ~len ~arg:0
-                    | Scan.B_return -> add Cpu.S_ret ~pc:a ~len ~arg:0
-                    | Scan.B_stop -> (
-                        match insn with
-                        | Insn.Yield id -> add Cpu.S_yield ~pc:a ~len ~arg:id
-                        | _ -> add Cpu.S_ud2 ~pc:a ~len ~arg:0))
+            let body =
+              match
+                Image.body t.image ~pc
+                  ~page:(page_digest t frame ~version)
+                  (fun () -> decode (fun _ -> false))
+              with
+              | Some b when no_trap_in t ~lo:b.Block.lo ~hi:b.Block.hi -> Some b
+              | Some _ -> decode (is_trap_addr t)
+              | None -> None
             in
-            go pc;
-            if !n = 0 then None
-            else begin
-              let items = Array.of_list (List.rev !ops) in
-              let sb_ops = Array.map (fun (o, _, _, _) -> o) items in
-              let len = Array.length sb_ops in
-              let steps = Array.make len 0 in
-              for i = len - 1 downto 0 do
-                if sb_ops.(i) = Cpu.S_step then
-                  steps.(i) <- (if i + 1 < len then steps.(i + 1) else 0) + 1
-              done;
+            match body with
+            | None -> None
+            | Some body ->
               let b =
                 {
                   Cpu.sb_start = pc;
-                  sb_ops;
-                  sb_pcs = Array.map (fun (_, p, _, _) -> p) items;
-                  sb_lens = Array.map (fun (_, _, l, _) -> l) items;
-                  sb_args = Array.map (fun (_, _, _, g) -> g) items;
-                  sb_steps = steps;
-                  sb_exit = !exit_pc;
+                  sb_body = body;
                   sb_tag = tag;
                   sb_tag2 = !tag2;
                   sb_tag3 = !tag3;
@@ -1113,23 +1089,7 @@ let build_sblock t pc =
                     per
               in
               Hashtbl.replace per (pc land page_mask) b;
-              Some b
-            end)
-
-(* No trap address in [lo, hi]?  One probe of the sorted trap mirror. *)
-let no_trap_in t ~lo ~hi =
-  lo > hi || t.trap_hi < lo || t.trap_lo > hi
-  ||
-  let arr = t.trap_arr in
-  let n = Array.length arr in
-  let rec least l r =
-    if l >= r then l
-    else
-      let m = (l + r) / 2 in
-      if arr.(m) < lo then least (m + 1) r else least l m
-  in
-  let i = least 0 n in
-  i >= n || arr.(i) > hi
+              Some b))
 
 (* The frame's bytes are what the block decoded; version unchanged means
    they still are, so execution is byte-identical no matter how many view
@@ -1144,9 +1104,8 @@ let sblock_fresh t (b : Cpu.sblock) =
   b.Cpu.sb_version = Phys.version t.phys b.Cpu.sb_frame
   && (b.Cpu.sb_trap_gen = t.trap_gen
      ||
-     let pcs = b.Cpu.sb_pcs in
-     let n = Array.length pcs in
-     if n <= 1 || no_trap_in t ~lo:pcs.(1) ~hi:pcs.(n - 1) then begin
+     let body = b.Cpu.sb_body in
+     if no_trap_in t ~lo:body.Block.lo ~hi:body.Block.hi then begin
        b.Cpu.sb_trap_gen <- t.trap_gen;
        true
      end
@@ -1275,7 +1234,7 @@ let sblock_probe t (v : vcpu) pc =
 let sblock_find t pc =
   let v = active_vcpu t in
   match v.vsb_last with
-  | Some lb when lb.Cpu.sb_exit = pc -> (
+  | Some lb when lb.Cpu.sb_body.Block.exit = pc -> (
       match lb.Cpu.sb_next with
       | Some nb when nb.Cpu.sb_start = pc && sblock_valid t v nb ->
           Fc_obs.Metrics.incr t.sb_chains;
@@ -1953,6 +1912,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
           z.z_timers;
       decode_cache = Hashtbl.create 512;
       sb_store = Hashtbl.create 512;
+      page_digests = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
       itimers;

@@ -16,6 +16,7 @@ module Process = Fc_machine.Process
 module Hyp = Fc_hypervisor.Hypervisor
 module Facechange = Fc_core.Facechange
 module Governor = Fc_core.Governor
+module View = Fc_core.View
 module Stats = Fc_core.Stats
 module App = Fc_apps.App
 module Profiles = Fc_benchkit.Profiles
@@ -60,7 +61,8 @@ type engine_counters = {
 (* One enforced run: a random application from the pool (plus a fixed
    companion, so context switches and cross-app view switching happen), a
    random fault plan derived from the seed, FACE-CHANGE enabled with the
-   default governor, full tracing armed. *)
+   default governor, a breakpoint and a view hole on hot kernel paths
+   (below), full tracing armed. *)
 let run ~profiles ~engine ~fault_seed () =
   let r = Frand.create (fault_seed lxor 0x7157) in
   let pool = [ "top"; "apache"; "gvim"; "bash"; "gzip" ] in
@@ -76,7 +78,23 @@ let run ~profiles ~engine ~fault_seed () =
   Os.set_event_trace os (Some (fun ev -> eh := (!eh * 31) + Hashtbl.hash ev));
   let hyp = Hyp.attach os in
   let fc = Facechange.enable ~governor:Governor.default_policy hyp in
-  let (_ : int) = Facechange.load_view fc (Profiles.config_of profiles name) in
+  let view = Facechange.load_view fc (Profiles.config_of profiles name) in
+  (* Two edits every application meets.  A breakpoint on the second
+     instruction of [schedule], inside a hot block: FACE-CHANGE ignores
+     the exit, but every engine must take it, so each run executes
+     trap-split blocks.  And UD2 over the entry of the syscall gate in the
+     view: the application's first syscall recovers the function lazily,
+     so each run executes bytes at one pc that the full kernel view (the
+     companion's) holds as code.  The two stay on different functions: a
+     trap next to the hole would split its block and hide the hole's
+     bytes from the body memo. *)
+  Hyp.set_breakpoint hyp (Os.resolve_exn os "schedule" + 1);
+  let gate = Os.resolve_exn os "syscall_call" in
+  (match Facechange.find_view fc view with
+  | Some v ->
+      View.write_code v ~gva:gate 0x0f;
+      View.write_code v ~gva:(gate + 1) 0x0b
+  | None -> failwith "the loaded view vanished");
   let (_ : Process.t) = Os.spawn os ~name (app.App.script 4) in
   let companion = App.find_exn "top" in
   let (_ : Process.t) =

@@ -189,6 +189,35 @@ let test_merged_attribution () =
   check_int "merged view_switches" by_hand.Stats.view_switches
     r.HFleet.r_merged.Stats.view_switches
 
+(* Two domains' guests share one image's body memo: a second run of the
+   same cell finds every body the first published, and neither the
+   sharing nor the cold/warm difference moves the fingerprint away from
+   a 1-domain run on a fresh image. *)
+let test_shared_image_memo () =
+  let fresh () =
+    Profiles.with_image (profiles ()) (Fc_kernel.Image.build_exn ())
+  in
+  let run p =
+    (BFleet.run_cell p ~seed:fleet_seed ~domains:2 ~guests:fleet_guests)
+      .BFleet.c_report
+  in
+  let base =
+    (BFleet.run_cell (fresh ()) ~seed:fleet_seed ~domains:1
+       ~guests:fleet_guests)
+      .BFleet.c_report
+  in
+  let shared = fresh () in
+  let decoded () = Fc_kernel.Image.decoded_blocks (Profiles.image shared) in
+  let first = run shared in
+  let published = decoded () in
+  let second = run shared in
+  check_bool "the first run published bodies" true (published > 0);
+  check_int "the second run published none" published (decoded ());
+  check_string "first run = fresh 1-domain run" base.HFleet.r_fingerprint
+    first.HFleet.r_fingerprint;
+  check_string "second run = fresh 1-domain run" base.HFleet.r_fingerprint
+    second.HFleet.r_fingerprint
+
 (* ---------------- cross-guest frame dedup ---------------- *)
 
 (* Two byte-identical guests (same app, same script, no faults): every
@@ -246,6 +275,8 @@ let suites =
           `Slow test_fingerprint_across_runs;
         Alcotest.test_case "merged per-app attribution equals globals" `Slow
           test_merged_attribution;
+        Alcotest.test_case "two domains share one image's decoded blocks"
+          `Slow test_shared_image_memo;
         Alcotest.test_case "byte-identical guests dedup 2:1" `Slow
           test_identical_guests_dedup;
       ] );

@@ -1,6 +1,7 @@
 module Insn = Fc_isa.Insn
 module Asm = Fc_isa.Asm
 module Scan = Fc_isa.Scan
+module Block = Fc_isa.Block
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -279,6 +280,160 @@ let test_scan_cross_page () =
       check_int "stop" next.Asm.addr stop
   | None -> Alcotest.fail "bounds not found"
 
+(* ------------------------------------------------------------------ *)
+(* Block                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let page_base = 0xc0100000
+let page_size = 4096
+
+(* What each instruction must unpack to, written out independently of
+   the decoder. *)
+let expected_op = function
+  | Insn.Push_ebp -> Block.Push_ebp
+  | Insn.Mov_ebp_esp -> Block.Mov_ebp_esp
+  | Insn.Leave -> Block.Leave
+  | Insn.Nop | Insn.Alu _ | Insn.Or_mem _ | Insn.Int_sw _ -> Block.Step
+  | Insn.Jcc_rel _ -> Block.Jcc
+  | Insn.Jmp_rel _ -> Block.Jmp
+  | Insn.Call_rel _ -> Block.Call
+  | Insn.Call_indirect -> Block.Call_ind
+  | Insn.Ret | Insn.Iret -> Block.Ret
+  | Insn.Yield _ -> Block.Yield
+  | Insn.Ud2 -> Block.Ud2
+
+let expected_arg ~pc ~len = function
+  | Insn.Jcc_rel d | Insn.Jmp_rel d | Insn.Call_rel d -> pc + len + d
+  | Insn.Yield id -> id
+  | _ -> 0
+
+(* A page holding an encoder-built instruction stream with random bytes
+   mixed in (written near the page tail a quarter of the time), a start
+   pc in or just past its first bytes, and up to four trap addresses
+   around the start. *)
+let gen_block_case =
+  let open QCheck.Gen in
+  let insn =
+    frequency
+      [
+        (4, return Insn.Nop);
+        (3, return Insn.Push_ebp);
+        (3, return Insn.Mov_ebp_esp);
+        (2, return Insn.Leave);
+        (4, map (fun i -> Insn.Alu i) (int_bound 255));
+        (1, map (fun i -> Insn.Or_mem i) (int_bound 255));
+        (1, map (fun i -> Insn.Int_sw i) (int_bound 255));
+        (3, map (fun d -> Insn.Jcc_rel d) (int_range (-128) 127));
+        (1, map (fun d -> Insn.Jmp_rel d) (int_range (-128) 127));
+        (1, map (fun d -> Insn.Call_rel d) (int_range (-0x80000000) 0x7fffffff));
+        (1, return Insn.Call_indirect);
+        (1, return Insn.Ret);
+        (1, return Insn.Iret);
+        (1, map (fun i -> Insn.Yield i) (int_bound 255));
+        (1, return Insn.Ud2);
+      ]
+  in
+  let item =
+    frequency
+      [ (9, map Insn.encode insn); (1, map (fun b -> [ b ]) (int_bound 255)) ]
+  in
+  let* items = list_size (int_range 1 120) item in
+  let* near_tail = int_bound 3 in
+  let* off =
+    if near_tail = 0 then int_range (page_size - 300) (page_size - 1)
+    else int_bound (page_size - 400)
+  in
+  let* skew = int_bound 3 in
+  let* traps = list_size (int_bound 4) (int_range (-2) 160) in
+  let page = Bytes.make page_size '\000' in
+  let (_ : int) =
+    List.fold_left
+      (fun o b ->
+        if o < page_size then Bytes.set_uint8 page o b;
+        o + 1)
+      off (List.concat items)
+  in
+  let pc = page_base + min (off + skew) (page_size - 1) in
+  return (page, pc, List.map (fun d -> pc + d) traps)
+
+let arb_block_case =
+  QCheck.make gen_block_case ~print:(fun (_, pc, traps) ->
+      Printf.sprintf "pc 0x%x, traps [%s]" pc
+        (String.concat "; " (List.map (Printf.sprintf "0x%x") traps)))
+
+(* The pc of every op, or [None] when some word does not unpack to
+   [Insn.decode]'s op, length and argument at that pc, or to the step
+   run (length and byte span) that starts there, or when the interior
+   bounds are off. *)
+let unpacked_pcs ~read pc (b : Block.body) =
+  let words = b.Block.words in
+  let n = Array.length words in
+  let pcs = Array.make n 0 in
+  let rec walk i a =
+    i = n
+    ||
+    let w = words.(i) in
+    pcs.(i) <- a;
+    match Insn.decode ~read a with
+    | Error _ -> false
+    | Ok (insn, len) ->
+        Block.op w = expected_op insn
+        && Block.len w = len
+        && Block.arg w = expected_arg ~pc:a ~len insn
+        &&
+        let rec run j bytes =
+          if j < n && Block.op words.(j) = Block.Step then
+            run (j + 1) (bytes + Block.len words.(j))
+          else (j - i, bytes)
+        in
+        let r, bytes = run i 0 in
+        Block.run w = r && Block.run_bytes w = bytes && walk (i + 1) (a + len)
+  in
+  if n > 0 && walk 0 pc && b.Block.lo = pc + Block.len words.(0)
+     && b.Block.hi = pcs.(n - 1)
+  then Some pcs
+  else None
+
+let prop_block_decode =
+  QCheck.Test.make
+    ~name:"block decode: traps split at op boundaries, words unpack exactly"
+    ~count:500 arb_block_case (fun (page, pc, traps) ->
+      let read a = reader_of_bytes page (a - page_base) in
+      let last = page_base + page_size - 6 in
+      let is_trap a = List.mem a traps in
+      let free = Block.decode ~read ~last ~stop:(fun _ -> false) pc in
+      let split = Block.decode ~read ~last ~stop:is_trap pc in
+      match free with
+      | None -> split = None
+      | Some f -> (
+          match unpacked_pcs ~read pc f with
+          | None -> false
+          | Some pcs -> (
+              let n = Array.length pcs in
+              n <= 64
+              && pcs.(n - 1) <= last
+              && (is_trap pc && split = None
+                 ||
+                 let rec first_trap k =
+                   if k >= n then None
+                   else if is_trap pcs.(k) then Some k
+                   else first_trap (k + 1)
+                 in
+                 match (first_trap 1, split) with
+                 | None, Some s -> s = f
+                 | Some k, Some s ->
+                     s.Block.exit = pcs.(k)
+                     && Array.length s.Block.words = k
+                     && unpacked_pcs ~read pc s <> None
+                     && Array.for_all2
+                          (fun a b ->
+                            Block.op a = Block.op b
+                            && Block.len a = Block.len b
+                            && Block.arg a = Block.arg b)
+                          s.Block.words
+                          (Array.sub f.Block.words 0 k)
+                 | _, None -> false))))
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -314,4 +469,5 @@ let suites =
         tc "backward scan respects limit" test_scan_backward_limit;
         tc "bounds across page-sized function" test_scan_cross_page;
       ] );
+    ("isa.block", [ QCheck_alcotest.to_alcotest prop_block_decode ]);
   ]

@@ -6,8 +6,9 @@
    restamps warm blocks instead of rebuilding them, and the per-frame
    store resurrects blocks when a view switches back); chain fallback
    across invalidated targets; interrupt delivery parity; bounded caches
-   under view churn; the fast engine as the default; and reference-vs-
-   fast parity under a random fault plan.  Every scenario test runs on
+   under view churn; the image's body memo (engaged, and keyed by page
+   content); the fast engine as the default; and reference-vs-fast
+   parity under a random fault plan.  Every scenario test runs on
    twin guests (fast and reference engine) and requires identical
    observables, so the coherence machinery is proven not just to
    invalidate, but to invalidate without changing behavior. *)
@@ -328,6 +329,85 @@ let test_view_bindings_bounded_under_view_churn () =
       (metric os "os.view_bindings")
   done
 
+(* ---------------- one decode per image ---------------- *)
+
+(* A plain guest (no views) running gzip on [img]. *)
+let plain_guest img =
+  let os = Os.create img in
+  spawn_app os ~name:"gzip" ();
+  Os.run os;
+  os
+
+(* The image's body memo is engaged: a second identical guest finds
+   every body the first one published, and still instantiates (and
+   counts) exactly the blocks the first one built. *)
+let test_second_guest_publishes_nothing () =
+  let img = Image.build_exn () in
+  let first = plain_guest img in
+  let published = Image.decoded_blocks img in
+  check_bool "the first guest published bodies" true (published > 0);
+  let second = plain_guest img in
+  check_int "the second guest published none" published
+    (Image.decoded_blocks img);
+  check_int "both guests built the same blocks"
+    (metric first "sb.blocks_built")
+    (metric second "sb.blocks_built");
+  check_int "and retired the same instructions" (Os.instructions first)
+    (Os.instructions second)
+
+(* The memo is keyed by page content, not by address.  A process named
+   top running gzip's script under top's view executes kernel paths the
+   view left out, and lazy recovery writes them into the view's frames:
+   the block at the last recovered address is then built from a body
+   decoded from the frame's new bytes.  Those bytes' bodies sit beside
+   the plain kernel text's, so a plain guest of the same image, before
+   and after, decodes nothing new. *)
+let test_recovery_fill_decodes_new_content () =
+  let img = Image.build_exn () in
+  let plain = plain_guest img in
+  let os = Os.create img in
+  let hyp = Hyp.attach os in
+  (* no governor: a recovery storm would degrade the process to the
+     full kernel view, and the last recovered frame would never run *)
+  let fc = Facechange.enable hyp in
+  let idx = Facechange.load_view fc (Profiles.config_of (profiles ()) "top") in
+  let gzip = App.find_exn "gzip" in
+  ignore (Os.spawn os ~name:"top" (gzip.App.script 16) : Process.t);
+  Os.run os;
+  let log = Facechange.log fc in
+  check_bool "the view was recovered into" true
+    (Fc_core.Recovery_log.count log > 0);
+  let last = List.hd (List.rev (Fc_core.Recovery_log.entries log)) in
+  let a = last.Fc_core.Recovery_log.fault_addr in
+  let v =
+    match Facechange.find_view fc idx with
+    | Some v -> v
+    | None -> Alcotest.fail "view vanished"
+  in
+  let base = a - (a mod Layout.page_size) in
+  let page =
+    Bytes.init Layout.page_size (fun o ->
+        match View.read_code v ~gva:(base + o) with
+        | Some b -> Char.chr b
+        | None -> Alcotest.fail "unreadable view byte")
+  in
+  let text =
+    Bytes.init Layout.page_size (fun o ->
+        match Image.read_byte img (base + o) with
+        | Some b -> Char.chr b
+        | None -> '\000')
+  in
+  check_bool "the recovered frame's bytes are new" true (page <> text);
+  check_bool "a body was decoded from the recovered bytes" true
+    (Image.body img ~pc:a ~page:(Digest.bytes page) (fun () -> None) <> None);
+  let published = Image.decoded_blocks img in
+  let again = plain_guest img in
+  check_int "a plain guest still finds the old content's bodies" published
+    (Image.decoded_blocks img);
+  check_int "and builds the same blocks"
+    (metric plain "sb.blocks_built")
+    (metric again "sb.blocks_built")
+
 (* ---------------- the engines ---------------- *)
 
 (* A bare [Os.create] boots the fast engine: the profiler, every paper
@@ -381,6 +461,10 @@ let suites =
           test_decode_cache_bounded_under_view_churn;
         tc "view bindings return to baseline under view churn"
           test_view_bindings_bounded_under_view_churn;
+        tc "a second identical guest publishes no body"
+          test_second_guest_publishes_nothing;
+        tc "a recovery fill decodes the frame's new content, not the old"
+          test_recovery_fill_decodes_new_content;
         tc "a bare Os.create runs the fast engine" test_default_engine_is_fast;
         tc "enforced faulted run: fingerprint parity across the matrix"
           test_enforced_matrix;
