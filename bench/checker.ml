@@ -5,8 +5,8 @@
 
    A golden is shaped like the artifact it gates.  An object matches as a
    subset; [null] only requires its key; any other scalar, and the empty
-   list, must be equal; floats are refused, so no wall-clock number can
-   be pinned.  In a non-empty list, an element with an identifying field
+   list, must be equal; floats are refused, so no host time can be
+   pinned.  In a non-empty list, an element with an identifying field
    ([label], [domains], [arm] or [seed], not null) must match the
    artifact element with the same value, and an element without one
    applies to every artifact element (of which there must be one).  A
@@ -256,7 +256,7 @@ let ungoverned_panics j =
   each (at j "ungoverned") (fun p u ->
       if int p u "panics" <= 0 then fail "%s: no panics" p)
 
-(* wall clock is recorded, never compared: present and finite *)
+(* host time is recorded, never compared: present and finite *)
 let finite j =
   List.iter
     (fun spec ->
@@ -266,14 +266,42 @@ let finite j =
           | Some f when Float.is_finite f -> ()
           | _ -> fail "%s is not a finite number" p)
         (at j spec))
-    ([ "results.table1.min_similarity.similarity";
-       "results.table1.max_similarity.similarity";
-       "results.fig6.sharing.reduction"; "results.fig7.base_capacity";
-       "results.fig7.fc_capacity"; "perf.*.arms.*.seconds";
-       "perf.*.arms.*.ips" ]
-    @ List.concat_map
-        (fun k -> [ "fleet.pinned.cells.*." ^ k; "fleet.sweep.*." ^ k ])
-        [ "seconds"; "ips"; "dedup_ratio" ])
+    [ "results.table1.min_similarity.similarity";
+      "results.table1.max_similarity.similarity";
+      "results.fig6.sharing.reduction"; "results.fig7.base_capacity";
+      "results.fig7.fc_capacity"; "perf.*.arms.*.seconds";
+      "perf.*.arms.*.ips"; "fleet.pinned.cells.*.dedup_ratio";
+      "fleet.sweep.*.dedup_ratio" ]
+
+(* Every object anywhere in the artifact carrying both [layers] and
+   [seconds]: its layers, each a finite number of seconds, sum to within
+   5% of [seconds] (a Fc_obs.Layers split sums exactly but for
+   rounding). *)
+let layers_sum j =
+  let rec walk path = function
+    | J.Obj kvs as x ->
+        (match (J.member "layers" x, J.to_float (field "seconds" x)) with
+        | Some (J.Obj (_ :: _ as ls)), Some total ->
+            let sum =
+              List.fold_left
+                (fun acc (k, v) ->
+                  match J.to_float v with
+                  | Some f when Float.is_finite f && f >= 0. -> acc +. f
+                  | _ ->
+                      fail "%s: %s is not a finite non-negative number"
+                        (dot path "layers") k;
+                      acc)
+                0. ls
+            in
+            if Float.abs (sum -. total) > 0.05 *. Float.abs total then
+              fail "%s: layers sum to %gs, seconds is %gs" path sum total
+        | Some _, Some _ -> fail "%s: not a non-empty object" (dot path "layers")
+        | _ -> ());
+        List.iter (fun (k, v) -> walk (dot path k) v) kvs
+    | J.List xs -> List.iteri (fun i x -> walk (elem path i x) x) xs
+    | _ -> ()
+  in
+  walk "" j
 
 (* on each (pid, tid) track, every E closes the innermost open B *)
 let spans_nest j =
@@ -346,6 +374,7 @@ let relations =
     ("armed-equals-disarmed", armed_equals_disarmed); ("resum", resum);
     ("dedup-ratio", dedup_ratio); ("migrate-rows", migrate_rows);
     ("ungoverned-panics", ungoverned_panics); ("finite", finite);
+    ("layers-sum", layers_sum);
     ("spans-nest", spans_nest); ("per-app-sums", per_app_sums);
     ("warm-start", warm_start) ]
 
@@ -376,6 +405,15 @@ let kinds =
 let read path =
   try Ok (In_channel.with_open_bin path In_channel.input_all)
   with Sys_error e -> Error e
+
+(* The goldens of the checkout [dir] lies in: bench/pins under the
+   nearest of [dir] and its ancestors that holds one. *)
+let rec find_pins dir =
+  let pins = Filename.concat (Filename.concat dir "bench") "pins" in
+  if Sys.file_exists pins && Sys.is_directory pins then Some pins
+  else
+    let parent = Filename.dirname dir in
+    if parent = dir then None else find_pins parent
 
 let named name f = List.map (fun s -> name ^ ": " ^ s) (collect f)
 

@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (Table I, Table II, Figs. 3-7), plus a Bechamel
-   micro-benchmark section for the core primitives.
+   evaluation section (Table I, Table II, Figs. 3-7), plus the engine,
+   fleet, chaos, migration and telemetry arms.  Every host time it
+   reports comes from a Fc_obs.Layers accountant (the perf arm).
 
    Usage:
      bench/main.exe                 run everything
      bench/main.exe table1 fig6     run a subset
-     bench/main.exe --fast          fig6 at a subset of view counts *)
+     bench/main.exe --fast          smaller fig6, chaos, fleet and migrate *)
 
 module Profiles = Fc_benchkit.Profiles
 module J = Fc_obs.Jsonx
@@ -290,18 +291,14 @@ let chaos ~fast profiles =
          ("ungoverned", summary_to_json ungoverned);
        ])
 
-let perf ~fast profiles =
-  banner "Perf: reference vs fast engine throughput (wall clock)";
-  (* seconds are min-of-reps: even --fast takes two samples so one
-     scheduler hiccup cannot pollute the recorded wall clock *)
-  let reps = if fast then 2 else 3 in
-  let t = Fc_benchkit.Perf.run ~reps profiles in
+let perf profiles =
+  banner "Perf: reference vs fast engine, host time by layer";
+  let t = Fc_benchkit.Perf.run profiles in
   print_string (Fc_benchkit.Perf.render t);
   let json =
     J.Obj
       [
         ("schema_version", J.Int Fc_benchkit.Perf.schema_version);
-        ("fast", J.Bool fast);
         ("perf", Fc_benchkit.Perf.to_json t);
       ]
   in
@@ -320,7 +317,7 @@ let perf ~fast profiles =
        ])
 
 let fleet ~fast profiles =
-  banner "Fleet: guest fleets sharded across OCaml 5 domains (wall clock)";
+  banner "Fleet: guest fleets sharded across OCaml 5 domains";
   let t = Fc_benchkit.Fleet.run ~fast profiles in
   print_string (Fc_benchkit.Fleet.render t);
   (* the acceptance bar: one fleet, any domain count, same merged
@@ -445,81 +442,12 @@ let telemetry profiles =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core primitives                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro profiles =
-  banner "Micro-benchmarks (Bechamel): core primitive costs (wall clock)";
-  let open Bechamel in
-  let image = Profiles.image profiles in
-  let cfg_top = Profiles.config_of profiles "top" in
-  let cfg_firefox = Profiles.config_of profiles "firefox" in
-  (* a reusable guest for view build / switch benches *)
-  let os = Fc_machine.Os.create image in
-  let hyp = Fc_hypervisor.Hypervisor.attach os in
-  let fc = Fc_core.Facechange.enable hyp in
-  let idx_top = Fc_core.Facechange.load_view fc cfg_top in
-  let idx_ff = Fc_core.Facechange.load_view fc cfg_firefox in
-  let flip = ref true in
-  let read_orig a = Fc_hypervisor.Hypervisor.read_original_code hyp a in
-  let sys_poll = Fc_kernel.Image.addr_of_exn image "sys_poll" in
-  let tests =
-    [
-      Test.make ~name:"similarity index (Eq. 1)"
-        (Staged.stage (fun () ->
-             ignore (Fc_profiler.View_config.similarity cfg_top cfg_firefox)));
-      Test.make ~name:"range-list intersection"
-        (Staged.stage (fun () ->
-             ignore
-               (Fc_ranges.Range_list.inter cfg_top.Fc_profiler.View_config.ranges
-                  cfg_firefox.Fc_profiler.View_config.ranges)));
-      Test.make ~name:"kernel view rebind (selector)"
-        (Staged.stage (fun () ->
-             flip := not !flip;
-             Fc_core.Facechange.bind fc ~comm:"micro"
-               ~index:(if !flip then idx_top else idx_ff)));
-      Test.make ~name:"prologue boundary scan (recovery)"
-        (Staged.stage (fun () ->
-             ignore
-               (Fc_isa.Scan.function_bounds ~read:read_orig
-                  ~lo:(Fc_kernel.Image.text_base image)
-                  ~hi:(Fc_kernel.Image.text_end image) (sys_poll + 40))));
-      Test.make ~name:"view build+destroy (top)"
-        (Staged.stage (fun () ->
-             let v = Fc_core.View.build ~hyp ~index:99 cfg_top in
-             Fc_core.View.destroy v));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    Analyze.all ols instance raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"micro" [ test ]) in
-      Hashtbl.iter
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with
-            | Some [ t ] -> Printf.sprintf "%12.1f ns/op" t
-            | Some _ | None -> "(no estimate)"
-          in
-          Printf.printf "  %-42s %s\n%!" name est)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let all_experiments =
   [ "smoke"; "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7";
-    "ablations"; "chaos"; "perf"; "fleet"; "migrate"; "telemetry"; "micro" ]
+    "ablations"; "chaos"; "perf"; "fleet"; "migrate"; "telemetry" ]
 
 let write_results path ~fast chosen =
   let json =
@@ -576,11 +504,10 @@ let () =
       | "fig7" -> fig7 profiles
       | "ablations" -> ablations profiles
       | "chaos" -> chaos ~fast profiles
-      | "perf" -> perf ~fast profiles
+      | "perf" -> perf profiles
       | "fleet" -> fleet ~fast profiles
       | "migrate" -> migrate ~fast profiles
       | "telemetry" -> telemetry profiles
-      | "micro" -> micro profiles
       | _ -> assert false)
     chosen;
   write_results out ~fast chosen;

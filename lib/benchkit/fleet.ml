@@ -174,9 +174,6 @@ let cell_to_json c =
     [
       ("domains", J.Int r.HFleet.r_domains);
       ("guests", J.Int r.HFleet.r_guests);
-      (* wall clock: recorded for humans, never gated *)
-      ("seconds", J.Float r.HFleet.r_seconds);
-      ("ips", J.Float r.HFleet.r_ips);
       ("fingerprint", J.String r.HFleet.r_fingerprint);
       ("instructions", J.Int r.HFleet.r_instructions);
       ("cycles", J.Int r.HFleet.r_cycles);
@@ -227,10 +224,9 @@ let render t =
     let r = c.c_report in
     Buffer.add_string buf
       (Printf.sprintf
-         "  %s d=%-2d guests=%-4d  %6.2fs  %8.2fM ips  dedup %4.1f%% \
+         "  %s d=%-2d guests=%-4d  %10d instr  dedup %4.1f%% \
           (%d/%d frames)  sw=%-5d rec=%-4d ok=%d wedged=%d panics=%d  fp=%s\n"
-         prefix r.HFleet.r_domains r.HFleet.r_guests r.HFleet.r_seconds
-         (r.HFleet.r_ips /. 1e6)
+         prefix r.HFleet.r_domains r.HFleet.r_guests r.HFleet.r_instructions
          (100. *. r.HFleet.r_dedup_ratio)
          r.HFleet.r_unique_frames r.HFleet.r_total_frames
          r.HFleet.r_merged.Stats.view_switches

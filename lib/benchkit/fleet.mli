@@ -5,13 +5,14 @@
     under its enforced view, a companion on the full view, a governed
     fault plan — whose entire behavior derives from
     [Frand.mix seed index], so a cell's merged report is independent of
-    its domain count.  The sweep measures aggregate
-    guest-instructions/sec and the fleet-wide frame-dedup ratio (what a
-    cross-guest content-keyed cache would save on top of each guest's own
-    sharing); the pinned cell re-runs a fixed 40-guest fleet at 1, 2 and
-    4 domains so the CI gate ([bench/check.exe BENCH_fleet.json]) can
-    prove the merged fingerprints identical and pin the deterministic
-    counters independent of [--fast]. *)
+    its domain count.  The sweep measures the fleet-wide frame-dedup
+    ratio (what a cross-guest content-keyed cache would save on top of
+    each guest's own sharing); the pinned cell re-runs a fixed 40-guest
+    fleet at 1, 2 and 4 domains so the CI gate
+    ([bench/check.exe BENCH_fleet.json]) can prove the merged
+    fingerprints identical and pin the deterministic counters
+    independent of [--fast].  Cells are not timed (see
+    {!Fc_host.Fleet}). *)
 
 type cell = {
   c_report : Fc_host.Fleet.report;
@@ -61,8 +62,7 @@ val run : ?fast:bool -> ?seed:int -> Profiles.t -> t
     [fast] (default [false]).  [seed] defaults to 7. *)
 
 val to_json : t -> Fc_obs.Jsonx.t
-(** The [BENCH_fleet.json] payload (under the ["fleet"] key): wall-clock
-    [seconds]/[ips] recorded for humans, never gated; every counter the
-    gate pins is an exact int. *)
+(** The [BENCH_fleet.json] payload (under the ["fleet"] key); every
+    counter the gate pins is an exact int. *)
 
 val render : t -> string

@@ -23,10 +23,11 @@ let request_actions =
     Action.Compute 150_000; (* user-space request processing *)
   ]
 
-let serve_batch profiles ~enabled =
+let serve_batch ?engine ?layers profiles ~enabled =
   let app = App.find_exn "apache" in
   let config = { (App.os_config app) with Os.wake_delay = 2 } in
-  let os = Os.create ~config (Profiles.image profiles) in
+  let os = Os.create ~config ?engine (Profiles.image profiles) in
+  let timed = Fc_obs.Layers.follow layers (Fc_obs.Obs.trace (Os.obs os)) in
   if enabled then begin
     let hyp = Hyp.attach os in
     let fc = Facechange.enable hyp in
@@ -42,12 +43,12 @@ let serve_batch profiles ~enabled =
   in
   let (_ : Fc_machine.Process.t) = Os.spawn os ~name:"apache" script in
   let before = Os.cycles os in
-  Os.run os;
-  float_of_int (Os.cycles os - before) /. float_of_int requests
+  timed (fun () -> Os.run os);
+  (os, float_of_int (Os.cycles os - before) /. float_of_int requests)
 
 let run ?(rates = List.init 12 (fun i -> 5 * (i + 1))) profiles =
-  let per_req_base = serve_batch profiles ~enabled:false in
-  let per_req_fc = serve_batch profiles ~enabled:true in
+  let _, per_req_base = serve_batch profiles ~enabled:false in
+  let _, per_req_fc = serve_batch profiles ~enabled:true in
   (* calibrate the simulated clock so the baseline saturates at ~60.5
      req/s, matching the paper's testbed *)
   let cycles_per_second = per_req_base *. 60.5 in

@@ -26,7 +26,16 @@ val render : result -> string
 (**/**)
 
 val request_actions : Fc_machine.Action.t list
-(** One request's kernel work, from the apache steady-state loop —
-    shared with the perf benchmark's httperf arms. *)
+(** One request's kernel work, from the apache steady-state loop. *)
+
+val serve_batch :
+  ?engine:Fc_machine.Os.engine ->
+  ?layers:Fc_obs.Layers.t ->
+  Profiles.t ->
+  enabled:bool ->
+  Fc_machine.Os.t * float
+(** One apache guest serving {!requests} requests, with FACE-CHANGE and
+    the apache view when [enabled]: the guest and its simulated cycles
+    per request.  [layers] follows the guest and times its [Os.run]. *)
 
 (**/**)

@@ -211,8 +211,6 @@ let cell_to_json c =
     ([
        ("domains", J.Int r.HFleet.r_domains);
        ("guests", J.Int r.HFleet.r_guests);
-       (* wall clock: recorded for humans, never gated *)
-       ("seconds", J.Float r.HFleet.r_seconds);
        ("fingerprint", J.String r.HFleet.r_fingerprint);
        ("instructions", J.Int r.HFleet.r_instructions);
        ("cycles", J.Int r.HFleet.r_cycles);

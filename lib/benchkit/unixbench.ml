@@ -57,8 +57,9 @@ let resident_script =
   Action.repeat 2_000 [ Action.Compute 600; Action.Sleep 300 ]
   @ [ Action.Exit ]
 
-let run_one image ~views ~residents ~enabled subtest =
-  let os = Os.create ~config:bench_config image in
+let run_one ?engine ?layers image ~views ~residents ~enabled subtest =
+  let os = Os.create ~config:bench_config ?engine image in
+  let timed = Fc_obs.Layers.follow layers (Fc_obs.Obs.trace (Os.obs os)) in
   if enabled then begin
     let hyp = Hyp.attach os in
     let fc = Facechange.enable hyp in
@@ -69,21 +70,24 @@ let run_one image ~views ~residents ~enabled subtest =
   in
   (* let the residents settle into their sleep pattern before measuring *)
   if resident_procs <> [] then
-    Os.run
-      ~until:(fun _ -> List.for_all (fun p -> not (Process.is_ready p)) resident_procs)
-      os;
+    timed (fun () ->
+        Os.run
+          ~until:(fun _ ->
+            List.for_all (fun p -> not (Process.is_ready p)) resident_procs)
+          os);
   let bench =
     List.map (fun (name, script) -> Os.spawn os ~name script) subtest.procs
   in
   let before = Os.cycles os in
-  Os.run ~until:(fun _ -> List.for_all Process.is_exited bench) os;
+  timed (fun () ->
+      Os.run ~until:(fun _ -> List.for_all Process.is_exited bench) os);
   let elapsed = Os.cycles os - before in
-  1_000_000_000. /. float_of_int (max 1 elapsed)
+  (os, 1_000_000_000. /. float_of_int (max 1 elapsed))
 
 let run_suite image ~views ~enabled =
   let residents = List.map (fun c -> c.Fc_profiler.View_config.app) views in
   List.map
-    (fun st -> (st.st_name, run_one image ~views ~residents ~enabled st))
+    (fun st -> (st.st_name, snd (run_one image ~views ~residents ~enabled st)))
     subtests
 
 type fig6_point = {
@@ -124,8 +128,8 @@ let fig6 ?view_counts profiles =
     let per_test =
       List.map
         (fun st ->
-          let base = run_one image ~views:[] ~residents ~enabled:false st in
-          let fc = run_one image ~views ~residents ~enabled:true st in
+          let _, base = run_one image ~views:[] ~residents ~enabled:false st in
+          let _, fc = run_one image ~views ~residents ~enabled:true st in
           (* a subtest that scored 0 at baseline has no meaningful ratio;
              report the neutral 1.0 rather than a NaN/infinity *)
           (st.st_name, if base <= 0. then 1. else fc /. base))

@@ -43,4 +43,17 @@ val render : fig6_point list -> string
 val bench_config : Fc_machine.Os.config
 val resident_script : Fc_machine.Action.t list
 
+val run_one :
+  ?engine:Fc_machine.Os.engine ->
+  ?layers:Fc_obs.Layers.t ->
+  Fc_kernel.Image.t ->
+  views:Fc_profiler.View_config.t list ->
+  residents:string list ->
+  enabled:bool ->
+  subtest ->
+  Fc_machine.Os.t * float
+(** One subtest in a fresh guest: the guest and its score.  [layers]
+    follows the guest and times its [Os.run] stretches (the residents
+    settling, then the subtest). *)
+
 (**/**)

@@ -328,9 +328,13 @@ let handle_kernel_view_trap t (_regs : Cpu.regs) addr =
     end
   end
   else if addr = t.resume_addr then begin
+    (* the label comes from [Os.current], not VMI: a guest read here
+       would move the dTLB counters only when a trace is armed *)
     if Obs.armed t.obs then begin
-      let pid, comm = Hyp.current_task t.hyp in
-      Obs.emit t.obs (Event.Breakpoint { vid; addr; pid; comm })
+      let cur = Os.current (Hyp.os t.hyp) in
+      Obs.emit t.obs
+        (Event.Breakpoint
+           { vid; addr; pid = cur.Process.pid; comm = cur.Process.name })
     end;
     match t.pending.(vid) with
     | Some index ->
@@ -518,6 +522,14 @@ let handle_invalid_opcode t (regs : Cpu.regs) =
         span_exit t sid;
         result
 
+(* A CPU fault (a fetch from an address no view maps) is a dead end the
+   recovery path cannot explain, like an invalid opcode it cannot
+   locate: the paper lets the guest die, a governor falls the comm back
+   to the full view and retries. *)
+let handle_fault t reason =
+  let vid = Os.active_vcpu_id (Hyp.os t.hyp) in
+  governed_unhandled t ~vid ~comm:(current_comm t) reason
+
 (* ---------------- lifecycle ---------------- *)
 
 (* The kernel-code EPT directory set, derived from the (deterministic)
@@ -613,6 +625,7 @@ let enable ?(opts = default_opts) ?governor hyp =
       Recovery_log.dropped t.log);
   Hyp.on_breakpoint hyp (fun _hyp regs addr -> handle_kernel_view_trap t regs addr);
   Hyp.on_invalid_opcode hyp (fun _hyp regs -> handle_invalid_opcode t regs);
+  Hyp.on_fault hyp (fun _hyp _regs m -> handle_fault t m);
   Hyp.set_breakpoint hyp ctx_switch_addr;
   t
 
@@ -787,6 +800,7 @@ let restore ~hyp ~table_of (z : frozen) =
       Recovery_log.dropped t.log);
   Hyp.on_breakpoint hyp (fun _hyp regs addr -> handle_kernel_view_trap t regs addr);
   Hyp.on_invalid_opcode hyp (fun _hyp regs -> handle_invalid_opcode t regs);
+  Hyp.on_fault hyp (fun _hyp _regs m -> handle_fault t m);
   (* breakpoints are NOT re-set: the __switch_to trap (and the resume
      trap, when a deferred switch was pending) live in the restored trap
      set already — setting them again would bump the trap generation a

@@ -44,13 +44,14 @@ val enable :
     active and selected for every process until views are loaded.
 
     Without [governor] the runtime behaves exactly as the paper
-    describes: an unhandled invalid-opcode exit panics the guest and
-    recovery storms run unchecked.  With a {!Governor.policy}, recoveries
-    and broken backtraces are tracked per comm; a storming comm is
-    throttled (caller-chain prefetch), then degraded to the full kernel
-    view, re-narrowed after a cooldown, and quarantined if it keeps
-    misbehaving — and [`Unhandled] exits become survivable under the
-    [`Degrade] policy. *)
+    describes: an unhandled invalid-opcode or fault exit panics the
+    guest and recovery storms run unchecked.  With a
+    {!Governor.policy}, recoveries and broken backtraces are tracked per
+    comm; a storming comm is throttled (caller-chain prefetch), then
+    degraded to the full kernel view, re-narrowed after a cooldown, and
+    quarantined if it keeps misbehaving — and [`Unhandled] exits become
+    survivable under the [`Degrade] policy (one that no view can repair
+    ends in an oops of the task, see {!Fc_machine.Os.set_exit_handler}). *)
 
 val disable : t -> unit
 (** Switch back to the full view, clear all traps, and destroy every
@@ -157,6 +158,6 @@ val restore :
   table_of:(int -> Fc_mem.Ept.table) -> frozen -> t
 (** Re-enable FACE-CHANGE from a frozen image on a restored hypervisor:
     views, bindings, per-vCPU active/pending switches, the governor and
-    the recovery log come back verbatim; the breakpoint and
-    invalid-opcode handlers are installed, but no breakpoints are set —
+    the recovery log come back verbatim; the breakpoint, invalid-opcode
+    and fault handlers are installed, but no breakpoints are set —
     the guest's restored trap set already holds them. *)

@@ -75,7 +75,6 @@ let map_page t gpa_page frame =
          survives untouched.  A previously empty slot needs nothing:
          translations are never cached negatively. *)
       Os.note_divergent_page os ~gpa_page;
-      Os.note_view_binding os ~gpa_page ~view:t.index ~frame;
       (match prev with
       | Some old when old <> frame -> Phys.touch (Os.phys os) old
       | Some _ | None -> ())

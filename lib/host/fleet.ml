@@ -20,8 +20,8 @@ type guest = {
   g_digest : string;
 }
 
-(* Integer counters and content keys only: wall-clock and derived floats
-   never enter a digest, so fingerprints compare exactly across domain
+(* Integer counters and content keys only: derived floats never enter a
+   digest, so fingerprints compare exactly across domain
    counts, runs, and platforms. *)
 let digest_of ~app ~outcome ~stats ~instructions ~cycles ~frame_keys =
   let b = Buffer.create 1024 in
@@ -71,8 +71,6 @@ let guest ?telemetry ~index ~app ~outcome ~stats ~instructions ~cycles
 type report = {
   r_domains : int;
   r_guests : int;
-  r_seconds : float;
-  r_ips : float;
   r_instructions : int;
   r_cycles : int;
   r_merged : Stats.t;
@@ -106,7 +104,7 @@ let merge_telemetry guests =
           t_samples = List.fold_left (fun a t -> a + t.t_samples) 0 ts;
         }
 
-let merge ~domains ~seconds guests =
+let merge ~domains guests =
   let sum f = Array.fold_left (fun acc g -> acc + f g) 0 guests in
   let instructions = sum (fun g -> g.g_instructions) in
   let cycles = sum (fun g -> g.g_cycles) in
@@ -151,9 +149,6 @@ let merge ~domains ~seconds guests =
   {
     r_domains = domains;
     r_guests = Array.length guests;
-    r_seconds = seconds;
-    r_ips =
-      (if seconds <= 0. then 0. else float_of_int instructions /. seconds);
     r_instructions = instructions;
     r_cycles = cycles;
     r_merged = merged;
@@ -171,13 +166,11 @@ let merge ~domains ~seconds guests =
 
 let run ?domains ~guests f =
   let pool = Pool.create ?domains () in
-  let t0 = Unix.gettimeofday () in
   let results = Pool.map pool guests f in
-  let seconds = Unix.gettimeofday () -. t0 in
   Array.iteri
     (fun i g ->
       if g.g_index <> i then
         failwith
           (Printf.sprintf "Fleet.run: guest %d reported index %d" i g.g_index))
     results;
-  merge ~domains:(Pool.domains pool) ~seconds results
+  merge ~domains:(Pool.domains pool) results

@@ -11,7 +11,12 @@
     depends only on its index (callers derive per-guest PRNG seeds from
     the index, see {!Fc_faults.Frand.mix}), the merged report is
     bit-identical for 1 domain and N domains, which
-    [bench/check.exe BENCH_fleet.json] and [test/test_fleet.ml] enforce. *)
+    [bench/check.exe BENCH_fleet.json] and [test/test_fleet.ml] enforce.
+
+    A report carries no host time: guests sharded over domains run at
+    once, so their time cannot be split by layer
+    ({!Fc_obs.Layers}).  The repository benchmark's [fleet] workload
+    times fleets. *)
 
 type telemetry = {
   t_series : Fc_obs.Timeseries.series;
@@ -38,7 +43,7 @@ type guest = {
           telemetry-armed; plain data, safe to move across Domains *)
   g_digest : string;
       (** deterministic per-guest fingerprint (integer counters and
-          content keys only — no wall-clock, no floats, no telemetry, so
+          content keys only — no floats, no telemetry, so
           armed and disarmed runs of the same seed fingerprint
           identically) *)
 }
@@ -60,8 +65,6 @@ val guest :
 type report = {
   r_domains : int;  (** workers requested (1 on the 4.14 fallback) *)
   r_guests : int;
-  r_seconds : float;  (** wall clock for the whole sharded run *)
-  r_ips : float;  (** aggregate guest instructions per second *)
   r_instructions : int;
   r_cycles : int;
   r_merged : Fc_core.Stats.t;  (** {!Fc_core.Stats.merge} of every guest *)
@@ -93,6 +96,6 @@ val run : ?domains:int -> guests:int -> (int -> guest) -> report
     {!Pool.create}'s default) and merge.  The job for index [i] must
     depend only on [i] for the determinism guarantee to hold. *)
 
-val merge : domains:int -> seconds:float -> guest array -> report
+val merge : domains:int -> guest array -> report
 (** The export-side merge alone — exposed for tests that build guest
     records by hand. *)

@@ -19,6 +19,8 @@ type t = {
   mutable visible_modules : (string * int * int) list;
   mutable bp_handlers : (t -> Cpu.regs -> int -> unit) list;
   mutable io_handler : t -> Cpu.regs -> [ `Handled | `Unhandled of string ];
+  mutable fault_handler :
+    t -> Cpu.regs -> string -> [ `Handled | `Unhandled of string ];
   breakpoint_exits : Metrics.counter;
   invalid_opcode_exits : Metrics.counter;
   cycles_charged : Metrics.counter;
@@ -70,6 +72,7 @@ let vm_exits t = breakpoint_exits t + invalid_opcode_exits t
 let cycles_charged t = Metrics.value t.cycles_charged
 let on_breakpoint t f = t.bp_handlers <- t.bp_handlers @ [ f ]
 let on_invalid_opcode t f = t.io_handler <- f
+let on_fault t f = t.fault_handler <- f
 let current_task t = Os.vmi_current_task t.os
 let module_list t = Os.vmi_module_list t.os
 let read_guest_byte t a = Os.read_guest_byte t.os a
@@ -196,6 +199,19 @@ let render_addr t addr =
           Printf.sprintf "0x%x <mod:%s+0x%x>" addr name (addr - base)
       | None -> Printf.sprintf "0x%x <UNKNOWN>" addr)
 
+(* An exit at [eip] the installed handler may repair: [`Handled] retries
+   the instruction, [`Unhandled] kills the guest. *)
+let repair t regs reason handler =
+  let sid = span_enter t Fc_obs.Span.Exit_handling in
+  if Obs.armed t.obs then
+    Obs.emit t.obs (Event.Vm_exit { reason; addr = regs.Cpu.eip });
+  charge t Cost.vm_exit;
+  let result = handler () in
+  span_exit t sid;
+  match result with
+  | `Handled -> Os.Resume
+  | `Unhandled reason -> Os.Panic reason
+
 let dispatch_exit t regs = function
   | Os.Exit_breakpoint addr ->
       Metrics.incr t.breakpoint_exits;
@@ -207,19 +223,11 @@ let dispatch_exit t regs = function
       List.iter (fun h -> h t regs addr) t.bp_handlers;
       span_exit t sid;
       Os.Resume
-  | Os.Exit_invalid_opcode -> (
+  | Os.Exit_invalid_opcode ->
       Metrics.incr t.invalid_opcode_exits;
-      let sid = span_enter t Fc_obs.Span.Exit_handling in
-      if Obs.armed t.obs then
-        Obs.emit t.obs
-          (Event.Vm_exit
-             { reason = Event.Exit_invalid_opcode; addr = regs.Cpu.eip });
-      charge t Cost.vm_exit;
-      let result = t.io_handler t regs in
-      span_exit t sid;
-      match result with
-      | `Handled -> Os.Resume
-      | `Unhandled reason -> Os.Panic reason)
+      repair t regs Event.Exit_invalid_opcode (fun () -> t.io_handler t regs)
+  | Os.Exit_fault m ->
+      repair t regs Event.Exit_fault (fun () -> t.fault_handler t regs m)
 
 let snapshot_tables os =
   let tables = Hashtbl.create 16 in
@@ -257,6 +265,7 @@ let attach os =
       visible_modules = mods;
       bp_handlers = [];
       io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
+      fault_handler = (fun _ _ m -> `Unhandled m);
       breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
       invalid_opcode_exits =
         Metrics.counter m ~subsystem:"hyp" "invalid_opcode_exits";
@@ -280,7 +289,8 @@ let detach t =
   List.iter (Os.clear_trap t.os) (Os.trap_addresses t.os);
   Os.set_exit_handler t.os (fun _ _ -> function
     | Os.Exit_breakpoint _ -> Os.Resume
-    | Os.Exit_invalid_opcode -> Os.Panic "invalid opcode in guest kernel (no hypervisor)")
+    | Os.Exit_invalid_opcode -> Os.Panic "invalid opcode in guest kernel (no hypervisor)"
+    | Os.Exit_fault m -> Os.Panic m)
 
 (* ---------------- snapshot: freeze / restore ---------------- *)
 
@@ -319,6 +329,7 @@ let restore ~os ~table_of (z : frozen) =
       visible_modules = mods;
       bp_handlers = [];
       io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
+      fault_handler = (fun _ _ m -> `Unhandled m);
       breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
       invalid_opcode_exits =
         Metrics.counter m ~subsystem:"hyp" "invalid_opcode_exits";

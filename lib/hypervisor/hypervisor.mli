@@ -45,6 +45,13 @@ val on_invalid_opcode :
     repairing the faulting code (execution retries the same [eip]), or
     [`Unhandled reason] to let the guest die. *)
 
+val on_fault :
+  t -> (t -> Fc_machine.Cpu.regs -> string -> [ `Handled | `Unhandled of string ]) -> unit
+(** Called on every fault exit ({!Fc_machine.Os.Exit_fault}) with the
+    fault's description.  [`Handled] retries the same [eip];
+    [`Unhandled reason] lets the guest die, which is also what happens
+    when no handler is installed. *)
+
 val set_breakpoint : t -> int -> unit
 val clear_breakpoint : t -> int -> unit
 val has_breakpoint : t -> int -> bool

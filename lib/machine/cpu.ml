@@ -55,14 +55,6 @@ type sblock = {
          blocks match by compare, and the block is restamped in place when
          a tag change turns out not to have changed this page's
          translation *)
-  mutable sb_tag2 : int;
-  mutable sb_tag3 : int;
-      (* older validation tags, MRU-ordered — a 3-deep memo (hardware
-         PCID-cache style) so a shared-frame block entered from the full
-         kernel view and two app views in rotation revalidates by compare
-         every way instead of paying a re-translation restamp on every
-         switch; a fourth concurrently-hot view degrades to one restamp
-         per switch-in, never to a rebuild *)
   sb_global : bool;
       (* the x86 global-page bit: set iff the block was built from a page
          no kernel view has ever remapped, whose translation is therefore

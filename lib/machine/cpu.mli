@@ -80,13 +80,6 @@ type sblock = {
           view's blocks revalidate by compare, and the owner restamps the
           field when a tag change left this page's translation unchanged,
           so view switches do not force re-decodes *)
-  mutable sb_tag2 : int;
-  mutable sb_tag3 : int;
-      (** older validation tags, MRU-ordered — a 3-deep memo (hardware
-          PCID-cache style) letting a shared-frame block rotate through
-          the full kernel view plus two app views with zero restamps; a
-          tag minted under any bumped generation or rolled era can never
-          match again, so a stale memo entry is inert, never unsound *)
   sb_global : bool;
       (** the x86 global-page bit: set iff the block's page had never
           been remapped by any kernel view when it was built, so its

@@ -52,8 +52,12 @@ type module_info = {
   mutable hidden : bool;
 }
 
-type vm_exit = Exit_breakpoint of int | Exit_invalid_opcode
+type vm_exit = Exit_breakpoint of int | Exit_invalid_opcode | Exit_fault of string
 type exit_action = Resume | Panic of string
+
+(* An exception the guest kernel takes itself: [run] kills the current
+   task, as Linux's die() does on an oops. *)
+exception Oops
 
 type irq_timer = {
   source : Irq_paths.source;
@@ -157,13 +161,6 @@ type t = {
          monotone (a destroyed view does not un-diverge its pages).
          Blocks on pages outside this set are view-invariant (x86
          global-page style) and skip tag validation entirely. *)
-  bindings : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* divergent gpa page -> (live view id -> private frame), kept
-         current by the view layer's remaps and pruned when a view is
-         retired.  When several views bind one page to the same shared
-         frame, a block built there is pre-stamped with the sibling views'
-         tags, so even the first switch into a sibling revalidates by
-         compare — no memo-cold restamp. *)
   mutable data_epoch : int; (* bumped when guest RAM mappings grow *)
   mutable round_no : int;
   mutable context_switches : int;
@@ -193,6 +190,7 @@ type t = {
   mutable tick : tick_hook option;
   run_cycles_f : Fc_obs.Metrics.family; (* os.run_cycles{comm} *)
   run_slices_f : Fc_obs.Metrics.family; (* os.run_slices{comm} *)
+  oops_kills_f : Fc_obs.Metrics.family; (* os.oops_kills{comm} *)
   tlb_i_hits : Fc_obs.Metrics.counter;
   tlb_i_misses : Fc_obs.Metrics.counter;
   tlb_d_hits : Fc_obs.Metrics.counter;
@@ -202,9 +200,9 @@ type t = {
   sb_invals : Fc_obs.Metrics.counter;
   sb_chains : Fc_obs.Metrics.counter;
   sb_restamps : Fc_obs.Metrics.counter;
-      (* in-place sb_tag restamps in [sblock_valid]: the per-switch
-         revalidation cost the global stamp and the tag memo keep near
-         zero *)
+      (* in-place sb_tag restamps in [sblock_valid]: one re-translation
+         each, the per-switch revalidation cost the global stamp keeps
+         off never-remapped pages *)
   tlb_flushes_f : Fc_obs.Metrics.family; (* tlb.flushes{cause} *)
 }
 
@@ -401,17 +399,10 @@ let itlb_entry t page =
 
 (* A destroyed view's translations can never be revalidated (view ids are
    not reused), but bumping its generation keeps the invalidation honest
-   while other views' cached entries stay untouched.  Its page bindings
-   go too: they only pre-stamp superblocks with the tags of views that
-   may become active again, which a retired view never does. *)
+   while other views' cached entries stay untouched. *)
 let retire_view_translations t ~view =
   Array.iter (fun v -> Ept.bump_view v.vept ~view) t.vcpus;
-  note_flushes t ~cause:"explicit" (Array.length t.vcpus);
-  Hashtbl.filter_map_inplace
-    (fun _ per ->
-      Hashtbl.remove per view;
-      if Hashtbl.length per = 0 then None else Some per)
-    t.bindings
+  note_flushes t ~cause:"explicit" (Array.length t.vcpus)
 
 (* A kernel view remapped [gpa_page] to a private frame: from here on the
    page's translation is view-dependent, so blocks built from it can
@@ -422,23 +413,6 @@ let retire_view_translations t ~view =
    not handled here: the caller's version touch on that frame is what
    kills them. *)
 let note_divergent_page t ~gpa_page = Hashtbl.replace t.divergent gpa_page ()
-
-(* Record the current (view, page) -> frame binding.  Only accuracy at
-   read time matters for soundness — see [build_sblock]'s pre-stamping:
-   a stale entry could at worst mint a tag for a (view, generation) pair
-   whose rebinding already version-touched the displaced frame and
-   killed the block.  A retired view's entries are dropped by
-   [retire_view_translations], so view churn cannot grow the registry. *)
-let note_view_binding t ~gpa_page ~view ~frame =
-  let per =
-    match Hashtbl.find_opt t.bindings gpa_page with
-    | Some per -> per
-    | None ->
-        let per = Hashtbl.create 4 in
-        Hashtbl.add t.bindings gpa_page per;
-        per
-  in
-  Hashtbl.replace per view frame
 
 let read_guest_byte_slow t gva =
   match ram_translate t gva with
@@ -707,6 +681,7 @@ let resolve_exn t name =
 let default_handler _t _regs = function
   | Exit_breakpoint _ -> Resume
   | Exit_invalid_opcode -> Panic "invalid opcode in guest kernel (no hypervisor handler)"
+  | Exit_fault m -> Panic m
 
 let write_task_struct t (p : Process.t) =
   let task = Layout.task_struct_addr ~pid:p.pid in
@@ -723,8 +698,6 @@ let dummy_sblock =
     Cpu.sb_start = -1;
     sb_body = Block.empty;
     sb_tag = -1;
-    sb_tag2 = -1;
-    sb_tag3 = -1;
     sb_global = false;
     sb_frame = -1;
     sb_version = -1;
@@ -763,8 +736,6 @@ let wire_instruments t =
   gauge "vcpus" (fun () -> Array.length t.vcpus);
   gauge "processes" (fun () -> List.length t.procs_rev);
   gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache);
-  gauge "view_bindings" (fun () ->
-      Hashtbl.fold (fun _ per n -> n + Hashtbl.length per) t.bindings 0);
   let tlb_gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"tlb" name f in
   tlb_gauge "i_flushes" (fun () ->
       Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
@@ -816,7 +787,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       fast;
       trap_gen = 0;
       divergent = Hashtbl.create 64;
-      bindings = Hashtbl.create 64;
       data_epoch = 0;
       round_no = 0;
       context_switches = 0;
@@ -846,6 +816,9 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       run_slices_f =
         Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"os"
           "run_slices";
+      oops_kills_f =
+        Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"os"
+          "oops_kills";
       tlb_i_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "i_hits";
       tlb_i_misses = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "i_misses";
       tlb_d_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "d_hits";
@@ -1016,28 +989,6 @@ let build_sblock t pc =
                skip tag validation (any later divergence of the page kills
                it through the displaced frame's version touch) *)
             let global = not (Hashtbl.mem t.divergent gpa_page) in
-            (* pre-stamp the tag memo with sibling views currently
-               binding this page to this very frame: the first switch
-               into a sibling then revalidates the block by compare
-               instead of restamping.  A pre-stamped tag only ever
-               matches while that view is active at this same era and
-               generation, and any later rebinding of the sibling's page
-               version-touches this frame and kills the block — so a
-               stale stamp is inert, never unsound. *)
-            let tag2 = ref (-1) and tag3 = ref (-1) in
-            (if not global then
-               match Hashtbl.find_opt t.bindings gpa_page with
-               | None -> ()
-               | Some per ->
-                   Hashtbl.iter
-                     (fun view frame' ->
-                       if frame' = frame then begin
-                         let tg = Ept.tag_for v.vept ~view in
-                         if tg <> tag && !tag2 < 0 then tag2 := tg
-                         else if tg <> tag && !tag3 < 0 && tg <> !tag2 then
-                           tag3 := tg
-                       end)
-                     per);
             let version = Phys.version t.phys frame in
             let bytes = Phys.frame_bytes t.phys frame in
             let base = pc - (pc land page_mask) in
@@ -1068,8 +1019,6 @@ let build_sblock t pc =
                   Cpu.sb_start = pc;
                   sb_body = body;
                   sb_tag = tag;
-                  sb_tag2 = !tag2;
-                  sb_tag3 = !tag3;
                   sb_global = global;
                   sb_frame = frame;
                   sb_version = version;
@@ -1125,10 +1074,10 @@ let sblock_current_frame t (v : vcpu) pc =
    block is active again with no generation bump in between, so the
    translation check is skipped — the common case, so a view switched
    away and back costs nothing.  On a mismatch we re-translate; if the
-   frame is unchanged (a view the block was not pre-stamped for, or an
-   era roll) the block is restamped in place rather than rebuilt —
-   [sb.restamps] counts exactly these.  A genuine remap of this page
-   yields a different frame and the block dies. *)
+   frame is unchanged (another view sharing the frame, or an era roll)
+   the block is restamped in place rather than rebuilt — [sb.restamps]
+   counts exactly these.  A genuine remap of this page yields a
+   different frame and the block dies. *)
 let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
   sblock_fresh t b
   && ((* global pages first: a view-invariant block needs no tag at all —
@@ -1136,35 +1085,13 @@ let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
       b.Cpu.sb_global
      ||
      let tag = Ept.tag v.vept in
-  b.Cpu.sb_tag = tag
-  || (b.Cpu.sb_tag2 = tag
-     && begin
-          (* tag memo hit (the PCID-cache case): the block was already
-             verified under this exact (era, view, gen) — a tag any
-             later bump would have changed — so the translation check is
-             skipped and the tags swap MRU-first.  This is what lets one
-             shared frame's blocks rotate between views with zero
-             restamps. *)
-          b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
-          b.Cpu.sb_tag <- tag;
-          true
-        end)
-  || (b.Cpu.sb_tag3 = tag
-     && begin
-          b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
-          b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
-          b.Cpu.sb_tag <- tag;
-          true
-        end)
-  ||
-  if sblock_current_frame t v b.Cpu.sb_start = b.Cpu.sb_frame then begin
-    b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
-    b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
-    b.Cpu.sb_tag <- tag;
-    Fc_obs.Metrics.incr t.sb_restamps;
-    true
-  end
-  else false)
+     b.Cpu.sb_tag = tag
+     || sblock_current_frame t v b.Cpu.sb_start = b.Cpu.sb_frame
+        && begin
+             b.Cpu.sb_tag <- tag;
+             Fc_obs.Metrics.incr t.sb_restamps;
+             true
+           end)
 
 let sblock_probe t (v : vcpu) pc =
   (* index on pc with the page bits folded in: block starts cluster at
@@ -1197,12 +1124,7 @@ let sblock_probe t (v : vcpu) pc =
           | Some per -> (
               match Hashtbl.find_opt per (pc land page_mask) with
               | Some b when b.Cpu.sb_start = pc && sblock_fresh t b ->
-                  let tag = Ept.tag v.vept in
-                  if b.Cpu.sb_tag <> tag then begin
-                    b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
-                    b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
-                    b.Cpu.sb_tag <- tag
-                  end;
+                  b.Cpu.sb_tag <- Ept.tag v.vept;
                   Some b
               | _ -> None))
     in
@@ -1246,6 +1168,29 @@ let sblock_find t pc =
           r)
   | _ -> sblock_probe t v pc
 
+(* The guest kernel's own answer to an exception in kernel mode, as
+   Linux's die() on an oops: the current task is killed ([kill_oopsed],
+   once [Oops] has unwound its kernel path), unless it is the idle task,
+   which cannot die.  Linux also panics on an oops in interrupt context;
+   here an interrupt runs on the interrupted task's stack and view and
+   holds nothing else, so that task is the one killed. *)
+let oops t what =
+  let v = active_vcpu t in
+  if v.vcurrent == v.vidle then
+    raise (Guest_panic ("attempted to kill the idle task: " ^ what))
+  else raise Oops
+
+(* After an oops: the task dies where it stood, without running its
+   exit path (the kernel code it was executing is what failed).  The
+   machine and every other task carry on. *)
+let kill_oopsed t (p : Process.t) =
+  (active_vcpu t).vin_interrupt <- false;
+  ignore (Process.take_saved p);
+  p.Process.in_kernel <- false;
+  p.Process.state <- Process.Exited;
+  t.sleep_override <- None;
+  Fc_obs.Metrics.incr (Fc_obs.Metrics.family_counter t.oops_kills_f p.Process.name)
+
 let run_cpu t (regs : Cpu.regs) dispatch =
   let decode pc = cached_decode t pc in
   let read_u32 a = read_guest_u32 t a in
@@ -1256,7 +1201,19 @@ let run_cpu t (regs : Cpu.regs) dispatch =
     match t.faults with None -> true | Some h -> not (h.fh_trap_miss a)
   in
   let sblocks = if t.fast then Some (fun pc -> sblock_find t pc) else None in
-  let rec go skip =
+  (* What a retry of the exiting instruction reads: its eip, the active
+     view and the bytes that view presents there (read without touching
+     a TLB).  An exit the handler resumed that comes back with the same
+     key, having retired nothing but the trapping instruction itself (a
+     UD2 counts as retired), changed nothing the retry depends on, so it
+     would come back forever: the exception is the guest's to take. *)
+  let retry_key () =
+    let eip = regs.Cpu.eip in
+    ( eip,
+      Ept.tag (active_vcpu t).vept,
+      List.init 6 (fun i -> fetch_code_slow t (eip + i)) )
+  in
+  let rec go skip last =
     match
       Cpu.run ~decode ~read_u32 ~write_u32 ~is_trap ~trace:t.trace
         ?events:t.events ?branch:t.branch_policy ~cycles:t.cycles
@@ -1264,23 +1221,38 @@ let run_cpu t (regs : Cpu.regs) dispatch =
     with
     | Cpu.Breakpoint a -> (
         match t.handler t regs (Exit_breakpoint a) with
-        | Resume -> go (Some a)
+        | Resume -> go (Some a) last
         | Panic m -> raise (Guest_panic m))
-    | Cpu.Invalid_opcode -> (
-        match t.handler t regs Exit_invalid_opcode with
-        | Resume -> go None
-        | Panic m -> raise (Guest_panic m))
+    | Cpu.Invalid_opcode -> retry last Exit_invalid_opcode
     | Cpu.Blocked id -> `Blocked id
     | Cpu.Returned -> `Returned
-    | Cpu.Fault f ->
+    | Cpu.Fault f -> (
         let cur = (active_vcpu t).vcurrent in
-        raise
-          (Guest_panic
-             (Format.asprintf "%a (vcpu %d, pid %d %s, eip=0x%x)" Cpu.pp_exit
-                (Cpu.Fault f) t.active cur.Process.pid cur.Process.name
-                regs.Cpu.eip))
+        let m =
+          Format.asprintf "%a (vcpu %d, pid %d %s, eip=0x%x)" Cpu.pp_exit
+            (Cpu.Fault f) t.active cur.Process.pid cur.Process.name
+            regs.Cpu.eip
+        in
+        match f with
+        | Cpu.Runaway ->
+            (* the simulator's instruction budget, not a guest event: a
+               retry would only run the budget out again *)
+            raise (Guest_panic m)
+        | _ -> retry last (Exit_fault m))
+  and retry last exit =
+    let key = retry_key () and retired = !(t.instrs) in
+    match last with
+    | Some (k, r) when k = key && retired - r <= 1 ->
+        oops t
+          (match exit with
+          | Exit_fault m -> m
+          | _ -> Printf.sprintf "invalid opcode at 0x%x" regs.Cpu.eip)
+    | _ -> (
+        match t.handler t regs exit with
+        | Resume -> go None (Some (key, retired))
+        | Panic m -> raise (Guest_panic m))
   in
-  go None
+  go None None
 
 let exec_invocation t ~entry_addr ~dispatch_addrs ~esp =
   let regs = { Cpu.eip = entry_addr; ebp = 0; esp } in
@@ -1330,7 +1302,8 @@ let deliver_irq t source =
   | `Returned -> ()
   | `Blocked _ -> raise (Guest_panic "interrupt handler blocked")
 
-let inject_irq t source = deliver_irq t source
+let inject_irq t source =
+  try deliver_irq t source with Oops -> kill_oopsed t (current t)
 
 let check_irqs t =
   List.iter
@@ -1579,9 +1552,11 @@ let run ?(max_rounds = 1_000_000) ?(until = fun _ -> false) t =
             switch_to t v.vidle;
             add_cycles t 2_000;
             check_irqs t
-        | Some p ->
-            switch_to t p;
-            run_quantum t p);
+        | Some p -> (
+            try
+              switch_to t p;
+              run_quantum t p
+            with Oops -> kill_oopsed t p));
         (* telemetry ticker: a turn can retire past several marks at
            once — fire once per crossed mark so the interval count is
            exactly floor(instructions / period) *)
@@ -1895,9 +1870,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
         (let d = Hashtbl.create 64 in
          List.iter (fun p -> Hashtbl.replace d p ()) z.z_divergent;
          d);
-      (* deliberately not serialized: an empty registry only forfeits
-         pre-stamping (first re-entries restamp once), never soundness *)
-      bindings = Hashtbl.create 64;
       data_epoch = z.z_data_epoch;
       round_no = z.z_round_no;
       context_switches = z.z_context_switches;
@@ -1922,6 +1894,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       tick = None;
       run_cycles_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "run_cycles";
       run_slices_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "run_slices";
+      oops_kills_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "oops_kills";
       tlb_i_hits = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "i_hits";
       tlb_i_misses = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "i_misses";
       tlb_d_hits = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "d_hits";

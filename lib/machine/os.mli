@@ -145,6 +145,12 @@ val resolve_exn : t -> string -> int
 type vm_exit =
   | Exit_breakpoint of int
   | Exit_invalid_opcode
+  | Exit_fault of string
+      (** a CPU fault, such as a fetch from an address that does not
+          translate (an EPT violation); the string describes it and is
+          the panic message when nothing recovers.  Running out of the
+          simulator's instruction budget is not an exit: it raises
+          {!Guest_panic} at once. *)
 
 type exit_action =
   | Resume
@@ -152,7 +158,18 @@ type exit_action =
 
 val set_exit_handler : t -> (t -> Cpu.regs -> vm_exit -> exit_action) -> unit
 (** FACE-CHANGE's VM-exit dispatch (Algorithm 1).  The default handler
-    resumes breakpoints and panics on invalid opcodes. *)
+    resumes breakpoints and panics on invalid opcodes and faults.
+
+    [Resume] retries the exiting instruction.  A retry that exits again
+    at the same [eip], with no instruction retired, the same active view
+    and the same bytes under [eip], proves the handler changed nothing
+    the instruction depends on, so it is not retried again: the guest
+    kernel takes the exception.  As Linux does on an oops, it kills the
+    current task where it stands (counted in [os.oops_kills{comm}]) and
+    {!run} carries on; on the idle task it raises {!Guest_panic}
+    instead.  Unlike Linux it does not panic in interrupt context: an
+    interrupt here runs on the interrupted task's stack and view and
+    holds nothing else, so that task is the one killed. *)
 
 val set_trap : t -> int -> unit
 val clear_trap : t -> int -> unit
@@ -239,10 +256,7 @@ val ram_frame : t -> gpa_page:int -> int option
 val retire_view_translations : t -> view:int -> unit
 (** Retire a destroyed view's tag on every vCPU: its cached translations
     can never revalidate (view ids are not reused), and other views'
-    entries are untouched.  Also drops the view's
-    {!note_view_binding} entries, so unload/load churn leaves the
-    registry (the [os.view_bindings] gauge) where it started.  Counted
-    in [tlb.flushes{explicit}]; guest-RAM growth is [tlb.flushes{growth}]
+    entries are untouched.  Counted in [tlb.flushes{explicit}]; guest-RAM growth is [tlb.flushes{growth}]
     — view switches and COW breaks flush nothing. *)
 
 val note_divergent_page : t -> gpa_page:int -> unit
@@ -256,16 +270,6 @@ val note_divergent_page : t -> gpa_page:int -> unit
     displaced frame (the view layer's COW/materialization path does):
     that version bump is what kills any already-built global block on
     it. *)
-
-val note_view_binding : t -> gpa_page:int -> view:int -> frame:int -> unit
-(** Record that [view] currently maps [gpa_page] to [frame], replacing
-    the view's previous binding for the page.  When several views bind a
-    page to one shared frame, superblocks built there are pre-stamped
-    with every sibling's tag ({!Fc_mem.Ept.tag_for}), so even the {e
-    first} switch into a sibling revalidates them by compare — the last
-    source of per-switch restamps.  Call on every view-private remap of
-    a kernel page (the view layer's materialization/COW path does).
-    The [os.view_bindings] gauge counts the live entries. *)
 
 val vmi_current_task : t -> int * string
 (** Read the guest's current-task pointer chain: (pid, comm). *)

@@ -52,7 +52,6 @@ let create () : t =
 
 let gen t ~view = Option.value ~default:0 (Hashtbl.find_opt t.gens view)
 let tag t = t.active_tag
-let tag_for t ~view = pack ~era:t.era ~view ~gen:(gen t ~view)
 let flushes t = t.flushes
 let retag t = t.active_tag <- pack ~era:t.era ~view:t.view ~gen:(gen t ~view:t.view)
 

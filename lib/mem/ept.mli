@@ -80,13 +80,6 @@ val tag : t -> int
     cached translations with this value at fill time and treat any later
     mismatch as a miss.  Strictly non-negative. *)
 
-val tag_for : t -> view:int -> int
-(** The tag [view] {e would} mint if activated right now — what {!tag}
-    returns after [set_view t ~view].  Lets a consumer pre-stamp a cached
-    translation it can prove valid under a non-active view (e.g. a
-    superblock on a frame several views share): the stamp is inert unless
-    that view is re-activated at this same era and generation. *)
-
 val gen : t -> view:int -> int
 (** Current generation of [view] (0 if never bumped this era). *)
 

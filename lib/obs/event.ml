@@ -1,6 +1,6 @@
 type switch_outcome = Switched | Skipped | Deferred
 type recovery_kind = Lazy | Instant
-type exit_reason = Exit_breakpoint | Exit_invalid_opcode
+type exit_reason = Exit_breakpoint | Exit_invalid_opcode | Exit_fault
 
 type t =
   | Vm_exit of { reason : exit_reason; addr : int }
@@ -46,6 +46,7 @@ let recovery_label = function Lazy -> "lazy" | Instant -> "instant"
 let reason_label = function
   | Exit_breakpoint -> "breakpoint"
   | Exit_invalid_opcode -> "invalid_opcode"
+  | Exit_fault -> "fault"
 
 let kind = function
   | Vm_exit _ -> "vm_exit"

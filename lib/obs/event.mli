@@ -16,12 +16,13 @@ type recovery_kind =
   | Lazy  (** recovered at the faulting [eip] (Algorithm 1) *)
   | Instant  (** a misdecodable return target recovered eagerly (Fig. 3) *)
 
-type exit_reason = Exit_breakpoint | Exit_invalid_opcode
+type exit_reason = Exit_breakpoint | Exit_invalid_opcode | Exit_fault
 
 type t =
   | Vm_exit of { reason : exit_reason; addr : int }
       (** a guest exit reached the hypervisor dispatcher; [addr] is the
-          breakpoint address, or the faulting [eip] for invalid opcodes *)
+          breakpoint address, or the faulting [eip] for invalid opcodes
+          and faults *)
   | Breakpoint of { vid : int; addr : int; pid : int; comm : string }
       (** FACE-CHANGE observed one of its view-switch breakpoints *)
   | View_switch of {
@@ -84,7 +85,7 @@ val recovery_label : recovery_kind -> string
 (** ["lazy"], ["instant"]. *)
 
 val reason_label : exit_reason -> string
-(** ["breakpoint"], ["invalid_opcode"]. *)
+(** ["breakpoint"], ["invalid_opcode"], ["fault"]. *)
 
 val kind : t -> string
 (** Stable snake_case tag, e.g. ["view_switch"]. *)

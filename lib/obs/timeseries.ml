@@ -256,14 +256,14 @@ let merge = function
 (* ------------------------------------------------------------------ *)
 
 (* Keys describing the host's translation caches rather than the guest:
-   the fast-path hit/miss accounting (which differs between engines), the
-   decode-cache occupancy and the superblock pre-stamp registry (which a
-   restored machine rebuilds from empty).  Everything else is pinned
+   the fast-path hit/miss accounting (which differs between engines) and
+   the decode-cache occupancy (which a restored machine rebuilds from
+   empty).  Everything else is pinned
    identical by the differential harness, so a fingerprint excluding
    these must match across both engines (and across fleet domain
    counts). *)
 let engine_excludes =
-  [ "tlb"; "sb"; "os.decode_cache_frames"; "os.view_bindings" ]
+  [ "tlb"; "sb"; "os.decode_cache_frames" ]
 
 let excluded exclude key =
   let sub =

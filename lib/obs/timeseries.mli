@@ -86,9 +86,8 @@ val merge : series list -> series
 val engine_excludes : string list
 (** Keys that describe the host's translation caches rather than the
     guest: the ["tlb"] and ["sb"] subsystems (which differ between the
-    reference and the fast engine), ["os.decode_cache_frames"] and
-    ["os.view_bindings"] (cache bookkeeping a restored machine rebuilds
-    from empty).  The default {!fingerprint} exclusion. *)
+    reference and the fast engine) and ["os.decode_cache_frames"] (cache
+    bookkeeping a restored machine rebuilds from empty).  The default {!fingerprint} exclusion. *)
 
 val fingerprint : ?exclude:string list -> series -> string
 (** Hex MD5 over every (boundary, key, integer) row of the series,

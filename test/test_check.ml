@@ -105,6 +105,7 @@ let relation_cases =
   let perf =
     {|{"perf": {"httperf": {"arms": [
         {"label": "reference", "seconds": 1.5, "ips": 2,
+         "layers": {"run_slice": 1.25, "sched": 0.25},
          "counters": {"instructions": 5, "cycles": 9}},
         {"label": "fast", "seconds": 0.5, "ips": 6,
          "counters": {"instructions": 5, "cycles": 9, "sb_built": 2,
@@ -130,6 +131,7 @@ let relation_cases =
       ({|"cycles": 9, "sb_built"|}, {|"cycles": 8, "sb_built"|}) );
     ("caches-engaged", perf, ({|"sb_hits": 4|}, {|"sb_hits": 2|}));
     ("finite", perf, ({|"seconds": 0.5|}, {|"seconds": null|}));
+    ("layers-sum", perf, ({|"sched": 0.25|}, {|"sched": 0.5|}));
     ( "same-fingerprint", fleet,
       ({|"fingerprint": "a", "instructions": 7}]},|},
        {|"fingerprint": "b", "instructions": 7}]},|}) );
@@ -221,6 +223,26 @@ let test_bad_artifacts () =
   | [ f ] when String.starts_with ~prefix:(missing ^ ": cannot open") f -> ()
   | fs -> Alcotest.failf "missing file: [%s]" (String.concat "; " fs)
 
+(* check.exe finds the goldens from any directory of the checkout: the
+   nearest ancestor holding bench/pins. *)
+let test_pins_from_subdirectory () =
+  let sub = Filename.concat (Sys.getcwd ()) "pins-probe" in
+  let deep = Filename.concat sub "deeper" in
+  List.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ sub; deep ];
+  let found = Checker.find_pins deep in
+  Sys.rmdir deep;
+  Sys.rmdir sub;
+  match found with
+  | None -> Alcotest.fail "no bench/pins found above a subdirectory"
+  | Some dir ->
+      List.iter
+        (fun file ->
+          Alcotest.(check string) (file ^ " is the checkout's")
+            (read (Filename.concat pins file))
+            (read (Filename.concat dir file)))
+        (Array.to_list (Sys.readdir pins))
+
 let suites =
   [
     ( "bench-check",
@@ -231,5 +253,7 @@ let suites =
           test_relations;
         Alcotest.test_case "bad artifacts are failures naming the file" `Quick
           test_bad_artifacts;
+        Alcotest.test_case "goldens are found from a subdirectory" `Quick
+          test_pins_from_subdirectory;
       ] );
   ]

@@ -342,16 +342,36 @@ let test_chaos_plan_deterministic () =
 
 (* ---------------- the survival property (QCheck) ---------------- *)
 
+let survives (row : Chaos.plan_row) =
+  row.Chaos.p_panic = None
+  && (not row.Chaos.p_wedged)
+  && row.Chaos.p_attribution_ok
+  && row.Chaos.p_validation_misses = 0
+
 let prop_governed_never_panics =
   QCheck.Test.make
     ~name:
       "chaos plans under the governor: no panic, no wedge, attribution exact"
     ~count:100 (QCheck.int_range 1 1_000_000) (fun seed ->
+      survives (Chaos.run_plan (profiles ()) ~seed))
+
+(* Plans the property once drew and failed, kept beside the random draws.
+   Each flips a view byte inside a loaded instruction, which sends the
+   kernel to an address no view can repair.  386204 then resumed a
+   tolerated invalid opcode forever; 131814, 485970 and 675861 panicked
+   on the fetch fault; 101110, 109450 and 110352 took that fault inside
+   an interrupt. *)
+let recorded_plans = [ 131814; 386204; 485970; 675861; 101110; 109450; 110352 ]
+
+let test_recorded_plans_survive () =
+  List.iter
+    (fun seed ->
       let row = Chaos.run_plan (profiles ()) ~seed in
-      row.Chaos.p_panic = None
-      && (not row.Chaos.p_wedged)
-      && row.Chaos.p_attribution_ok
-      && row.Chaos.p_validation_misses = 0)
+      Alcotest.(check (option string))
+        (Printf.sprintf "plan %d: no panic" seed)
+        None row.Chaos.p_panic;
+      check_bool (Printf.sprintf "plan %d survives" seed) true (survives row))
+    recorded_plans
 
 let suites =
   [
@@ -385,6 +405,8 @@ let suites =
         tc "storm -> degrade -> renarrow round trip"
           test_storm_degrade_and_renarrow;
         tc "chaos plans are deterministic" test_chaos_plan_deterministic;
+        tc "recorded chaos plans survive under the governor"
+          test_recorded_plans_survive;
       ] );
     ( "faults.properties",
       List.map QCheck_alcotest.to_alcotest [ prop_governed_never_panics ] );

@@ -258,7 +258,7 @@ let test_os_current_task_vmi_tracks_switches () =
         let _, comm = Os.vmi_current_task os in
         Hashtbl.replace seen comm ();
         Os.Resume
-    | Os.Exit_invalid_opcode -> Os.Panic "unexpected");
+    | Os.Exit_invalid_opcode | Os.Exit_fault _ -> Os.Panic "unexpected");
   Os.set_trap os (Os.resolve_exn os "__switch_to");
   Os.run os;
   check_bool "saw alpha" true (Hashtbl.mem seen "alpha");
@@ -352,6 +352,67 @@ let test_os_guest_panic_without_handler () =
   match Os.run os with
   | () -> Alcotest.fail "expected panic"
   | exception Os.Guest_panic _ -> ()
+
+(* A hypervisor that resumes every exit without repairing anything.  The
+   retried instruction exits again unchanged, and that second exit is
+   the guest's to take: the task oopses and dies where it stood, every
+   other task runs to completion, nothing panics. *)
+let resume_everything os =
+  let exits = ref 0 in
+  Os.set_exit_handler os (fun _ _ -> function
+    | Os.Exit_breakpoint _ -> Os.Resume
+    | Os.Exit_invalid_opcode | Os.Exit_fault _ ->
+        incr exits;
+        Os.Resume);
+  exits
+
+let check_oopsed os ~exits crasher bystander =
+  Os.run ~max_rounds:1_000 os;
+  check_int "one resumed exit, then the oops" 1 !exits;
+  check_bool "crasher dead" true (Process.is_exited crasher);
+  check_bool "crasher died before its exit" true (crasher.Process.script <> []);
+  check_bool "bystander finished its script" true
+    (Process.is_exited bystander && bystander.Process.script = []);
+  Alcotest.(check (option int))
+    "one kill, charged to the crasher" (Some 1)
+    (Fc_obs.Metrics.find (Fc_obs.Obs.metrics (Os.obs os)) "os.oops_kills{crasher}");
+  Alcotest.(check (option int))
+    "none to the bystander" None
+    (Fc_obs.Metrics.find (Fc_obs.Obs.metrics (Os.obs os)) "os.oops_kills{bystander}")
+
+let spawn_pair os =
+  let crasher =
+    Os.spawn os ~name:"crasher"
+      [ Action.Syscall "getpid"; Action.Compute 100; Action.Exit ]
+  in
+  (* no exit syscall: its path shares a text page with sys_getpid *)
+  let bystander =
+    Os.spawn os ~name:"bystander" (Action.repeat 5 [ Action.Compute 1_000 ])
+  in
+  (crasher, bystander)
+
+let test_os_unchanged_invalid_opcode_oopses () =
+  let os = fresh_os () in
+  (* UD2 over sys_getpid's first instruction, in guest RAM *)
+  let gpa = Layout.gva_to_gpa (Os.resolve_exn os "sys_getpid") in
+  let frame = Option.get (Os.ram_frame os ~gpa_page:(Layout.page_of gpa)) in
+  let hpa = (frame * Layout.page_size) + (gpa mod Layout.page_size) in
+  Fc_mem.Phys_mem.write_byte (Os.phys os) hpa 0x0f;
+  Fc_mem.Phys_mem.write_byte (Os.phys os) (hpa + 1) 0x0b;
+  let exits = resume_everything os in
+  let crasher, bystander = spawn_pair os in
+  check_oopsed os ~exits crasher bystander
+
+let test_os_unchanged_fault_oopses () =
+  let os = fresh_os () in
+  (* the EPT hole of the panic test above, under a resuming handler *)
+  let gpa_page = Layout.page_of (Layout.gva_to_gpa (Os.resolve_exn os "sys_getpid")) in
+  let dir = Fc_mem.Ept.dir_of_page gpa_page in
+  let table = Option.get (Fc_mem.Ept.get_dir (Os.ept os) ~dir) in
+  Fc_mem.Ept.table_set table ~idx:(Fc_mem.Ept.slot_of_page gpa_page) None;
+  let exits = resume_everything os in
+  let crasher, bystander = spawn_pair os in
+  check_oopsed os ~exits crasher bystander
 
 let test_os_schedule_at_round () =
   let os = fresh_os () in
@@ -461,6 +522,10 @@ let suites =
         tc "module hide (VMI vs ground truth)" test_os_module_load_hide;
         tc "rootkit module load + syscall rewrite" test_os_rootkit_module_load;
         tc "guest panic without handler" test_os_guest_panic_without_handler;
+        tc "unchanged resume of an invalid opcode oopses the task"
+          test_os_unchanged_invalid_opcode_oopses;
+        tc "unchanged resume of a fault oopses the task"
+          test_os_unchanged_fault_oopses;
         tc "schedule_at_round" test_os_schedule_at_round;
         tc "fault action" test_os_fault_action;
         tc "sleep action duration" test_os_sleep_action_duration;

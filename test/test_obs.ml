@@ -444,6 +444,79 @@ let test_span_exit_autocloses_children () =
   check_int "vid 0 drained" 0 (Span.depth sp ~vid:0 ())
 
 (* ------------------------------------------------------------------ *)
+(* Layer accountant                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Layers = Fc_obs.Layers
+
+let check_s = Alcotest.(check (float 1e-9))
+
+(* A fake clock the test moves by hand: every interval's layer is known
+   exactly. *)
+let test_layers_fake_clock () =
+  let now = ref 0. in
+  let at t = now := t in
+  let l = Layers.create ~clock:(fun () -> !now) in
+  let sink = Trace.create () in
+  Layers.attach l sink;
+  let sp = Span.create sink in
+  Layers.time l (fun () ->
+      at 1.;
+      (* 0..1 no span open: sched *)
+      let rs = Span.enter sp Span.Run_slice in
+      at 3.;
+      let ex = Span.enter sp Span.Exit_handling in
+      at 4.;
+      let bt = Span.enter sp Span.Backtrace in
+      at 4.5;
+      (* 4..4.5 goes to the innermost span only *)
+      Span.exit sp bt;
+      at 5.;
+      Span.exit sp ex;
+      at 7.;
+      Span.exit sp rs;
+      at 10.);
+  check_s "total is the stretch" 10. (Layers.total l);
+  check_s "sched: 0..1 and 7..10" 4. (Layers.self l "sched");
+  check_s "run_slice: 1..3 and 5..7" 4. (Layers.self l "run_slice");
+  check_s "exit_handling: its own time only" 1.5
+    (Layers.self l "exit_handling");
+  check_s "backtrace" 0.5 (Layers.self l "backtrace");
+  check_s "recovery" 0. (Layers.self l "recovery");
+  check_s "an unknown name" 0. (Layers.self l "nope");
+  let sum () =
+    List.fold_left (fun acc n -> acc +. Layers.self l n) 0. Layers.layers
+  in
+  check_s "layers sum to the total" (Layers.total l) (sum ());
+  (* outside a stretch nothing is charged; spans are still followed *)
+  at 20.;
+  let vb = Span.enter sp Span.View_build in
+  at 25.;
+  Layers.time l (fun () -> at 26.);
+  Span.exit sp vb;
+  check_s "only the stretch's second" 11. (Layers.total l);
+  check_s "to the span open over it" 1. (Layers.self l "view_build");
+  Alcotest.check_raises "stretches do not nest"
+    (Invalid_argument "Layers.time: stretches do not nest") (fun () ->
+      Layers.time l (fun () -> Layers.time l ignore));
+  (* a new guest starts from no open span; the old one is ignored *)
+  let (_ : int) = Span.enter sp Span.Recovery in
+  let other = Trace.create () in
+  Layers.attach l other;
+  Layers.time l (fun () ->
+      at 27.;
+      let (_ : int) = Span.enter sp Span.Recovery in
+      at 28.);
+  check_s "the old guest's spans charge nothing" 0.
+    (Layers.self l "recovery");
+  check_s "sum after three stretches" (Layers.total l) (sum ());
+  match Layers.to_json l with
+  | Jsonx.Obj kvs ->
+      Alcotest.(check (list string)) "json keys" Layers.layers
+        (List.map fst kvs)
+  | _ -> Alcotest.fail "to_json is not an object"
+
+(* ------------------------------------------------------------------ *)
 (* Trace sink mechanics                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -681,6 +754,39 @@ let test_timeline_full_run () =
       check_int "per-app run cycles sum to guest cycles"
         stats.Stats.guest_cycles (sum "run_cycles")
 
+(* Observing a run must not change it: the same guest run untraced and
+   with a trace subscriber ends with the same registry, the fast
+   engine's TLB and superblock counters included. *)
+let test_subscriber_moves_no_counter () =
+  let run engine ~traced =
+    let os = Os.create ~config:Os.runtime_config ~engine (Lazy.force image) in
+    if traced then Trace.subscribe (Obs.trace (Os.obs os)) ignore;
+    let hyp = Hyp.attach os in
+    let fc = Facechange.enable hyp in
+    let (_ : int) = Facechange.load_view fc (Lazy.force toplike_config) in
+    let (_ : Process.t) = Os.spawn os ~name:"toplike" (toplike_script 6) in
+    let (_ : Process.t) =
+      Os.spawn os ~name:"idler"
+        (Action.repeat 8 [ Action.Compute 5_000 ] @ [ Action.Exit ])
+    in
+    Os.run os;
+    List.map
+      (fun (d : Metrics.dump_entry) ->
+        Printf.sprintf "%s.%s{%s} = %s" d.Metrics.d_subsystem d.Metrics.d_name
+          (Option.value d.Metrics.d_label ~default:"")
+          (match d.Metrics.d_value with
+          | Metrics.D_counter n -> string_of_int n
+          | Metrics.D_histogram h ->
+              Printf.sprintf "%d/%d/%d" h.d_count h.d_sum h.d_max))
+      (Metrics.dump (Obs.metrics (Os.obs os)))
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check (list string))
+        (Os.engine_name engine ^ ": same registry traced")
+        (run engine ~traced:false) (run engine ~traced:true))
+    [ Os.Reference; Os.Fast ]
+
 (* ------------------------------------------------------------------ *)
 (* Recovery log JSON                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -780,6 +886,11 @@ let suites =
         Alcotest.test_case "exit auto-closes children" `Quick
           test_span_exit_autocloses_children;
       ] );
+    ( "obs-layers",
+      [
+        Alcotest.test_case "innermost span pays, sched the rest, sums hold"
+          `Quick test_layers_fake_clock;
+      ] );
     ( "obs-trace",
       [
         Alcotest.test_case "disarmed sink records nothing" `Quick
@@ -797,6 +908,8 @@ let suites =
           test_metrics_export_covers_registry;
         Alcotest.test_case "timeline spans balance on a full run" `Quick
           test_timeline_full_run;
+        Alcotest.test_case "a trace subscriber moves no counter" `Quick
+          test_subscriber_moves_no_counter;
         Alcotest.test_case "recovery log json" `Quick test_recovery_log_json;
       ] );
   ]

@@ -302,33 +302,6 @@ let test_decode_cache_bounded_under_view_churn () =
         check_int (Printf.sprintf "cycle %d holds the steady size" i) steady s)
     sizes
 
-(* Bindings (the page -> view -> frame registry that pre-stamps
-   superblocks) must die with their view: view ids are never reused, so
-   an entry left behind would leak one per diverged page per
-   load/unload cycle.  Every unload returns the [os.view_bindings] gauge
-   to its pre-load value. *)
-let test_view_bindings_bounded_under_view_churn () =
-  let os = Os.create (image ()) in
-  let hyp = Hyp.attach os in
-  let fc = Facechange.enable hyp in
-  let p = profiles () in
-  let base = metric os "os.view_bindings" in
-  for cycle = 1 to 50 do
-    let loaded =
-      List.map
-        (fun app -> Facechange.load_view fc (Profiles.config_of p app))
-        [ "top"; "apache" ]
-    in
-    if cycle = 1 then
-      check_bool "loaded views bind their private pages" true
-        (metric os "os.view_bindings" > base);
-    List.iter (Facechange.unload_view fc) loaded;
-    check_int
-      (Printf.sprintf "cycle %d returns to the pre-load count" cycle)
-      base
-      (metric os "os.view_bindings")
-  done
-
 (* ---------------- one decode per image ---------------- *)
 
 (* A plain guest (no views) running gzip on [img]. *)
@@ -459,8 +432,6 @@ let suites =
           test_interrupt_at_boundary;
         tc "decode cache stays bounded under view churn"
           test_decode_cache_bounded_under_view_churn;
-        tc "view bindings return to baseline under view churn"
-          test_view_bindings_bounded_under_view_churn;
         tc "a second identical guest publishes no body"
           test_second_guest_publishes_nothing;
         tc "a recovery fill decodes the frame's new content, not the old"
