@@ -69,7 +69,33 @@ type sblock = {
   mutable sb_next : sblock option;  (* chained block at the body's exit *)
 }
 
-let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
+(* The stretch a coverage hook has yet to see: the block entered, or the
+   classic instruction decoded, last.  Its end waits until execution has
+   left it and follows from how many ops retired since it began, so a
+   stretch cut short by a taken branch, a stop or any exception ends
+   after exactly the ops that ran, the stopping one included. *)
+type pending = {
+  cover : int -> int -> unit;
+  mutable p_lo : int;  (* start pc; -1 when nothing is pending *)
+  mutable p_e0 : int;  (* instructions the call had retired before it *)
+  mutable p_words : int array;  (* the block's ops; [||] for one insn *)
+  mutable p_end : int;  (* end of the whole block, or of the insn *)
+}
+
+let flush_pending p retired =
+  let lo = p.p_lo and n = retired - p.p_e0 in
+  p.p_lo <- -1;
+  if lo >= 0 && n > 0 then
+    if n >= Array.length p.p_words then p.cover lo p.p_end
+    else begin
+      let pc = ref lo in
+      for j = 0 to n - 1 do
+        pc := !pc + ((Array.unsafe_get p.p_words j lsr 4) land 0x7)
+      done;
+      p.cover lo !pc
+    end
+
+let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?cover ?events
     ?(branch = fun _ -> true) ~cycles ?instrs ~dispatch ?skip_bp ?sblocks
     ?(max_instr = 2_000_000) regs =
   let instr_ctr = match instrs with Some r -> r | None -> ref 0 in
@@ -85,6 +111,48 @@ let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
   in
   let push v = push ~write_u32 regs v in
   let executed = ref 0 in
+  (* With a coverage hook, decode and block lookup are wrapped, once per
+     call, to close the pending stretch and open the next; with none,
+     the loops below run, and allocate, as they would with no hook. *)
+  let pending =
+    match cover with
+    | None -> None
+    | Some cover -> Some { cover; p_lo = -1; p_e0 = 0; p_words = [||]; p_end = 0 }
+  in
+  let decode =
+    match pending with
+    | None -> decode
+    | Some p -> (
+        fun pc ->
+          flush_pending p !executed;
+          match decode pc with
+          | D_ok (_, len) as d ->
+              p.p_lo <- pc;
+              p.p_e0 <- !executed;
+              p.p_words <- [||];
+              p.p_end <- pc + len;
+              d
+          | (D_invalid | D_unmapped) as d -> d)
+  in
+  let sblocks =
+    match (pending, sblocks) with
+    | None, _ | _, None -> sblocks
+    | Some p, Some find ->
+        Some
+          (fun pc ->
+            flush_pending p !executed;
+            match find pc with
+            | Some b as r ->
+                let body = b.sb_body in
+                let words = body.Block.words in
+                p.p_lo <- pc;
+                p.p_e0 <- !executed;
+                p.p_words <- words;
+                p.p_end <-
+                  body.Block.hi + ((words.(Array.length words - 1) lsr 4) land 0x7);
+                r
+            | None -> None)
+  in
   let step_classic pc =
     match decode pc with
     | D_unmapped -> raise (Stop (Fault (Unmapped_code pc)))
@@ -265,5 +333,8 @@ let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
           | Some b -> exec_block b
           | None -> step_classic pc
         done);
+    (match pending with Some p -> flush_pending p !executed | None -> ());
     Fault Runaway
-  with Stop r -> r
+  with e -> (
+    (match pending with Some p -> flush_pending p !executed | None -> ());
+    match e with Stop r -> r | _ -> raise e)

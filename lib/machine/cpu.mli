@@ -99,6 +99,7 @@ val run :
   write_u32:(int -> int -> unit) ->
   is_trap:(int -> bool) ->
   trace:(int -> int -> unit) option ->
+  ?cover:(int -> int -> unit) ->
   ?events:(event -> unit) ->
   ?branch:(int -> bool) ->
   cycles:int ref ->
@@ -115,7 +116,18 @@ val run :
     decode cache).  [branch] is the conditional-jump oracle, queried with
     the Jcc's address; the default takes every conditional jump (cold
     blocks skipped).  [trace] sees every executed instruction as
-    [(address, byte length)].  [skip_bp] suppresses the trap check for the
+    [(address, byte length)].  [cover], when given, sees the same
+    instructions a stretch at a time, as [lo hi] for the straight-line
+    bytes [[lo, hi)]: a superblock's executed prefix, up to and
+    including the op a stop left on (yield, UD2, the sentinel [ret], a
+    failed pop, a dispatch underflow), or one classic-path instruction.
+    Every retired instruction lies in exactly one stretch, each stretch
+    is reported before [run] returns or raises, and so under the one
+    guest context the call ran in.  Stretch boundaries depend on the
+    engine (block shapes, chaining); the stretches coalesced into
+    maximal contiguous runs do not, and equal [trace] coalesced the same
+    way.  Unlike [trace], [cover] leaves the fast engine's step-run
+    batching on.  [skip_bp] suppresses the trap check for the
     first instruction when resuming from a [Breakpoint] at that address.
     [instrs], when given, is incremented once per executed instruction
     (retired-instruction counting, independent of the cycle cost model).

@@ -144,6 +144,7 @@ type t = {
   mutable trap_lo : int; (* min trap address, [max_int] when none *)
   mutable trap_hi : int; (* max trap address, [min_int] when none *)
   mutable trace : (int -> int -> unit) option;
+  mutable cover : (int -> int -> unit) option;
   mutable events : (Cpu.event -> unit) option;
   mutable branch_policy : (int -> bool) option;
   cycles : int ref;
@@ -283,6 +284,7 @@ let is_trap_addr t a =
   in
   probe 0
 let set_trace t f = t.trace <- f
+let set_coverage t f = t.cover <- f
 let set_event_trace t f = t.events <- f
 let set_branch_policy t f = t.branch_policy <- f
 let set_syscall_rewriter t f = t.rewriter <- Some f
@@ -780,6 +782,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       trap_lo = max_int;
       trap_hi = min_int;
       trace = None;
+      cover = None;
       events = None;
       branch_policy = None;
       cycles = ref 0;
@@ -1216,7 +1219,7 @@ let run_cpu t (regs : Cpu.regs) dispatch =
   let rec go skip last =
     match
       Cpu.run ~decode ~read_u32 ~write_u32 ~is_trap ~trace:t.trace
-        ?events:t.events ?branch:t.branch_policy ~cycles:t.cycles
+        ?cover:t.cover ?events:t.events ?branch:t.branch_policy ~cycles:t.cycles
         ~instrs:t.instrs ~dispatch ?skip_bp:skip ?sblocks regs
     with
     | Cpu.Breakpoint a -> (
@@ -1860,6 +1863,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       trap_lo = max_int;
       trap_hi = min_int;
       trace = None;
+      cover = None;
       events = None;
       branch_policy = None;
       cycles = ref z.z_cycles;

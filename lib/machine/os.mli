@@ -215,7 +215,24 @@ val inject_invalid_opcode : t -> ?ebp:int -> ?esp:int -> eip:int -> unit -> unit
     just below the current process's kernel stack top. *)
 
 val set_trace : t -> (int -> int -> unit) option -> unit
-(** Per-instruction observer [(address, length)] — the profiler. *)
+(** Exact instruction-stream observer: [(address, length)] for every
+    retired instruction, in order, on either engine — what the
+    differential and snapshot oracles hash and what [Fc_profiler.Behavior]'s
+    profiles read.  Arming it switches off the fast engine's
+    step-run batching. *)
+
+val set_coverage : t -> (int -> int -> unit) option -> unit
+(** Coverage observer — the profiler's recorder.  [f lo hi] is called
+    once per executed straight-line stretch [[lo, hi)]: a superblock's
+    executed prefix, up to and including the op execution stopped on
+    (yield, UD2, sentinel [ret], failed pop), or one classic-path
+    instruction (see {!Cpu.run}).  Each stretch is reported while the
+    guest context it ran in — {!current} and {!in_interrupt} — is still
+    current, and every retired instruction lies in exactly one stretch.
+    Where stretches split depends on the engine; coalesced into maximal
+    contiguous runs they are the same on both engines and equal the
+    {!set_trace} stream coalesced the same way.  Independent of
+    {!set_trace}: either, both or neither may be armed. *)
 
 val set_event_trace : t -> (Cpu.event -> unit) option -> unit
 (** Exact call/return event observer — the call tracer. *)

@@ -2,11 +2,12 @@ module Os = Fc_machine.Os
 module Layout = Fc_kernel.Layout
 module Range_list = Fc_ranges.Range_list
 module Segment = Fc_ranges.Segment
+module Span = Fc_ranges.Span
 
 (* A recorder accumulates contiguous execution runs, deduplicates them,
-   and merges into a Range_list lazily.  Runs repeat enormously (the same
-   syscall path executes over and over), so the dedup table is the main
-   cost saver. *)
+   and merges them into a Range_list in one pass at the end.  Runs
+   repeat enormously (the same syscall path executes over and over), so
+   the dedup table is the main cost saver. *)
 type recorder = {
   mutable run_lo : int;
   mutable run_hi : int; (* current contiguous run; run_lo = -1 when none *)
@@ -27,12 +28,15 @@ let recorder_flush r =
     r.run_lo <- -1
   end
 
-let recorder_step r addr len =
-  if addr = r.run_hi && r.run_lo >= 0 then r.run_hi <- addr + len
+(* A stretch that starts where the current run ends extends it; the
+   stretches of one run may come from different blocks, or from
+   different contexts with the other contexts' stretches skipped. *)
+let recorder_extend r lo hi =
+  if lo = r.run_hi && r.run_lo >= 0 then r.run_hi <- hi
   else begin
     recorder_flush r;
-    r.run_lo <- addr;
-    r.run_hi <- addr + len
+    r.run_lo <- lo;
+    r.run_hi <- hi
   end
 
 type session = {
@@ -56,12 +60,13 @@ let segmentize mods addr =
   else None
 
 let ranges_of_runs mods runs =
-  List.fold_left
-    (fun acc (lo, hi) ->
-      match segmentize mods lo with
-      | None -> acc
-      | Some (seg, rel_lo) -> Range_list.add_range acc seg ~lo:rel_lo ~hi:(rel_lo + (hi - lo)))
-    Range_list.empty runs
+  List.filter_map
+    (fun (lo, hi) ->
+      Option.map
+        (fun (seg, rel_lo) -> (seg, Span.make ~lo:rel_lo ~hi:(rel_lo + (hi - lo))))
+        (segmentize mods lo))
+    runs
+  |> Range_list.of_list
 
 let start os ~target_pid =
   let mods =
@@ -77,18 +82,22 @@ let start os ~target_pid =
       active = true;
     }
   in
-  Os.set_trace os
+  (* Both criteria are checked once per stretch.  A stretch is one
+     block's prefix on one page, or one instruction, so its first
+     address decides kernel space as the per-instruction rule would;
+     and the whole stretch ran in the context current now. *)
+  Os.set_coverage os
     (Some
-       (fun addr len ->
-         if Layout.is_kernel_address addr then
-           if Os.in_interrupt os then recorder_step s.irq_rec addr len
+       (fun lo hi ->
+         if Layout.is_kernel_address lo then
+           if Os.in_interrupt os then recorder_extend s.irq_rec lo hi
            else if (Os.current os).Fc_machine.Process.pid = s.target_pid then
-             recorder_step s.app_rec addr len));
+             recorder_extend s.app_rec lo hi));
   s
 
 let stop s =
   if s.active then begin
-    Os.set_trace s.os None;
+    Os.set_coverage s.os None;
     recorder_flush s.app_rec;
     recorder_flush s.irq_rec;
     s.active <- false

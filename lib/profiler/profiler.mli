@@ -1,16 +1,21 @@
 (** The profiling-phase recorder (the paper's QEMU component, §III-A).
 
-    A session observes every executed instruction in the guest and records
-    a kernel address range when both of the paper's criteria hold: the
-    address is in kernel space, and execution is in the target process'
-    context.  Interrupt-context execution — not attached to any process —
-    is recorded separately and folded into {e every} application's view.
+    A session observes the guest's execution a straight-line stretch at
+    a time ({!Fc_machine.Os.set_coverage}: one superblock's executed
+    prefix, or one instruction) and records a kernel address range when
+    both of the paper's criteria hold: the stretch is in kernel space,
+    and execution is in the target process' context.  Recorded stretches
+    that adjoin extend one run, so the ranges are the ones a
+    per-instruction recorder would produce, at basic-block cost.
+    Interrupt-context execution — not attached to any process — is
+    recorded separately and folded into {e every} application's view.
     Module addresses are stored relative to the module base. *)
 
 type session
 
 val start : Fc_machine.Os.t -> target_pid:int -> session
-(** Install the recorder (takes over the guest trace hook). *)
+(** Install the recorder (takes over the guest coverage hook; the
+    per-instruction trace hook stays free). *)
 
 val stop : session -> unit
 (** Remove the recorder.  Recording results remain readable. *)

@@ -26,7 +26,7 @@ let to_string t =
 
 let of_string text =
   let lines = String.split_on_char '\n' text in
-  let app = ref None and ranges = ref Range_list.empty in
+  let app = ref None and spans = ref [] in
   let err = ref None in
   (* Malformed spans must be rejected here, not silently normalized away
      by Range_list's interval merging: a truncated or corrupted config
@@ -67,7 +67,7 @@ let of_string text =
                              (i + 1) lo prev_hi)
                   | Some _ | None ->
                       Hashtbl.replace last seg (lo, hi);
-                      ranges := Range_list.add_range !ranges segment ~lo ~hi)
+                      spans := (segment, Span.make ~lo ~hi) :: !spans)
             | _ -> err := Some (Printf.sprintf "line %d: bad range" (i + 1))
             | exception Invalid_argument _ ->
                 err := Some (Printf.sprintf "line %d: bad segment" (i + 1)))
@@ -76,7 +76,7 @@ let of_string text =
   match (!err, !app) with
   | Some e, _ -> Error e
   | None, None -> Error "missing 'app' line"
-  | None, Some app -> Ok { app; ranges = !ranges }
+  | None, Some app -> Ok { app; ranges = Range_list.of_list !spans }
 
 let save t path =
   let oc = open_out path in

@@ -48,7 +48,33 @@ let add t seg s =
       t
 
 let add_range t seg ~lo ~hi = add t seg (Span.make ~lo ~hi)
-let of_list l = List.fold_left (fun t (seg, s) -> add t seg s) empty l
+
+(* Sort a fresh, non-empty array of non-empty spans in place and sweep it
+   into the invariant's form, merging overlaps and adjacencies: one
+   O(n log n) pass where [add] per span rebuilds the array each time. *)
+let normalize (spans : Span.t array) =
+  Array.sort Span.compare spans;
+  let out = ref [] and cur = ref spans.(0) in
+  for i = 1 to Array.length spans - 1 do
+    let s = spans.(i) in
+    if s.Span.lo <= !cur.Span.hi then cur := Span.hull !cur s
+    else begin
+      out := !cur :: !out;
+      cur := s
+    end
+  done;
+  Array.of_list (List.rev (!cur :: !out))
+
+let of_list l =
+  List.fold_left
+    (fun t (seg, s) ->
+      if Span.is_empty s then t
+      else
+        Seg_map.update seg
+          (function None -> Some [ s ] | Some ss -> Some (s :: ss))
+          t)
+    Seg_map.empty l
+  |> Seg_map.map (fun ss -> normalize (Array.of_list ss))
 
 let to_list t =
   Seg_map.fold
@@ -82,9 +108,7 @@ let covered_spans t seg (window : Span.t) =
       List.rev !acc
 
 let union a b =
-  Seg_map.fold
-    (fun seg arr t -> Array.fold_left (fun t s -> add t seg s) t arr)
-    b a
+  Seg_map.union (fun _seg xs ys -> Some (normalize (Array.append xs ys))) a b
 
 let inter_spans xs ys =
   let rec go acc xs ys =

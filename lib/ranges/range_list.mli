@@ -30,6 +30,10 @@ val add_range : t -> Segment.t -> lo:int -> hi:int -> t
 (** [add_range t seg ~lo ~hi] = [add t seg (Span.make ~lo ~hi)]. *)
 
 val of_list : (Segment.t * Span.t) list -> t
+(** The list's spans, in any order, normalized in one sort-and-merge
+    pass per segment: equal to folding {!add} over the list, in
+    O(n log n) rather than one array rebuild per span. *)
+
 val to_list : t -> (Segment.t * Span.t) list
 (** Deterministic order: segments ordered by {!Segment.compare}, spans by
     address. *)

@@ -5,10 +5,11 @@
    The fast engine — software TLBs, decode-once superblocks and view
    tags ([Os.Fast]) — is sound only if it is behavior-invisible: a guest
    must retire the same instructions, charge the same cycles, emit the
-   same per-instruction and call/return traces, and capture identical
-   stats as on the byte-level reference engine ([Os.Reference]), even
-   while a fault plan is switching views, injecting spurious exits and
-   storming the recovery governor underneath.  test_tlb.ml drives the
+   same per-instruction and call/return traces, cover the same code,
+   and capture identical stats as on the byte-level reference engine
+   ([Os.Reference]), even while a fault plan is switching views,
+   injecting spurious exits and storming the recovery governor
+   underneath.  test_tlb.ml drives the
    parity run and property through this module. *)
 
 module Os = Fc_machine.Os
@@ -45,7 +46,31 @@ type fingerprint = {
          must not move across engines — the ticker fires at
          instruction marks, and instruction retirement is pinned *)
   fp_sampler : string; (* Sampler.fingerprint: the folded profiler stacks *)
+  fp_coverage : int;
+      (* the coverage hook's stretches coalesced into maximal contiguous
+         runs, digested; [run] checks that the instruction trace,
+         coalesced the same way, gives the same runs *)
 }
+
+(* Maximal contiguous runs of a stream of [lo, hi) stretches: a stretch
+   that starts where the open run ends extends it.  Block shapes differ
+   between engines and between a trace (one stretch per instruction) and
+   the coverage hook (one per block prefix); the runs do not. *)
+type runs = { mutable lo : int; mutable hi : int; mutable digest : int }
+
+let new_runs () = { lo = -1; hi = -1; digest = 0 }
+
+let digest_run d lo hi = (((d * 31) + lo) * 31) + hi
+
+let extend r lo hi =
+  if lo = r.hi then r.hi <- hi
+  else begin
+    if r.lo >= 0 then r.digest <- digest_run r.digest r.lo r.hi;
+    r.lo <- lo;
+    r.hi <- hi
+  end
+
+let runs_digest r = if r.lo >= 0 then digest_run r.digest r.lo r.hi else r.digest
 
 (* Engine counters of the run, reported alongside the fingerprint so
    tests can assert the fast paths actually engaged (or stayed silent)
@@ -62,8 +87,10 @@ type engine_counters = {
    companion, so context switches and cross-app view switching happen), a
    random fault plan derived from the seed, FACE-CHANGE enabled with the
    default governor, a breakpoint and a view hole on hot kernel paths
-   (below), full tracing armed. *)
-let run ~profiles ~engine ~fault_seed () =
+   (below), full tracing armed.  [~trace:false] leaves the
+   per-instruction trace off, so the fast engine batches step runs under
+   the coverage hook; [fp_insn_digest] is then 0. *)
+let run ?(trace = true) ~profiles ~engine ~fault_seed () =
   let r = Frand.create (fault_seed lxor 0x7157) in
   let pool = [ "top"; "apache"; "gvim"; "bash"; "gzip" ] in
   let name = Frand.pick r pool in
@@ -74,7 +101,14 @@ let run ~profiles ~engine ~fault_seed () =
     Os.create ~config:(App.os_config app) ~engine (Profiles.image profiles)
   in
   let ih = ref 0 and eh = ref 0 in
-  Os.set_trace os (Some (fun a len -> ih := (((!ih * 31) + a) * 31) + len));
+  let traced = new_runs () and covered = new_runs () in
+  if trace then
+    Os.set_trace os
+      (Some
+         (fun a len ->
+           ih := (((!ih * 31) + a) * 31) + len;
+           extend traced a (a + len)));
+  Os.set_coverage os (Some (extend covered));
   Os.set_event_trace os (Some (fun ev -> eh := (!eh * 31) + Hashtbl.hash ev));
   let hyp = Hyp.attach os in
   let fc = Facechange.enable ~governor:Governor.default_policy hyp in
@@ -115,6 +149,9 @@ let run ~profiles ~engine ~fault_seed () =
   (match telemetry.Fc_benchkit.Probe.r_resum_errors with
   | [] -> ()
   | e :: _ -> failwith ("telemetry deltas fail to re-sum: " ^ e));
+  let coverage = runs_digest covered in
+  if trace && runs_digest traced <> coverage then
+    failwith "coverage stretches coalesce to other runs than the trace";
   let m = Fc_obs.Obs.metrics (Os.obs os) in
   let c key = Option.value ~default:0 (Metrics.find m key) in
   ( {
@@ -128,6 +165,7 @@ let run ~profiles ~engine ~fault_seed () =
         Fc_obs.Timeseries.fingerprint telemetry.Fc_benchkit.Probe.r_series;
       fp_sampler =
         Fc_obs.Sampler.fingerprint telemetry.Fc_benchkit.Probe.r_folds;
+      fp_coverage = coverage;
     },
     {
       en_sb_built = c "sb.blocks_built";
@@ -158,4 +196,7 @@ let check_parity ~label ~expect ~got =
     expect.fp_series got.fp_series;
   Alcotest.(check string)
     (label ^ ": profiler folds")
-    expect.fp_sampler got.fp_sampler
+    expect.fp_sampler got.fp_sampler;
+  Alcotest.(check int)
+    (label ^ ": coverage runs")
+    expect.fp_coverage got.fp_coverage

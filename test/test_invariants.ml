@@ -333,12 +333,121 @@ let prop_view_config_roundtrip =
           && cfg.View_config.app = cfg'.View_config.app
       | Error _ -> false)
 
+(* Totality of the view-config parser: any text gives [Ok] or an
+   [Error] naming the line, never an exception, and what it accepts
+   round-trips.  Inputs are lines over the format's own vocabulary
+   (segments, hex and odd integer literals, comments, stray blanks) and
+   [to_string] outputs with bytes overwritten and tails cut. *)
+let gen_config_text =
+  let open QCheck.Gen in
+  let word =
+    frequency
+      [
+        ( 4,
+          oneofl
+            [
+              "app"; "base"; "module:"; "module:ext4"; "module"; "#"; "0x"; "0x10";
+              "0x40"; "-0x4"; "0x7fffffffffffffff"; "0xffffffffffffffff";
+              "99999999999999999999"; "0b101"; "1_0"; "0o7"; ""; "\t";
+            ] );
+        (1, string_size ~gen:char (int_bound 6));
+      ]
+  in
+  let line = map (String.concat " ") (list_size (int_bound 4) word) in
+  map (String.concat "\n") (list_size (int_bound 8) line)
+
+let gen_mutated_config =
+  let open QCheck.Gen in
+  let* cfg = gen_config in
+  let text = View_config.to_string cfg in
+  let n = String.length text in
+  let* edits = list_size (int_range 1 6) (pair (int_bound (n - 1)) char) in
+  let* cut = frequency [ (2, return n); (1, int_bound n) ] in
+  let b = Bytes.of_string text in
+  List.iter (fun (i, c) -> Bytes.set b i c) edits;
+  return (Bytes.sub_string b 0 cut)
+
+let prop_view_config_total =
+  QCheck.Test.make
+    ~name:"view-config parser is total on random and byte-mutated text"
+    ~count:1000
+    (QCheck.make ~print:String.escaped
+       (QCheck.Gen.oneof [ gen_config_text; gen_mutated_config ]))
+    (fun text ->
+      match View_config.of_string text with
+      | Error _ -> true
+      | Ok cfg -> (
+          match View_config.of_string (View_config.to_string cfg) with
+          | Ok cfg' -> Range_list.equal cfg.View_config.ranges cfg'.View_config.ranges
+          | Error _ -> false))
+
+(* The profiler's recording rule applied one instruction at a time
+   through [Os.set_trace], the reference the coverage-hook recorder must
+   match: a kernel-space instruction, in interrupt context or in the
+   target's context, extends that context's open run when it starts
+   where the run ends, and otherwise closes it and opens another.  Runs
+   become ranges one [add_range] at a time, module addresses relative to
+   the base. *)
+type open_run = { mutable lo : int; mutable hi : int }
+
+let profile_per_instruction img ~name script =
+  let os = Os.create ~config:Os.profiling_config img in
+  let p = Os.spawn os ~name script in
+  let mods = Os.vmi_module_list os in
+  let runs = ref [] in
+  let close r = if r.lo >= 0 then runs := (r.lo, r.hi) :: !runs in
+  let step r a len =
+    if a = r.hi && r.lo >= 0 then r.hi <- a + len
+    else begin
+      close r;
+      r.lo <- a;
+      r.hi <- a + len
+    end
+  in
+  let app = { lo = -1; hi = -1 } and irq = { lo = -1; hi = -1 } in
+  Os.set_trace os
+    (Some
+       (fun a len ->
+         if Layout.is_kernel_address a then
+           if Os.in_interrupt os then step irq a len
+           else if (Os.current os).Process.pid = p.Process.pid then
+             step app a len));
+  Os.run os;
+  Os.set_trace os None;
+  close app;
+  close irq;
+  List.fold_left
+    (fun acc (lo, hi) ->
+      if Layout.is_module_address lo then
+        match
+          List.find_opt (fun (_, base, size) -> base <= lo && lo < base + size) mods
+        with
+        | Some (m, base, _) ->
+            Range_list.add_range acc (Segment.Kernel_module m) ~lo:(lo - base)
+              ~hi:(hi - base)
+        | None -> acc
+      else Range_list.add_range acc Segment.Base_kernel ~lo ~hi)
+    Range_list.empty !runs
+
 let prop_profiling_deterministic =
-  QCheck.Test.make ~name:"profiling the same workload twice yields identical views"
+  QCheck.Test.make
+    ~name:
+      "profiling the same workload on either engine, or one instruction at \
+       a time, yields identical views"
     ~count:8 arb_script (fun script ->
-      let p1 = Fc_profiler.Profiler.profile_app (Lazy.force image) ~name:"d" script in
-      let p2 = Fc_profiler.Profiler.profile_app (Lazy.force image) ~name:"d" script in
-      Range_list.equal p1.View_config.ranges p2.View_config.ranges)
+      let img = Lazy.force image in
+      let fast = Fc_profiler.Profiler.profile_app img ~name:"d" script in
+      let reference =
+        let os = Os.create ~config:Os.profiling_config ~engine:Os.Reference img in
+        let p = Os.spawn os ~name:"d" script in
+        let s = Fc_profiler.Profiler.start os ~target_pid:p.Process.pid in
+        Os.run os;
+        Fc_profiler.Profiler.stop s;
+        Fc_profiler.Profiler.view_ranges s
+      in
+      let per_instruction = profile_per_instruction img ~name:"d" script in
+      Range_list.equal fast.View_config.ranges reference
+      && Range_list.equal reference per_instruction)
 
 let suites =
   [
@@ -355,5 +464,6 @@ let suites =
           prop_fuzz_recovery_restores_original;
           prop_view_config_roundtrip;
           prop_profiling_deterministic;
+          prop_view_config_total;
         ] );
   ]

@@ -249,6 +249,37 @@ let prop_mem_matches_to_list =
               (Range_list.to_list t))
         [ base; m "ext4"; m "snd" ])
 
+(* Unsorted span lists built to collide: empty spans, spans on a coarse
+   grid (so they touch end to start or overlap), short spans anywhere,
+   over three segments. *)
+let arb_span_list =
+  let open QCheck.Gen in
+  let gen_span =
+    frequency
+      [
+        (1, map (fun lo -> span lo lo) (int_bound 100));
+        ( 2,
+          map2
+            (fun k len -> span (k * 10) ((k * 10) + len))
+            (int_bound 10) (oneofl [ 5; 10; 20 ]) );
+        (3, map2 (fun lo len -> span lo (lo + len)) (int_bound 100) (int_range 1 20));
+      ]
+  in
+  let gen_seg =
+    frequency [ (3, return base); (1, return (m "ext4")); (1, return (m "snd")) ]
+  in
+  QCheck.make
+    (list_size (int_bound 40) (pair gen_seg gen_span))
+    ~print:(fun l ->
+      String.concat "; "
+        (List.map (fun (seg, s) -> Segment.to_string seg ^ " " ^ Span.to_string s) l))
+
+let prop_of_list_folds_add =
+  QCheck.Test.make ~name:"of_list sorts and merges in one pass as folding add does"
+    ~count:500 arb_span_list (fun l ->
+      Range_list.equal (Range_list.of_list l)
+        (List.fold_left (fun t (seg, s) -> Range_list.add t seg s) Range_list.empty l))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
     prop_normalized;
@@ -257,6 +288,7 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     prop_union_size;
     prop_similarity_bounds;
     prop_mem_matches_to_list;
+    prop_of_list_folds_add;
   ]
 
 (* ------------------------------------------------------------------ *)

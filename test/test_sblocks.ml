@@ -409,7 +409,13 @@ let test_enforced_matrix () =
   check_bool "fast: view switching invalidates" true
     (en.Differential.en_sb_invalidations > 0);
   check_int "reference: sb counters silent" 0 ren.Differential.en_sb_built;
-  check_int "reference: sb hits silent" 0 ren.Differential.en_sb_hits
+  check_int "reference: sb hits silent" 0 ren.Differential.en_sb_hits;
+  (* coverage alone: step runs retire batched, the runs stay put *)
+  let batched, _ =
+    Differential.run ~trace:false ~profiles:p ~engine:Os.Fast ~fault_seed:2 ()
+  in
+  Differential.check_parity ~label:"coverage without the trace"
+    ~expect:{ base with Differential.fp_insn_digest = 0 } ~got:batched
 
 let suites =
   [

@@ -286,8 +286,8 @@ let test_ept_gen_overflow_era_bump () =
 (* ---------------- behavior parity: reference vs fast ---------------- *)
 
 (* The fingerprint machinery lives in test/differential.ml. *)
-let run_enforced ~engine ~fault_seed () =
-  Differential.run ~profiles:(profiles ()) ~engine ~fault_seed ()
+let run_enforced ?trace ~engine ~fault_seed () =
+  Differential.run ?trace ~profiles:(profiles ()) ~engine ~fault_seed ()
 
 let test_parity_enforced_run () =
   let fast, en = run_enforced ~engine:Os.Fast ~fault_seed:1 () in
@@ -304,7 +304,9 @@ let test_parity_enforced_run () =
    exact, so both must agree with the reference on every observable and
    with each other on every engine counter.  The warm arm is compared
    first: it is the one a content-blind memo would send through code the
-   run must instead recover. *)
+   run must instead recover.  A third fast run arms only the coverage
+   hook, so step runs retire batched: its coverage runs, like every
+   other observable, must match the traced run's. *)
 let prop_tlb_invisible =
   QCheck.Test.make
     ~name:
@@ -313,6 +315,12 @@ let prop_tlb_invisible =
     ~count:8 (QCheck.int_range 1 1_000_000) (fun seed ->
       let warm, warm_en = run_enforced ~engine:Os.Fast ~fault_seed:seed () in
       warm = fst (run_enforced ~engine:Os.Reference ~fault_seed:seed ())
+      && (let batched, batched_en =
+            run_enforced ~trace:false ~engine:Os.Fast ~fault_seed:seed ()
+          in
+          { batched with Differential.fp_insn_digest = warm.fp_insn_digest }
+          = warm
+          && batched_en = warm_en)
       &&
       let cold, cold_en =
         Differential.run
