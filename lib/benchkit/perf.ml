@@ -14,8 +14,7 @@ let counter_keys =
     ("d_hits", "tlb.d_hits"); ("d_misses", "tlb.d_misses");
     ("i_flushes", "tlb.i_flushes"); ("d_flushes", "tlb.d_flushes");
     ("sb_built", "sb.blocks_built"); ("sb_hits", "sb.hits");
-    ("sb_invals", "sb.invalidations"); ("sb_chains", "sb.chain_follows");
-    ("sb_restamps", "sb.restamps"); ("fl_growth", "tlb.flushes{growth}");
+    ("sb_invals", "sb.invalidations"); ("fl_growth", "tlb.flushes{growth}");
     ("fl_explicit", "tlb.flushes{explicit}");
   ]
 
@@ -110,7 +109,7 @@ let warm_cold image =
   let warm = measure () in
   (cold, warm)
 
-let schema_version = 3
+let schema_version = 4
 
 type t = {
   unixbench : arm list;
@@ -204,10 +203,8 @@ let render t =
     match a.a_engine with
     | Os.Reference -> ()
     | Os.Fast ->
-        pr "  %-18s   sblocks: %d built, %d hits, %d invalidations, %d \
-            chains, %d restamps\n"
-          "" (c "sb_built") (c "sb_hits") (c "sb_invals") (c "sb_chains")
-          (c "sb_restamps");
+        pr "  %-18s   sblocks: %d built, %d hits, %d invalidations\n" ""
+          (c "sb_built") (c "sb_hits") (c "sb_invals");
         pr "  %-18s   flushes: %d growth, %d explicit\n" "" (c "fl_growth")
           (c "fl_explicit")
   in

@@ -28,13 +28,13 @@ type arm = {
   a_counters : (string * int) list;
       (** registry counters summed over the arm's guests, by JSON key:
           instructions, cycles, TLB hits/misses/flushes, superblock
-          builds/hits/invalidations/chains/restamps and the growth and
+          builds/hits/invalidations and the growth and
           explicit [tlb.flushes] causes *)
 }
 
 val schema_version : int
-(** The [BENCH_perf.json] schema (3: one pass per arm, host time split
-    by layer). *)
+(** The [BENCH_perf.json] schema (4: one pass per arm, host time split
+    by layer, no chain or restamp counters). *)
 
 type t = {
   unixbench : arm list;

@@ -71,10 +71,9 @@ let map_page t gpa_page frame =
          validates [Phys_mem.version] of its fill-time frame, so touching
          the displaced frame kills exactly the entries that resolve
          through it — one page's worth, in whichever views cached it —
-         and every other translation (and superblock stamp) in this view
-         survives untouched.  A previously empty slot needs nothing:
-         translations are never cached negatively. *)
-      Os.note_divergent_page os ~gpa_page;
+         and every other translation in this view survives untouched.  A
+         previously empty slot needs nothing: translations are never
+         cached negatively. *)
       (match prev with
       | Some old when old <> frame -> Phys.touch (Os.phys os) old
       | Some _ | None -> ())

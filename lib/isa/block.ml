@@ -48,21 +48,21 @@ let pack op ~len ~run ~run_bytes ~arg =
   op_code op lor (len lsl 4) lor (run lsl 7) lor (run_bytes lsl 14)
   lor (arg lsl 23)
 
-type body = { words : int array; exit : int; lo : int; hi : int }
+type body = { words : int array; lo : int; hi : int }
 
-let empty = { words = [||]; exit = -1; lo = 0; hi = -1 }
+let empty = { words = [||]; lo = 0; hi = -1 }
 let cap = 64
 
 let decode ~read ~last ~stop pc =
-  (* (op, len, arg) in reverse, then the exit pc *)
+  (* (op, len, arg) in reverse *)
   let rec go a n acc =
-    if n >= cap || a > last || stop a then (acc, a)
+    if n >= cap || a > last || stop a then acc
     else
       match Insn.decode ~read a with
       | Error _ ->
           (* undecodable bytes: stop before them; the per-instruction
              path raises Invalid_opcode there with eip = a *)
-          (acc, a)
+          acc
       | Ok (insn, len) -> (
           let add op arg = (op, len, arg) :: acc in
           match Scan.boundary insn ~pc:a ~len with
@@ -76,18 +76,16 @@ let decode ~read ~last ~stop pc =
               in
               go (a + len) (n + 1) (add op 0)
           | Scan.B_cond taken -> go (a + len) (n + 1) (add Jcc taken)
-          | Scan.B_jump target -> (add Jmp target, target)
-          | Scan.B_call target -> (add Call target, target)
-          | Scan.B_call_dynamic -> (add Call_ind 0, -1)
-          | Scan.B_return -> (add Ret 0, -1)
+          | Scan.B_jump target -> add Jmp target
+          | Scan.B_call target -> add Call target
+          | Scan.B_call_dynamic -> add Call_ind 0
+          | Scan.B_return -> add Ret 0
           | Scan.B_stop -> (
-              match insn with
-              | Insn.Yield id -> (add Yield id, -1)
-              | _ -> (add Ud2 0, -1)))
+              match insn with Insn.Yield id -> add Yield id | _ -> add Ud2 0))
   in
   match go pc 0 [] with
-  | [], _ -> None
-  | rev, exit ->
+  | [] -> None
+  | rev ->
       let ops = Array.of_list (List.rev rev) in
       let n = Array.length ops in
       let words = Array.make n 0 in
@@ -111,4 +109,4 @@ let decode ~read ~last ~stop pc =
         let _, len, _ = ops.(i) in
         hi := !hi + len
       done;
-      Some { words; exit; lo = pc + len0; hi = !hi }
+      Some { words; lo = pc + len0; hi = !hi }

@@ -1,8 +1,8 @@
 (** Superblock bodies: one basic block decoded once into packed words.
 
     A body is the immutable, guest-independent half of a superblock (the
-    per-guest half — view tags, frame, version, trap generation, chain
-    link — is [Fc_machine.Cpu.sblock]).  It is a pure function of the
+    per-guest half — start pc and trap generation — is
+    [Fc_machine.Cpu.sblock]).  It is a pure function of the
     block's start pc and the bytes of the page it lies in, so guests of
     one kernel image share bodies through a content-addressed memo
     ([Fc_kernel.Image.body]) and each block is decoded at most once per
@@ -48,11 +48,6 @@ val arg : int -> int
 
 type body = private {
   words : int array;  (** one packed word per op, in execution order *)
-  exit : int;
-      (** static successor pc when the block always continues at one
-          known address (fall-through split, direct jump, direct call);
-          [-1] when the successor is dynamic (ret, indirect call, yield,
-          ud2) *)
   lo : int;
   hi : int;
       (** the block's interior: [lo] is the pc of op 1 and [hi] the pc
@@ -79,5 +74,5 @@ val decode :
     executes.  With no stops it gives the body the image memo shares:
     as long as no stop lies in that body's interior [[lo, hi]] and [pc]
     is not a stop, the two are equal — a stop can only cut a body at an
-    op boundary, and then the result is the prefix ending there, whose
-    [exit] is the stop's pc. *)
+    op boundary, and then the result is the prefix ending just before
+    the stop. *)

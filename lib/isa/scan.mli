@@ -14,7 +14,7 @@
     Superblock construction (decode-once basic blocks, see DESIGN.md §10)
     needs to know, per instruction, whether control can leave the
     straight-line sequence and — when the successor is static — where it
-    goes, so blocks can be chained without re-probing the cache. *)
+    goes, the target a packed jump or call op carries. *)
 
 type boundary =
   | B_seq  (** control always falls through to [pc + len] *)

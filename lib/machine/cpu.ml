@@ -50,23 +50,10 @@ type event = Ev_call of int | Ev_return
 type sblock = {
   sb_start : int;  (* guest-virtual address of the first instruction *)
   sb_body : Block.body;  (* the decoded ops, shared by every guest of the image *)
-  mutable sb_tag : int;
-      (* Ept.tag the block was last validated under: a re-entered view's
-         blocks match by compare, and the block is restamped in place when
-         a tag change turns out not to have changed this page's
-         translation *)
-  sb_global : bool;
-      (* the x86 global-page bit: set iff the block was built from a page
-         no kernel view has ever remapped, whose translation is therefore
-         identical under every view — validity then skips the tag check
-         entirely *)
-  sb_frame : int;  (* host frame the block decoded from *)
-  sb_version : int;  (* Phys_mem.version of sb_frame at build time *)
   mutable sb_trap_gen : int;
       (* trap-set generation the block was last validated under; restamped
          when a trap-set change left the block's interior trap-free (entry
          traps are probed by the outer loop, not the block) *)
-  mutable sb_next : sblock option;  (* chained block at the body's exit *)
 }
 
 (* The stretch a coverage hook has yet to see: the block entered, or the

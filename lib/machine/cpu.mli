@@ -61,36 +61,26 @@ type event =
     the decoded ops, packed one word per op — no per-instruction
     closures, no re-decoding — and is immutable and shared: guests of one
     kernel image build their blocks from the same body when the page
-    bytes and start pc agree.  The {e per-guest state} below stamps that
-    body with what this guest validated it under.  The builder (the OS)
-    guarantees the safety invariants that make entry-only checking
-    sound: every instruction of a block lies within one host frame, no
-    instruction at index [>= 1] is a trap address, and the
-    [(view tag, frame version, trap generation)] snapshot is
-    re-validated before every execution (see DESIGN.md §10). *)
+    bytes and start pc agree.  The {e per-guest state} below is the start
+    pc and the trap generation the body was checked under.  The owner
+    (the OS) keeps each block on the line of the host frame it was
+    decoded from, at its start offset, and guarantees the safety
+    invariants that make entry-only checking sound: every instruction of
+    a block lies within one host frame, no instruction at index [>= 1]
+    is a trap address, and a block is found only through a translation
+    that is current for its frame's bytes (see DESIGN.md §10). *)
 
 type sblock = {
-  sb_start : int;  (** address of the first instruction *)
+  sb_start : int;
+      (** address of the first instruction; a frame can back several
+          guest pages, so a block found at a frame offset is used only
+          for this very pc *)
   sb_body : Fc_isa.Block.body;
       (** the decoded ops; op pcs follow from [sb_start] and the op
-          lengths, and the body's [exit] (static successor pc, or [-1]
-          when dynamic) drives block chaining *)
-  mutable sb_tag : int;
-      (** [Ept.tag] the block was last validated under; a re-entered
-          view's blocks revalidate by compare, and the owner restamps the
-          field when a tag change left this page's translation unchanged,
-          so view switches do not force re-decodes *)
-  sb_global : bool;
-      (** the x86 global-page bit: set iff the block's page had never
-          been remapped by any kernel view when it was built, so its
-          translation is view-invariant and validity skips the tag
-          check *)
-  sb_frame : int;  (** host frame the block decoded from *)
-  sb_version : int;  (** [Phys_mem.version] of [sb_frame] at build time *)
+          lengths *)
   mutable sb_trap_gen : int;
       (** trap-set generation last validated under; the owner restamps it
           when a trap-set change left the block's interior trap-free *)
-  mutable sb_next : sblock option;  (** chained block at the body's exit *)
 }
 
 val run :
@@ -124,7 +114,7 @@ val run :
     Every retired instruction lies in exactly one stretch, each stretch
     is reported before [run] returns or raises, and so under the one
     guest context the call ran in.  Stretch boundaries depend on the
-    engine (block shapes, chaining); the stretches coalesced into
+    engine (block shapes, trap splits); the stretches coalesced into
     maximal contiguous runs do not, and equal [trace] coalesced the same
     way.  Unlike [trace], [cover] leaves the fast engine's step-run
     batching on.  [skip_bp] suppresses the trap check for the
@@ -133,7 +123,7 @@ val run :
     (retired-instruction counting, independent of the cycle cost model).
     [sblocks], when given, is consulted with the pc at every block
     boundary: a returned block (which must start at that pc and be valid —
-    the CPU does not re-check the snapshot) executes straight-line;
+    the CPU does not re-check it) executes straight-line;
     [None] falls back to single-instruction decode/execute for that
     instruction.  Either way every observable (cycles, retired count,
     traces, events, register file at every step, exit reasons) is

@@ -69,9 +69,18 @@ type engine = Reference | Fast
 
 let engine_name = function Reference -> "reference" | Fast -> "fast"
 
-type decode_line = {
+(* A frame's line: what the engine derives from one host frame's bytes,
+   for one version of them.  Kept per host frame in [decode_cache] and
+   carried as the iTLB entry's payload; cleared when the frame's version
+   moves, dropped when the frame is released.  Each engine fills one
+   array: the reference engine decodes per byte offset, the fast engine
+   keeps superblocks by start offset plus the page digest that keys the
+   image's body memo. *)
+type line = {
   mutable line_version : int;
-  line : Cpu.decode_result option array; (* per byte offset in the frame *)
+  decoded : Cpu.decode_result option array; (* reference: per byte offset *)
+  blocks : Cpu.sblock array; (* fast: per start offset, [no_block] when empty *)
+  mutable digest : Digest.t option; (* fast: MD5 of the bytes, once hashed *)
 }
 
 (* One virtual CPU: its own EPT (so FACE-CHANGE can switch views
@@ -86,19 +95,12 @@ type vcpu = {
   mutable vin_interrupt : bool;
   mutable vslice : int; (* open run-slice span id, Span.none when closed *)
   mutable vslice_start : int; (* cycle at which the current slice began *)
-  vitlb : decode_line Tlb.t;
+  vitlb : line Tlb.t;
       (* fetch-path TLB: stamped with the EPT view tag, validated against
-         the frame version, payload = the frame's decode line *)
+         the frame version, payload = the frame's line *)
   vdtlb : unit Tlb.t;
       (* data-path TLB: tagged with the OS data-mapping generation; guest
          RAM mappings never change once installed, so no version check *)
-  vsbc : Cpu.sblock Tlb.t;
-      (* superblock cache, keyed like the iTLB but tagged with the block's
-         start pc; validity = (EPT view tag, frame version, trap
-         generation) *)
-  mutable vsb_last : Cpu.sblock option;
-      (* the block this vCPU executed last: the chaining anchor — when the
-         next pc is its static exit, follow sb_next instead of probing *)
 }
 
 (* Fault-injection hooks (see lib/faults).  Same zero-cost-when-disabled
@@ -157,11 +159,6 @@ type t = {
       (* bumped whenever the trap set changes: superblocks embed the
          generation at build time, so a new trap address landing inside a
          cached block invalidates it without scanning the cache *)
-  divergent : (int, unit) Hashtbl.t;
-      (* gpa pages some kernel view has remapped to a private frame —
-         monotone (a destroyed view does not un-diverge its pages).
-         Blocks on pages outside this set are view-invariant (x86
-         global-page style) and skip tag validation entirely. *)
   mutable data_epoch : int; (* bumped when guest RAM mappings grow *)
   mutable round_no : int;
   mutable context_switches : int;
@@ -171,17 +168,7 @@ type t = {
   mutable modules : module_info list; (* load order *)
   mutable next_module_base : int;
   mutable timers : irq_timer list;
-  decode_cache : (int, decode_line) Hashtbl.t; (* host frame -> line *)
-  sb_store : (int, (int, Cpu.sblock) Hashtbl.t) Hashtbl.t;
-      (* host frame -> (page offset -> superblock): the retention tier
-         behind the per-vCPU block cache.  Blocks here outlive view
-         switches — a switch back to a frame resurrects its blocks
-         without re-decoding — and die with the frame (same release hook
-         as [decode_cache]) or on a version/trap-generation mismatch. *)
-  page_digests : (int, int * Digest.t) Hashtbl.t;
-      (* host frame -> (version, MD5 of its bytes at that version): the
-         key of the image's body memo, hashed once per frame version and
-         evicted with the frame *)
+  decode_cache : (int, line) Hashtbl.t; (* host frame -> line *)
   mutable at_round : (int * (t -> unit)) list;
   mutable rewriter : (Syscalls.t -> (string * string list) option) option;
   itimers : (int, unit) Hashtbl.t;
@@ -199,11 +186,6 @@ type t = {
   sb_built : Fc_obs.Metrics.counter;
   sb_hits : Fc_obs.Metrics.counter;
   sb_invals : Fc_obs.Metrics.counter;
-  sb_chains : Fc_obs.Metrics.counter;
-  sb_restamps : Fc_obs.Metrics.counter;
-      (* in-place sb_tag restamps in [sblock_valid]: one re-translation
-         each, the per-switch revalidation cost the global stamp keeps
-         off never-remapped pages *)
   tlb_flushes_f : Fc_obs.Metrics.family; (* tlb.flushes{cause} *)
 }
 
@@ -323,20 +305,40 @@ let ram_translate t gva =
 
 let ram_frame t ~gpa_page = Hashtbl.find_opt t.ram gpa_page
 
-(* Per-host-frame decode cache backing store.  Keyed by host physical
-   frame, it is naturally coherent across kernel view switches (different
-   views fetch from different frames); writes invalidate through the
-   frame version.  The iTLB carries a pointer to the current page's line
-   so a fetch hit never touches this table. *)
-let decode_line_for t frame ~version =
+(* The empty block slot of a line: no pc is -1. *)
+let no_block = { Cpu.sb_start = -1; sb_body = Block.empty; sb_trap_gen = -1 }
+
+(* The line of [frame] at [version].  Keyed by host frame, lines are
+   naturally coherent across kernel view switches (different views fetch
+   from different frames); writes invalidate through the frame version.
+   A line reached again after its frame's version moved is cleared, and
+   the blocks it held count as invalidations: each is a block the new
+   bytes force to be rebuilt if it runs again.  The iTLB carries a
+   pointer to the current page's line, so a fetch hit never touches this
+   table. *)
+let line_for t frame ~version =
   match Hashtbl.find_opt t.decode_cache frame with
   | Some ln when ln.line_version = version -> ln
   | Some ln ->
-      Array.fill ln.line 0 (Array.length ln.line) None;
+      Array.fill ln.decoded 0 (Array.length ln.decoded) None;
+      let held = ref 0 in
+      Array.iteri
+        (fun o b ->
+          if b != no_block then begin
+            incr held;
+            ln.blocks.(o) <- no_block
+          end)
+        ln.blocks;
+      if !held > 0 then Fc_obs.Metrics.add t.sb_invals !held;
+      ln.digest <- None;
       ln.line_version <- version;
       ln
   | None ->
-      let ln = { line_version = version; line = Array.make Layout.page_size None } in
+      let n = Layout.page_size in
+      let decoded, blocks =
+        if t.fast then ([||], Array.make n no_block) else (Array.make n None, [||])
+      in
+      let ln = { line_version = version; decoded; blocks; digest = None } in
       Hashtbl.replace t.decode_cache frame ln;
       ln
 
@@ -395,7 +397,7 @@ let itlb_entry t page =
             let version = Phys.version t.phys frame in
             Tlb.fill e ~tag:page ~stamp:(Ept.tag v.vept) ~frame ~version
               ~bytes:(Phys.frame_bytes t.phys frame)
-              ~payload:(decode_line_for t frame ~version);
+              ~payload:(line_for t frame ~version);
             e)
   end
 
@@ -405,16 +407,6 @@ let itlb_entry t page =
 let retire_view_translations t ~view =
   Array.iter (fun v -> Ept.bump_view v.vept ~view) t.vcpus;
   note_flushes t ~cause:"explicit" (Array.length t.vcpus)
-
-(* A kernel view remapped [gpa_page] to a private frame: from here on the
-   page's translation is view-dependent, so blocks built from it can
-   never be stamped view-invariant.  Monotone by design — un-diverging on
-   view destruction would need proof that no other view still diverges
-   the page, and staying conservative only costs those blocks a tag
-   compare.  Existing view-invariant blocks on the displaced frame are
-   not handled here: the caller's version touch on that frame is what
-   kills them. *)
-let note_divergent_page t ~gpa_page = Hashtbl.replace t.divergent gpa_page ()
 
 let read_guest_byte_slow t gva =
   match ram_translate t gva with
@@ -693,41 +685,23 @@ let write_task_struct t (p : Process.t) =
     write_guest_byte t (task + 4 + i) c
   done
 
-let dummy_decode_line = { line_version = min_int; line = [||] }
+let dummy_line = { line_version = min_int; decoded = [||]; blocks = [||]; digest = None }
 
-let dummy_sblock =
-  {
-    Cpu.sb_start = -1;
-    sb_body = Block.empty;
-    sb_tag = -1;
-    sb_global = false;
-    sb_frame = -1;
-    sb_version = -1;
-    sb_trap_gen = -1;
-    sb_next = None;
-  }
-
-(* Per-vCPU iTLB, dTLB and block cache; the reference engine never
-   consults them, so it gets single-entry placeholders. *)
+(* Per-vCPU iTLB and dTLB; the reference engine never consults them, so
+   it gets single-entry placeholders. *)
 let vcpu_caches ~fast =
-  let bits n = if fast then n else 0 in
-  ( Tlb.create ~bits:(bits 8) ~payload:dummy_decode_line (),
-    Tlb.create ~bits:(bits 8) ~payload:() (),
-    Tlb.create ~bits:(bits 12) ~payload:dummy_sblock () )
+  let bits = if fast then 8 else 0 in
+  (Tlb.create ~bits ~payload:dummy_line (), Tlb.create ~bits ~payload:() ())
 
 (* Hooks and read-through gauges every machine carries, whether booted
-   or thawed: decode lines (and, transitively, the blocks rebuilt from
-   them) are keyed by host frame, so they die with their frame rather
-   than leaking one per freed view frame until the number is recycled;
+   or thawed: lines (and with them the blocks built from the frame) are
+   keyed by host frame, so they die with their frame rather than
+   leaking one per freed view frame until the number is recycled;
    the guest cycle counter is the trace timestamp source; scheduler and
    cache state are exported as gauges. *)
 let wire_instruments t =
   Phys.set_release_hook t.phys
-    (Some
-       (fun frame ->
-         Hashtbl.remove t.decode_cache frame;
-         Hashtbl.remove t.sb_store frame;
-         Hashtbl.remove t.page_digests frame));
+    (Some (fun frame -> Hashtbl.remove t.decode_cache frame));
   Fc_obs.Obs.set_clock t.obs (fun () -> !(t.cycles));
   let metrics = Fc_obs.Obs.metrics t.obs in
   let gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"os" name f in
@@ -751,7 +725,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   let mk_vcpu vid =
     let name = if vid = 0 then "swapper" else Printf.sprintf "swapper/%d" vid in
     let vidle = Process.create ~cpu:vid ~pid:vid ~name ~page_table:master_pt [] in
-    let vitlb, vdtlb, vsbc = vcpu_caches ~fast in
+    let vitlb, vdtlb = vcpu_caches ~fast in
     {
       vid;
       vept = Ept.create ();
@@ -762,8 +736,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       vslice_start = 0;
       vitlb;
       vdtlb;
-      vsbc;
-      vsb_last = None;
     }
   in
   let t =
@@ -789,7 +761,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       instrs = ref 0;
       fast;
       trap_gen = 0;
-      divergent = Hashtbl.create 64;
       data_epoch = 0;
       round_no = 0;
       context_switches = 0;
@@ -804,8 +775,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
              (fun (source, period) -> { source; period; next_at = period })
              config.background_irqs;
       decode_cache = Hashtbl.create 512;
-      sb_store = Hashtbl.create 512;
-      page_digests = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
       itimers = Hashtbl.create 8;
@@ -829,8 +798,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       sb_built = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "blocks_built";
       sb_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "hits";
       sb_invals = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "invalidations";
-      sb_chains = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "chain_follows";
-      sb_restamps = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "restamps";
       tlb_flushes_f =
         Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"tlb"
           "flushes";
@@ -888,6 +855,8 @@ let spawn ?cpu t ~name script =
 
 (* ---------------- CPU plumbing ---------------- *)
 
+(* The reference engine's decode: through the full translation chain and
+   the per-offset decodes on the frame's line. *)
 let cached_decode_slow t pc =
   match Pt.translate t.master_pt pc with
   | None -> Cpu.D_unmapped
@@ -901,36 +870,21 @@ let cached_decode_slow t pc =
             Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc
           else begin
             let version = Phys.version t.phys frame in
-            let ln = decode_line_for t frame ~version in
-            match ln.line.(off) with
+            let ln = line_for t frame ~version in
+            match ln.decoded.(off) with
             | Some r -> r
             | None ->
                 let r = Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc in
-                ln.line.(off) <- Some r;
+                ln.decoded.(off) <- Some r;
                 r
           end)
 
-(* Decode with the line pointer folded into the iTLB entry: the common
-   case is one array load plus three integer compares (tag, view tag,
-   version) before indexing the decode line. *)
-let cached_decode t pc =
+(* The fast engine decodes only what no block covers — page tails, trap
+   entries, undecodable bytes — so it decodes uncached, byte by byte
+   through the iTLB. *)
+let decode_insn t pc =
   if not t.fast then cached_decode_slow t pc
-  else
-    let e = itlb_entry t (pc / Layout.page_size) in
-    if e.Tlb.tag < 0 then Cpu.D_unmapped
-    else
-      let off = pc land page_mask in
-      if off > Layout.page_size - 6 then
-        (* possible page-crossing instruction: decode uncached *)
-        Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc
-      else
-        let ln = e.Tlb.payload in
-        match Array.unsafe_get ln.line off with
-        | Some r -> r
-        | None ->
-            let r = Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc in
-            ln.line.(off) <- Some r;
-            r
+  else Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc
 
 (* ---------------- superblocks ---------------- *)
 
@@ -949,24 +903,13 @@ let no_trap_in t ~lo ~hi =
   let i = least 0 n in
   i >= n || arr.(i) > hi
 
-(* The MD5 of a frame's bytes, hashed once per frame version. *)
-let page_digest t frame ~version =
-  match Hashtbl.find_opt t.page_digests frame with
-  | Some (v, d) when v = version -> d
-  | Some _ | None ->
-      let d = Digest.bytes (Phys.frame_bytes t.phys frame) in
-      Hashtbl.replace t.page_digests frame (version, d);
-      d
-
 (* Decode-once basic blocks (DESIGN.md §10).  A block is built from the
-   bytes of the single host frame backing its page — translated through
-   the master page table and the active vCPU's EPT, exactly like the
-   fetch path — and snapshots (EPT view tag, frame version, trap
-   generation) at build time.  A write to the backing frame
-   ([Phys_mem.version], which COW breaks and view materialization also
-   touch on the displaced frame) or a trap-set change invalidates it with
-   zero eager work; a view switch merely changes the active tag, so a
-   re-entered view's blocks compare valid untouched.
+   bytes of the host frame an iTLB entry resolved the pc's page to, and
+   is stored on that frame's line at its start offset.  The line is
+   current for the frame's bytes whenever the entry is valid (a write,
+   COW break or materialization moves the version, and the line is
+   cleared), and a view switch only changes which frame, and so which
+   line, the pc resolves to: the iTLB's one check covers both.
 
    The decoded ops come from the image's body memo, keyed by the start pc
    and the page's digest, so each body is decoded once per image for all
@@ -975,201 +918,81 @@ let page_digest t frame ~version =
    trap here), and otherwise decodes a private, trap-split body exactly
    as the memo's would be split — so every guest's blocks are the ones a
    private decoder would build. *)
-
-let build_sblock t pc =
-  let v = active_vcpu t in
-  if pc land page_mask > Layout.page_size - 6 || is_trap_addr t pc then None
+let build_sblock t (e : line Tlb.entry) pc =
+  if is_trap_addr t pc then None
   else
-    match Pt.translate_page t.master_pt (pc / Layout.page_size) with
-    | None -> None
-    | Some gpa_page -> (
-        match Ept.translate_page v.vept gpa_page with
-        | None -> None
-        | Some frame -> (
-            let tag = Ept.tag v.vept in
-            (* global-page stamp: a page no view has ever remapped
-               translates identically under every view, so the block can
-               skip tag validation (any later divergence of the page kills
-               it through the displaced frame's version touch) *)
-            let global = not (Hashtbl.mem t.divergent gpa_page) in
-            let version = Phys.version t.phys frame in
-            let bytes = Phys.frame_bytes t.phys frame in
-            let base = pc - (pc land page_mask) in
-            let read a =
-              let o = a - base in
-              if o >= 0 && o < Layout.page_size then
-                Some (Bytes.get_uint8 bytes o)
-              else None
-            in
-            let decode stop =
-              Block.decode ~read ~last:(base + Layout.page_size - 6) ~stop pc
-            in
-            let body =
-              match
-                Image.body t.image ~pc
-                  ~page:(page_digest t frame ~version)
-                  (fun () -> decode (fun _ -> false))
-              with
-              | Some b when no_trap_in t ~lo:b.Block.lo ~hi:b.Block.hi -> Some b
-              | Some _ -> decode (is_trap_addr t)
-              | None -> None
-            in
-            match body with
-            | None -> None
-            | Some body ->
-              let b =
-                {
-                  Cpu.sb_start = pc;
-                  sb_body = body;
-                  sb_tag = tag;
-                  sb_global = global;
-                  sb_frame = frame;
-                  sb_version = version;
-                  sb_trap_gen = t.trap_gen;
-                  sb_next = None;
-                }
-              in
-              (* retain per (frame, offset): the block survives in the
-                 store as long as the frame's bytes do, so remapping this
-                 page back later resurrects it instead of re-decoding *)
-              let per =
-                match Hashtbl.find_opt t.sb_store frame with
-                | Some per -> per
-                | None ->
-                    let per = Hashtbl.create 16 in
-                    Hashtbl.add t.sb_store frame per;
-                    per
-              in
-              Hashtbl.replace per (pc land page_mask) b;
-              Some b))
+    let ln = e.Tlb.payload and bytes = e.Tlb.bytes in
+    let base = pc - (pc land page_mask) in
+    let read a =
+      let o = a - base in
+      if o >= 0 && o < Layout.page_size then Some (Bytes.get_uint8 bytes o)
+      else None
+    in
+    let decode stop =
+      Block.decode ~read ~last:(base + Layout.page_size - 6) ~stop pc
+    in
+    let page =
+      match ln.digest with
+      | Some d -> d
+      | None ->
+          let d = Digest.bytes bytes in
+          ln.digest <- Some d;
+          d
+    in
+    let body =
+      match Image.body t.image ~pc ~page (fun () -> decode (fun _ -> false)) with
+      | Some b when no_trap_in t ~lo:b.Block.lo ~hi:b.Block.hi -> Some b
+      | Some _ -> decode (is_trap_addr t)
+      | None -> None
+    in
+    Option.map
+      (fun body -> { Cpu.sb_start = pc; sb_body = body; sb_trap_gen = t.trap_gen })
+      body
 
-(* The frame's bytes are what the block decoded; version unchanged means
-   they still are, so execution is byte-identical no matter how many view
-   tags have come and gone.  The trap generation is a fast path only: the
-   builder split the block so no interior op was a trap, and on a
-   generation bump we re-check just that — entry traps are the outer
-   loop's probe, not the block's — and restamp.  The enforcement layer
-   arms and disarms its context-switch/resume breakpoints (always block
-   entries) constantly; without restamping every switch would flush the
-   whole block cache. *)
+(* The trap generation is a fast path only: the builder split the block
+   so no interior op was a trap, and on a generation bump we re-check
+   just that — entry traps are the outer loop's probe, not the block's —
+   and restamp.  The enforcement layer arms and disarms its
+   context-switch/resume breakpoints (always block entries) constantly;
+   without restamping every switch would rebuild every block. *)
 let sblock_fresh t (b : Cpu.sblock) =
-  b.Cpu.sb_version = Phys.version t.phys b.Cpu.sb_frame
-  && (b.Cpu.sb_trap_gen = t.trap_gen
-     ||
-     let body = b.Cpu.sb_body in
-     if no_trap_in t ~lo:body.Block.lo ~hi:body.Block.hi then begin
+  b.Cpu.sb_trap_gen = t.trap_gen
+  ||
+  let body = b.Cpu.sb_body in
+  no_trap_in t ~lo:body.Block.lo ~hi:body.Block.hi
+  && begin
        b.Cpu.sb_trap_gen <- t.trap_gen;
        true
      end
-     else false)
 
-let sblock_current_frame t (v : vcpu) pc =
-  match Pt.translate_page t.master_pt (pc / Layout.page_size) with
-  | None -> -1
-  | Some gpa_page -> (
-      match Ept.translate_page v.vept gpa_page with
-      | None -> -1
-      | Some frame -> frame)
-
-(* Validity = freshness plus "the current translation still maps this pc
-   to the frame the block decoded from".  The tag stamp is a fast path
-   for the second half: when it matches, the view that validated the
-   block is active again with no generation bump in between, so the
-   translation check is skipped — the common case, so a view switched
-   away and back costs nothing.  On a mismatch we re-translate; if the
-   frame is unchanged (another view sharing the frame, or an era roll)
-   the block is restamped in place rather than rebuilt — [sb.restamps]
-   counts exactly these.  A genuine remap of this page yields a
-   different frame and the block dies. *)
-let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
-  sblock_fresh t b
-  && ((* global pages first: a view-invariant block needs no tag at all —
-         every view resolves its pc to the very frame it decoded *)
-      b.Cpu.sb_global
-     ||
-     let tag = Ept.tag v.vept in
-     b.Cpu.sb_tag = tag
-     || sblock_current_frame t v b.Cpu.sb_start = b.Cpu.sb_frame
-        && begin
-             b.Cpu.sb_tag <- tag;
-             Fc_obs.Metrics.incr t.sb_restamps;
-             true
-           end)
-
-let sblock_probe t (v : vcpu) pc =
-  (* index on pc with the page bits folded in: block starts cluster at
-     repeated page offsets (every function entry the linker page-aligns,
-     every post-page-tail resume), so raw low bits would put them all in
-     one slot *)
-  let e = Tlb.slot v.vsbc (pc lxor (pc / Layout.page_size)) in
-  if e.Tlb.tag = pc && sblock_valid t v e.Tlb.payload then begin
-    Fc_obs.Metrics.incr t.sb_hits;
-    let b = e.Tlb.payload in
-    v.vsb_last <- Some b;
-    Some b
-  end
-  else begin
-    (* a tag match whose block no longer covers this pc under the current
-       mapping is a genuine invalidation (this page remapped to another
-       frame, code write, trap change); a tag mismatch is just a cold or
-       conflicted slot *)
-    if e.Tlb.tag = pc then Fc_obs.Metrics.incr t.sb_invals;
-    let resurrected =
-      (* second-chance lookup in the per-frame store: if the current
-         translation maps pc to a frame we already decoded blocks from —
-         and its bytes are unchanged — the old block is still exact, no
-         matter which view installed the mapping *)
-      match sblock_current_frame t v pc with
-      | -1 -> None
-      | frame -> (
-          match Hashtbl.find_opt t.sb_store frame with
-          | None -> None
-          | Some per -> (
-              match Hashtbl.find_opt per (pc land page_mask) with
-              | Some b when b.Cpu.sb_start = pc && sblock_fresh t b ->
-                  b.Cpu.sb_tag <- Ept.tag v.vept;
-                  Some b
-              | _ -> None))
-    in
-    match resurrected with
-    | Some b ->
-        Fc_obs.Metrics.incr t.sb_hits;
-        Tlb.fill e ~tag:pc ~stamp:b.Cpu.sb_tag ~frame:b.Cpu.sb_frame
-          ~version:b.Cpu.sb_version ~bytes:Bytes.empty ~payload:b;
-        v.vsb_last <- Some b;
-        Some b
-    | None -> (
-        match build_sblock t pc with
-        | None ->
-            v.vsb_last <- None;
-            None
-        | Some b ->
-            Fc_obs.Metrics.incr t.sb_built;
-            Tlb.fill e ~tag:pc ~stamp:b.Cpu.sb_tag ~frame:b.Cpu.sb_frame
-              ~version:b.Cpu.sb_version ~bytes:Bytes.empty ~payload:b;
-            v.vsb_last <- Some b;
-            Some b)
-  end
-
-(* Block lookup with chaining: when the previous block's static exit is
-   exactly the requested pc, follow its sb_next link — one pointer chase
-   plus the validity snapshot — instead of re-hashing into the cache.  A
-   stale or missing link falls back to the probe (and re-links, so a
-   rebuilt target heals the chain). *)
+(* Block lookup: the iTLB resolves the pc's page to its frame's line, and
+   the line holds the block at the pc's offset.  A frame can back two
+   guest pages (the frame cache shares identical view pages), and a
+   body's targets are absolute, so the stored block serves only the pc it
+   was built for; a block found with a trap now in its interior is
+   re-split, and counted as an invalidation. *)
 let sblock_find t pc =
-  let v = active_vcpu t in
-  match v.vsb_last with
-  | Some lb when lb.Cpu.sb_body.Block.exit = pc -> (
-      match lb.Cpu.sb_next with
-      | Some nb when nb.Cpu.sb_start = pc && sblock_valid t v nb ->
-          Fc_obs.Metrics.incr t.sb_chains;
-          v.vsb_last <- Some nb;
-          Some nb
-      | _ ->
-          let r = sblock_probe t v pc in
-          (match r with Some nb -> lb.Cpu.sb_next <- Some nb | None -> ());
-          r)
-  | _ -> sblock_probe t v pc
+  let off = pc land page_mask in
+  if off > Layout.page_size - 6 then None
+  else
+    let e = itlb_entry t (pc / Layout.page_size) in
+    if e.Tlb.tag < 0 then None
+    else
+      let blocks = e.Tlb.payload.blocks in
+      let b = Array.unsafe_get blocks off in
+      if b.Cpu.sb_start = pc && sblock_fresh t b then begin
+        Fc_obs.Metrics.incr t.sb_hits;
+        Some b
+      end
+      else begin
+        if b.Cpu.sb_start = pc then Fc_obs.Metrics.incr t.sb_invals;
+        match build_sblock t e pc with
+        | None -> None
+        | Some b as r ->
+            Fc_obs.Metrics.incr t.sb_built;
+            blocks.(off) <- b;
+            r
+      end
 
 (* The guest kernel's own answer to an exception in kernel mode, as
    Linux's die() on an oops: the current task is killed ([kill_oopsed],
@@ -1195,7 +1018,7 @@ let kill_oopsed t (p : Process.t) =
   Fc_obs.Metrics.incr (Fc_obs.Metrics.family_counter t.oops_kills_f p.Process.name)
 
 let run_cpu t (regs : Cpu.regs) dispatch =
-  let decode pc = cached_decode t pc in
+  let decode pc = decode_insn t pc in
   let read_u32 a = read_guest_u32 t a in
   let write_u32 a v = write_guest_u32 t a v in
   let is_trap a =
@@ -1591,7 +1414,7 @@ let run_process_solo t (p : Process.t) =
 (* The frozen image captures everything [run] consults that cannot be
    re-derived from guest RAM: scheduler and process state, timers,
    traps, EPT directory shapes, and the physical pool itself.  Caches
-   (TLBs, decode lines, superblocks) and registered hooks are
+   (TLBs, and lines with the superblocks on them) and registered hooks are
    deliberately absent — they are rebuilt demand-side after [thaw], and
    their metrics are restored by the snapshot codec's metrics section. *)
 
@@ -1650,7 +1473,6 @@ type frozen = {
   z_next_module_base : int;
   z_data_epoch : int;
   z_trap_gen : int;
-  z_divergent : int list; (* view-diverged gpa pages, sorted *)
   z_ram : (int * int) list; (* gpa_page -> host frame, sorted *)
   z_phys : Phys.frozen;
   z_master_pt : (int * int) list;
@@ -1698,8 +1520,6 @@ let freeze t ~table_id =
     z_next_module_base = t.next_module_base;
     z_data_epoch = t.data_epoch;
     z_trap_gen = t.trap_gen;
-    z_divergent =
-      List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) t.divergent []);
     z_ram =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ram []);
     z_phys = Phys.export t.phys;
@@ -1808,7 +1628,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
               (Printf.sprintf "Os.thaw: vCPU %d current pid %d not in snapshot"
                  vid zv.zv_current_pid)
     in
-    let vitlb, vdtlb, vsbc = vcpu_caches ~fast in
+    let vitlb, vdtlb = vcpu_caches ~fast in
     {
       vid;
       vept;
@@ -1819,8 +1639,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       vslice_start = zv.zv_slice_start;
       vitlb;
       vdtlb;
-      vsbc;
-      vsb_last = None;
     }
   in
   let ram = Hashtbl.create 2048 in
@@ -1870,10 +1688,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       instrs = ref z.z_instrs;
       fast;
       trap_gen = 0;
-      divergent =
-        (let d = Hashtbl.create 64 in
-         List.iter (fun p -> Hashtbl.replace d p ()) z.z_divergent;
-         d);
       data_epoch = z.z_data_epoch;
       round_no = z.z_round_no;
       context_switches = z.z_context_switches;
@@ -1887,8 +1701,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
           (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
           z.z_timers;
       decode_cache = Hashtbl.create 512;
-      sb_store = Hashtbl.create 512;
-      page_digests = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
       itimers;
@@ -1906,8 +1718,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       sb_built = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "blocks_built";
       sb_hits = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "hits";
       sb_invals = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "invalidations";
-      sb_chains = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "chain_follows";
-      sb_restamps = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "restamps";
       tlb_flushes_f =
         Fc_obs.Metrics.counter_family metrics ~subsystem:"tlb" "flushes";
     }
@@ -1915,8 +1725,8 @@ let thaw ?obs ~image ~table_of (z : frozen) =
   Phys.import t.phys z.z_phys;
   wire_instruments t;
   (* traps: refill the set, rebuild the sorted mirror, then pin the
-     generation back to the frozen value (superblock caches are empty, so
-     only monotonic faithfulness matters) *)
+     generation back to the frozen value (lines are empty, so only
+     monotonic faithfulness matters) *)
   List.iter (fun a -> Hashtbl.replace t.traps a ()) z.z_traps;
   rebuild_traps t;
   t.trap_gen <- z.z_trap_gen;

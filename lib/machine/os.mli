@@ -44,8 +44,8 @@ type engine =
           own — the differential oracle and the perf baseline *)
   | Fast
       (** software TLBs on the guest-memory paths and decode-once
-          superblocks on the execute loop, validated by view tags
-          (DESIGN.md §9, §10, §14) *)
+          superblocks on the execute loop, found through the view-tagged
+          iTLB on their frame's line (DESIGN.md §9, §10, §14) *)
 
 val engine_name : engine -> string
 (** ["reference"] or ["fast"] — the label bench artifacts and
@@ -276,18 +276,6 @@ val retire_view_translations : t -> view:int -> unit
     entries are untouched.  Counted in [tlb.flushes{explicit}]; guest-RAM growth is [tlb.flushes{growth}]
     — view switches and COW breaks flush nothing. *)
 
-val note_divergent_page : t -> gpa_page:int -> unit
-(** Record that a kernel view remapped [gpa_page] to a private frame, so
-    the page's translation is view-{e dependent} from now on.  Monotone:
-    destroying the view does not un-diverge the page.  Superblocks built
-    from pages {e outside} this set carry the x86 global-page stamp and
-    skip tag validation entirely — they are what make a fresh guest's
-    first switch into each view restamp-free, not just re-entries.  The
-    caller must pair this with a {!Fc_mem.Phys_mem.touch} of the
-    displaced frame (the view layer's COW/materialization path does):
-    that version bump is what kills any already-built global block on
-    it. *)
-
 val vmi_current_task : t -> int * string
 (** Read the guest's current-task pointer chain: (pid, comm). *)
 
@@ -306,11 +294,15 @@ val instructions : t -> int
     Unlike {!cycles}, never advanced by cost-model charges. *)
 
 val decode_cache_frames : t -> int
-(** Number of host frames with a live entry in the per-frame decode cache
-    (also the [os.decode_cache_frames] gauge).  Entries are evicted when
-    their frame's last reference is dropped, so view churn must not grow
-    this monotonically — the regression test for the old unbounded
-    behavior reads it. *)
+(** Number of host frames with a live line (also the
+    [os.decode_cache_frames] gauge).  A line holds what the engine
+    derived from one version of the frame's bytes, in one 4,096-slot
+    array: the reference engine's per-offset decodes, or the fast
+    engine's superblocks by start offset (plus the page digest that
+    keys the image's body memo).  Lines are evicted when their frame's
+    last reference is dropped, so view churn must not grow this
+    monotonically — the regression test for the old unbounded behavior
+    reads it. *)
 
 val round : t -> int
 val context_switches : t -> int
@@ -351,7 +343,7 @@ val arm_itimer : t -> pid:int -> unit
     tables shared between vCPUs, the hypervisor's pristine set and the
     views stay shared after restore).
 
-    Not captured, by design: TLBs, decode lines, superblocks (caches —
+    Not captured, by design: TLBs and lines with their superblocks (caches —
     rebuilt demand-side, invisible to the differential fingerprints),
     trace/event/fault/tick hooks and the exit handler (re-attached by
     the owning layer after {!thaw}), and counter values (restored by the
@@ -410,7 +402,6 @@ type frozen = {
   z_next_module_base : int;
   z_data_epoch : int;
   z_trap_gen : int;
-  z_divergent : int list;  (** view-diverged gpa pages, sorted *)
   z_ram : (int * int) list;  (** gpa_page -> host frame, sorted *)
   z_phys : Fc_mem.Phys_mem.frozen;
   z_master_pt : (int * int) list;

@@ -9,7 +9,7 @@ type t = {
   mutable live : int;
   mutable on_release : (int -> unit) option;
       (* fired when a frame's last reference drops: caches keyed by frame
-         number (the OS decode cache) evict their entry instead of holding
+         number (the OS's per-frame lines) evict their entry instead of holding
          it until the frame number happens to be recycled *)
   allocs : Fc_obs.Metrics.counter;
   frees : Fc_obs.Metrics.counter;

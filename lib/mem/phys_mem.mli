@@ -29,7 +29,7 @@ val free : t -> int -> unit
 val set_release_hook : t -> (int -> unit) option -> unit
 (** Install (or clear) a callback fired with the frame number whenever a
     frame's {e last} reference is dropped by {!free}.  Caches keyed by
-    frame number — the OS's per-frame decode cache — use it to evict
+    frame number — the OS's per-frame lines — use it to evict
     entries for dead frames instead of accumulating them until the number
     is recycled.  The hook runs after the frame is already off the live
     set ({!is_live} is false inside it). *)

@@ -4,9 +4,9 @@
     fetch/decode loop pays that cost on every access unless we do the
     same.  An entry caches one guest-virtual page's translation —
     [gva_page → (host frame, frame version, frame storage)] — plus a
-    caller-chosen payload (the fetch path stores the frame's decode line
-    there, making the common case of instruction fetch a single array
-    load + three integer compares).
+    caller-chosen payload (the fetch path stores the frame's line there:
+    its superblocks by start offset, so the common case of a block
+    lookup is a single array load + three integer compares).
 
     Validity is decided entirely by the {e caller}, by comparing the
     entry's fields against current truth:
@@ -35,7 +35,7 @@ type 'a entry = {
   mutable frame : int;    (** host frame backing the page *)
   mutable version : int;  (** {!Phys_mem.version} of [frame] at fill time *)
   mutable bytes : Bytes.t;  (** the frame's live storage *)
-  mutable payload : 'a;   (** caller data riding along (e.g. decode line) *)
+  mutable payload : 'a;   (** caller data riding along (e.g. the frame's line) *)
 }
 
 type 'a t

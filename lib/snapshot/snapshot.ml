@@ -605,7 +605,6 @@ let w_os ~content_id b (z : Os.frozen) =
   w_int b z.Os.z_next_module_base;
   w_int b z.Os.z_data_epoch;
   w_int b z.Os.z_trap_gen;
-  w_list b w_int z.Os.z_divergent;
   w_list b w_int_pair z.Os.z_ram;
   w_phys ~content_id b z.Os.z_phys;
   w_list b w_int_pair z.Os.z_master_pt;
@@ -628,7 +627,6 @@ let r_os ~content_of r =
   let z_next_module_base = r_int r in
   let z_data_epoch = r_int r in
   let z_trap_gen = r_int r in
-  let z_divergent = r_list r r_int in
   let z_ram = r_list r r_int_pair in
   let z_phys = r_phys ~content_of r in
   let z_master_pt = r_list r r_int_pair in
@@ -650,7 +648,6 @@ let r_os ~content_of r =
     z_next_module_base;
     z_data_epoch;
     z_trap_gen;
-    z_divergent;
     z_ram;
     z_phys;
     z_master_pt;
@@ -821,11 +818,12 @@ let r_metric r =
 
 let magic = "FCSN"
 
-(* 3: the OS section carries one engine byte (reference or fast) in place
-   of version 2's tlb/sblocks/tagged flags and global generation.  2: the
-   OS section gained per-vCPU EPT tag state.  Older streams are rejected
-   with the typed unsupported-version error, as always. *)
-let version = 3
+(* 4: the OS section no longer carries version 3's divergent-page list.
+   3: it carries one engine byte (reference or fast) in place of version
+   2's tlb/sblocks/tagged flags and global generation.  2: it gained
+   per-vCPU EPT tag state.  Older streams are rejected with the typed
+   unsupported-version error, as always. *)
+let version = 4
 
 let encode t =
   (* content-keyed page store: unique page bytes, MD5-keyed, referenced

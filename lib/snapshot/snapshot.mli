@@ -66,11 +66,11 @@ val restore :
 
 val version : int
 (** The wire-format version written into (and required of) every
-    container.  Version 3 records the execution engine as one byte
-    ([Os.Reference] or [Os.Fast]); version 2 added per-vCPU EPT tag
-    state (active view, era, per-view generations) and the divergent-page
-    set.  Older streams are rejected with the typed unsupported-version
-    error. *)
+    container.  Version 4 drops the divergent-page set; version 3
+    records the execution engine as one byte ([Os.Reference] or
+    [Os.Fast]); version 2 added per-vCPU EPT tag state (active view,
+    era, per-view generations) and the divergent-page set.  Older
+    streams are rejected with the typed unsupported-version error. *)
 
 val encode : t -> string
 (** The [.fcsnap] container bytes.  Encoding is deterministic: equal

@@ -79,7 +79,6 @@ type engine_counters = {
   en_sb_built : int;
   en_sb_hits : int;
   en_sb_invalidations : int;
-  en_sb_chain_follows : int;
   en_itlb_hits : int;
 }
 
@@ -171,7 +170,6 @@ let run ?(trace = true) ~profiles ~engine ~fault_seed () =
       en_sb_built = c "sb.blocks_built";
       en_sb_hits = c "sb.hits";
       en_sb_invalidations = c "sb.invalidations";
-      en_sb_chain_follows = c "sb.chain_follows";
       en_itlb_hits = c "tlb.i_hits";
     } )
 

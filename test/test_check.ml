@@ -109,7 +109,7 @@ let relation_cases =
          "counters": {"instructions": 5, "cycles": 9}},
         {"label": "fast", "seconds": 0.5, "ips": 6,
          "counters": {"instructions": 5, "cycles": 9, "sb_built": 2,
-                      "sb_hits": 4, "sb_chains": 1, "i_hits": 3,
+                      "sb_hits": 4, "i_hits": 3,
                       "i_misses": 1, "d_hits": 3, "d_misses": 1}}]}}}|}
   in
   let fleet =

@@ -422,8 +422,7 @@ let prop_block_decode =
                  match (first_trap 1, split) with
                  | None, Some s -> s = f
                  | Some k, Some s ->
-                     s.Block.exit = pcs.(k)
-                     && Array.length s.Block.words = k
+                     Array.length s.Block.words = k
                      && unpacked_pcs ~read pc s <> None
                      && Array.for_all2
                           (fun a b ->

@@ -1,17 +1,15 @@
-(* Decode-once superblocks (lib/machine/cpu.ml + the Os block cache):
-   coherence of the invalidation sources — a view switch that remaps a
-   page to a different host frame, the backing frame's version (COW
-   breaks and in-place recovery writes), trap-set changes — plus the
-   retention fast paths (a tag change whose translations are unchanged
-   restamps warm blocks instead of rebuilding them, and the per-frame
-   store resurrects blocks when a view switches back); chain fallback
-   across invalidated targets; interrupt delivery parity; bounded caches
-   under view churn; the image's body memo (engaged, and keyed by page
-   content); the fast engine as the default; and reference-vs-fast
-   parity under a random fault plan.  Every scenario test runs on
-   twin guests (fast and reference engine) and requires identical
-   observables, so the coherence machinery is proven not just to
-   invalidate, but to invalidate without changing behavior. *)
+(* Decode-once superblocks (lib/machine/cpu.ml + the blocks Os keeps on
+   each frame's line, found through the iTLB): coherence of the
+   invalidation sources — the backing frame's version (COW breaks and
+   in-place recovery writes) and trap-set changes — and the absence of
+   any from translation changes (a view switch to different frames, an
+   era roll with unchanged translations); interrupt delivery parity;
+   bounded lines under view churn; the image's body memo (engaged, and
+   keyed by page content); the fast engine as the default; and
+   reference-vs-fast parity under a random fault plan.  Every scenario
+   test runs on twin guests (fast and reference engine) and requires
+   identical observables, so the coherence machinery is proven not just
+   to invalidate, but to invalidate without changing behavior. *)
 
 module Os = Fc_machine.Os
 module Process = Fc_machine.Process
@@ -80,10 +78,12 @@ let spawn_app os ~name ?(len = 16) () =
 (* View switch: Facechange flips the fetch path between the bound app's
    view frames and the full-view frames on every context switch, so
    kernel-text pages really change host frame mid-run.  A warm block
-   whose page now maps elsewhere must never execute — the probe's
-   re-translation kills it — while the per-instruction twin proves the
-   kill is behavior-invisible. *)
-let test_view_switch_invalidates () =
+   whose page now maps elsewhere must never execute — the iTLB resolves
+   the pc to the other frame's line, which holds that frame's own
+   blocks — while the per-instruction twin proves the switch is
+   behavior-invisible.  Each frame keeps its blocks across the switches,
+   so none is dropped and a switch back re-runs them. *)
+let test_view_switch_keeps_blocks () =
   let scenario os noted =
     let hyp = Hyp.attach os in
     let fc = Facechange.enable ~governor:Governor.default_policy hyp in
@@ -98,50 +98,51 @@ let test_view_switch_invalidates () =
   in
   let os_on, noted = twin_check ~label:"view-switch" scenario in
   check_bool "blocks warm under switching" true (noted_exn noted "hits_pre" > 0);
-  check_bool "remapped pages invalidated warm blocks" true
-    (metric os_on "sb.invalidations" > 0);
-  (* the store bounds the rebuild cost: switching back to a frame already
-     decoded resurrects its blocks, so hits outnumber builds even under
+  check_int "view switches drop no block" 0 (metric os_on "sb.invalidations");
+  (* switching back to a frame already decoded finds its blocks on the
+     frame's line, so hits outnumber builds even under
      per-context-switch view churn *)
   check_bool "retention keeps rebuilds below hits" true
     (metric os_on "sb.hits" > metric os_on "sb.blocks_built")
 
-(* The converse retention property: an era roll ([Ept.flush_all], what a
-   generation overflow does) kills every tag even though no translation
-   changed.  Warm blocks must be restamped in place, not invalidated:
-   the tag is a fast path, the frame identity is the truth.  Building a
-   view first diverges the pages it covers, so blocks there carry tags
-   rather than the global stamp and really take the restamp path. *)
-let test_epoch_restamp_retains () =
-  let scenario os noted =
+(* The converse: an era roll ([Ept.flush_all], what a generation
+   overflow does) kills every iTLB tag even though no translation
+   changed.  The refilled entries resolve each pc to the same frame, so
+   to the same line and its warm blocks: the roll rebuilds nothing.  A
+   view is built first, so its pages really have other frames. *)
+let test_epoch_rebuilds_nothing () =
+  let scenario ~roll os noted =
     let hyp = Hyp.attach os in
     let cfg = Profiles.config_of (profiles ()) "top" in
     let v = View.build ~hyp ~index:1 cfg in
     spawn_app os ~name:"gzip" ();
     Os.schedule_at_round os 3 (fun os ->
         note os noted "hits_pre" "sb.hits";
-        note os noted "restamps_pre" "sb.restamps";
         note os noted "flushes_pre" "tlb.i_flushes";
-        Ept.flush_all (Os.ept os));
+        if roll then Ept.flush_all (Os.ept os));
     Os.run os;
     note os noted "flushes_end" "tlb.i_flushes";
     View.destroy v
   in
-  let os_on, noted = twin_check ~label:"epoch-restamp" scenario in
+  let os_on, noted = twin_check ~label:"epoch-roll" (scenario ~roll:true) in
+  let os_still, _, _ = run_engine ~engine:Os.Fast (scenario ~roll:false) in
   check_bool "blocks warm before the bump" true (noted_exn noted "hits_pre" > 0);
   check_bool "the epoch really moved" true
     (noted_exn noted "flushes_end" > noted_exn noted "flushes_pre");
-  check_bool "warm blocks were restamped" true
-    (metric os_on "sb.restamps" > noted_exn noted "restamps_pre");
+  check_int "the roll builds no extra block"
+    (metric os_still "sb.blocks_built")
+    (metric os_on "sb.blocks_built");
   check_int "unchanged translations never invalidate" 0
-    (metric os_on "sb.invalidations")
+    (metric os_on "sb.invalidations");
+  check_int "nor does the run without the roll" 0
+    (metric os_still "sb.invalidations")
 
 (* In-place write: [Phys.touch] on the hot syscall-path text frame bumps
    its version without changing a byte — the signal an in-place
    lazy-recovery write emits, and the only invalidation source in this
    scenario (no view switch, no table_set after boot). *)
 let test_version_invalidates () =
-  let scenario os noted =
+  let scenario ~touch os noted =
     spawn_app os ~name:"gzip" ();
     Os.schedule_at_round os 3 (fun os ->
         note os noted "invals_pre" "sb.invalidations";
@@ -150,16 +151,21 @@ let test_version_invalidates () =
         let a = Os.resolve_exn os "syscall_call" in
         let gpa_page = Layout.page_of (Layout.gva_to_gpa a) in
         match Os.ram_frame os ~gpa_page with
-        | Some frame -> Phys.touch (Os.phys os) frame
+        | Some frame -> if touch then Phys.touch (Os.phys os) frame
         | None -> Alcotest.fail "syscall_call frame missing");
     Os.run os;
     note os noted "flushes_end" "tlb.i_flushes"
   in
-  let os_on, noted = twin_check ~label:"in-place-write" scenario in
+  let os_on, noted = twin_check ~label:"in-place-write" (scenario ~touch:true) in
+  let os_kept, _, _ = run_engine ~engine:Os.Fast (scenario ~touch:false) in
   check_bool "blocks warm before the write" true (noted_exn noted "hits_pre" > 0);
   check_int "no invalidations before the write" 0 (noted_exn noted "invals_pre");
   check_bool "the write invalidated warm blocks" true
     (metric os_on "sb.invalidations" > 0);
+  (* the frame's blocks died for good, so the hot path ran on rebuilt
+     ones, never on the stale blocks *)
+  check_bool "invalidated blocks were rebuilt" true
+    (metric os_on "sb.blocks_built" > metric os_kept "sb.blocks_built");
   (* and no tag moved: the invalidation was version-driven *)
   check_int "no epoch bump involved"
     (noted_exn noted "flushes_at_write")
@@ -168,19 +174,14 @@ let test_version_invalidates () =
 (* A COW break during enforced execution: the first write into a shared
    view frame splices a private copy into the installed table
    ([Ept.table_set] + a version touch on the displaced frame) while
-   superblocks built from the old frame are live.  Rewriting the byte
-   with its current value keeps the twins comparable. *)
-let test_cow_break_invalidates () =
-  let covered_gva v =
-    let base = Image.text_base (image ()) in
-    let rec go a =
-      if a >= base + 0x40000 then Alcotest.fail "no covered page"
-      else if View.covers v ~gva:a then a
-      else go (a + Layout.page_size)
-    in
-    go base
-  in
-  let scenario os noted =
+   superblocks built from the old frame are live.  The write lands on the
+   page of [syscall_call], which top runs on every syscall, and rewrites
+   the byte with its current value, so the twins stay comparable and the
+   private frame holds the same bytes: its line starts empty, and the
+   page's blocks must be built again on it rather than run from the old
+   frame's line. *)
+let test_cow_break_rebuilds () =
+  let scenario ~break os noted =
     let hyp = Hyp.attach os in
     let fc = Facechange.enable ~governor:Governor.default_policy hyp in
     let p = profiles () in
@@ -194,47 +195,24 @@ let test_cow_break_invalidates () =
         match Facechange.find_view fc idx with
         | None -> Alcotest.fail "view vanished"
         | Some v -> (
-            let g = covered_gva v in
+            let g = Os.resolve_exn os "syscall_call" in
+            if not (View.covers v ~gva:g) then
+              Alcotest.fail "top's view does not cover syscall_call";
             match View.read_code v ~gva:g with
             | Some b ->
-                View.write_code v ~gva:g b;
+                if break then View.write_code v ~gva:g b;
                 Hashtbl.replace noted "cow_breaks" (View.cow_breaks v)
             | None -> Alcotest.fail "unreadable view byte"));
     Os.run os;
     ignore (sib : View.t)
   in
-  let os_on, noted = twin_check ~label:"cow-break" scenario in
+  let os_on, noted = twin_check ~label:"cow-break" (scenario ~break:true) in
+  let os_kept, _, _ = run_engine ~engine:Os.Fast (scenario ~break:false) in
   check_bool "blocks warm before the break" true (noted_exn noted "hits_pre" > 0);
   check_bool "the write privatized a shared frame" true
     (noted_exn noted "cow_breaks" > 0);
-  check_bool "warm blocks invalidated" true (metric os_on "sb.invalidations" > 0)
-
-(* Chained blocks: direct jumps/calls follow sb_next without re-probing
-   the cache — but a chain link into an invalidated target must fall
-   back to a rebuild, never execute the stale block. *)
-let test_chain_rebuild_fallback () =
-  let scenario os noted =
-    spawn_app os ~name:"gzip" ();
-    Os.schedule_at_round os 3 (fun os ->
-        note os noted "chains_pre" "sb.chain_follows";
-        note os noted "built_pre" "sb.blocks_built";
-        (* version-bump the hot syscall-path frame: its blocks (and the
-           store's copies) die for good, so chain links into them must
-           fall back to real rebuilds *)
-        let a = Os.resolve_exn os "syscall_call" in
-        let gpa_page = Layout.page_of (Layout.gva_to_gpa a) in
-        match Os.ram_frame os ~gpa_page with
-        | Some frame -> Phys.touch (Os.phys os) frame
-        | None -> Alcotest.fail "syscall_call frame missing");
-    Os.run os
-  in
-  let os_on, noted = twin_check ~label:"chain-fallback" scenario in
-  check_bool "chains were followed before the write" true
-    (noted_exn noted "chains_pre" > 0);
-  check_bool "invalidated chain targets were rebuilt" true
-    (metric os_on "sb.blocks_built" > noted_exn noted "built_pre");
-  check_bool "chains resumed after the rebuild" true
-    (metric os_on "sb.chain_follows" > noted_exn noted "chains_pre")
+  check_bool "blocks were built on the private frame" true
+    (metric os_on "sb.blocks_built" > metric os_kept "sb.blocks_built")
 
 (* Trap-set changes: arming a breakpoint on an address in the {e middle}
    of a hot block must split rebuilt blocks at that address, so the
@@ -404,9 +382,7 @@ let test_enforced_matrix () =
   Differential.check_parity ~label:"fast-vs-reference" ~expect:base ~got:fp;
   check_bool "fast: blocks built" true (en.Differential.en_sb_built > 0);
   check_bool "fast: block hits" true (en.Differential.en_sb_hits > 0);
-  check_bool "fast: chains followed" true
-    (en.Differential.en_sb_chain_follows > 0);
-  check_bool "fast: view switching invalidates" true
+  check_bool "fast: byte changes invalidate" true
     (en.Differential.en_sb_invalidations > 0);
   check_int "reference: sb counters silent" 0 ren.Differential.en_sb_built;
   check_int "reference: sb hits silent" 0 ren.Differential.en_sb_hits;
@@ -422,16 +398,14 @@ let suites =
     ( "sblocks",
       let tc n f = Alcotest.test_case n `Quick f in
       [
-        tc "view switch to different frames invalidates warm blocks"
-          test_view_switch_invalidates;
-        tc "epoch bump with unchanged translations restamps, never rebuilds"
-          test_epoch_restamp_retains;
-        tc "in-place code write (frame version) invalidates warm blocks"
+        tc "view switch to different frames drops no block"
+          test_view_switch_keeps_blocks;
+        tc "epoch bump with unchanged translations rebuilds nothing"
+          test_epoch_rebuilds_nothing;
+        tc "in-place code write (frame version) invalidates, then rebuilds"
           test_version_invalidates;
-        tc "COW break during enforced execution invalidates warm blocks"
-          test_cow_break_invalidates;
-        tc "chained jump across an invalidated target rebuilds, then re-chains"
-          test_chain_rebuild_fallback;
+        tc "COW break during enforced execution rebuilds on the private frame"
+          test_cow_break_rebuilds;
         tc "arming a trap inside a hot block splits rebuilt blocks"
           test_trap_set_splits_blocks;
         tc "interrupt at a block boundary sees identical vCPU state"

@@ -431,6 +431,8 @@ let suites =
           (version_rejected 1);
         Alcotest.test_case "previous-version (v2) stream rejected" `Quick
           (version_rejected 2);
+        Alcotest.test_case "previous-version (v3) stream rejected" `Quick
+          (version_rejected 3);
         Alcotest.test_case "empty input and trailing bytes" `Quick
           empty_and_trailing;
         Alcotest.test_case "save/load roundtrip + missing file" `Quick
