@@ -532,33 +532,33 @@ let handle_fault t reason =
 
 (* ---------------- lifecycle ---------------- *)
 
-(* The kernel-code EPT directory set, derived from the (deterministic)
-   image layout — shared by [enable] and the snapshot [restore]. *)
-let compute_all_dirs image =
-  let dir_of gva = Ept.dir_of_page (Layout.page_of (Layout.gva_to_gpa gva)) in
-  let acc = ref [] in
-  let add d = if not (List.mem d !acc) then acc := d :: !acc in
-  let rec sweep gva limit =
-    if gva < limit then begin
-      add (dir_of gva);
-      sweep (gva + (Ept.dir_span_pages * Layout.page_size)) limit
-    end
-  in
-  sweep (Image.text_base image) (Image.text_end image);
-  add (dir_of (Image.text_end image - 1));
-  sweep Layout.module_area_base Layout.module_area_limit;
-  add (dir_of (Layout.module_area_limit - 1));
-  List.rev !acc
-
-let enable ?(opts = default_opts) ?governor hyp =
-  let os = Hyp.os hyp in
-  let image = Os.image os in
-  let ctx_switch_addr = Image.addr_of_exn image "__switch_to" in
-  let resume_addr = Image.addr_of_exn image "resume_userspace" in
-  let all_dirs = compute_all_dirs image in
+(* The one constructor behind [enable] and [restore]: no views yet, every
+   instrument registered, the exit hooks installed.  Counters are
+   registered by explicit lets in the order the snapshot's METR section
+   lists them, then reset: a fresh enablement owns them even on a guest
+   that ran an earlier FACE-CHANGE instance (a restore overwrites them
+   afterwards from its metrics section). *)
+let make ~opts ~governor ~log hyp =
+  let image = Os.image (Hyp.os hyp) in
   let nvcpus = Os.vcpu_count (Hyp.os hyp) in
   let obs = Hyp.obs hyp in
   let m = Obs.metrics obs in
+  let counter name = Metrics.counter m ~subsystem:"fc" name in
+  let histogram name = Metrics.histogram m ~subsystem:"fc" name in
+  let family name = Metrics.counter_family m ~subsystem:"fc" name in
+  let tolerated = counter "tolerated_faults" in
+  let broken_walks = counter "broken_backtraces" in
+  let quarantined_c = counter "quarantines" in
+  let renarrowed_c = counter "renarrows" in
+  let degraded_c = counter "degradations" in
+  let storms = counter "storms" in
+  let view_build_cycles = histogram "view_build_cycles" in
+  let recovery_bytes_h = histogram "recovery_bytes" in
+  let recovered_bytes = counter "recovered_bytes" in
+  let recoveries = counter "recoveries" in
+  let deferred = counter "switches_deferred" in
+  let switch_skips = counter "switches_skipped" in
+  let switches = counter "view_switches" in
   let t =
     {
       hyp;
@@ -569,43 +569,40 @@ let enable ?(opts = default_opts) ?governor hyp =
       next_index = 1;
       active = Array.make nvcpus full_view_index;
       pending = Array.make nvcpus None;
-      ctx_switch_addr;
-      resume_addr;
-      all_dirs;
-      log = Recovery_log.create ();
-      switches = Metrics.counter m ~subsystem:"fc" "view_switches";
-      switch_skips = Metrics.counter m ~subsystem:"fc" "switches_skipped";
-      deferred = Metrics.counter m ~subsystem:"fc" "switches_deferred";
-      recoveries = Metrics.counter m ~subsystem:"fc" "recoveries";
-      recovered_bytes = Metrics.counter m ~subsystem:"fc" "recovered_bytes";
-      recovery_bytes_h = Metrics.histogram m ~subsystem:"fc" "recovery_bytes";
-      view_build_cycles = Metrics.histogram m ~subsystem:"fc" "view_build_cycles";
-      switches_f = Metrics.counter_family m ~subsystem:"fc" "view_switches";
-      recoveries_f = Metrics.counter_family m ~subsystem:"fc" "recoveries";
-      recovered_bytes_f = Metrics.counter_family m ~subsystem:"fc" "recovered_bytes";
+      ctx_switch_addr = Image.addr_of_exn image "__switch_to";
+      resume_addr = Image.addr_of_exn image "resume_userspace";
+      all_dirs = Image.code_dirs image;
+      log;
+      switches;
+      switch_skips;
+      deferred;
+      recoveries;
+      recovered_bytes;
+      recovery_bytes_h;
+      view_build_cycles;
+      switches_f = family "view_switches";
+      recoveries_f = family "recoveries";
+      recovered_bytes_f = family "recovered_bytes";
       retired_cow_breaks = 0;
-      governor = Option.map Governor.create governor;
+      governor;
       saved_bindings = Hashtbl.create 8;
-      storms = Metrics.counter m ~subsystem:"fc" "storms";
-      degraded_c = Metrics.counter m ~subsystem:"fc" "degradations";
-      renarrowed_c = Metrics.counter m ~subsystem:"fc" "renarrows";
-      quarantined_c = Metrics.counter m ~subsystem:"fc" "quarantines";
-      broken_walks = Metrics.counter m ~subsystem:"fc" "broken_backtraces";
-      tolerated = Metrics.counter m ~subsystem:"fc" "tolerated_faults";
-      degraded_f = Metrics.counter_family m ~subsystem:"fc" "degradations";
+      storms;
+      degraded_c;
+      renarrowed_c;
+      quarantined_c;
+      broken_walks;
+      tolerated;
+      degraded_f = family "degradations";
       enabled = true;
     }
   in
-  (* a fresh enablement owns these instruments, even on a guest that ran
-     an earlier FACE-CHANGE instance *)
   List.iter Metrics.reset
     [
-      t.switches; t.switch_skips; t.deferred; t.recoveries; t.recovered_bytes;
-      t.storms; t.degraded_c; t.renarrowed_c; t.quarantined_c; t.broken_walks;
-      t.tolerated;
+      switches; switch_skips; deferred; recoveries; recovered_bytes; storms;
+      degraded_c; renarrowed_c; quarantined_c; broken_walks; tolerated;
     ];
-  Metrics.reset_histogram t.recovery_bytes_h;
-  Metrics.reset_histogram t.view_build_cycles;
+  Metrics.reset_histogram recovery_bytes_h;
+  Metrics.reset_histogram view_build_cycles;
   List.iter Metrics.reset_family
     [
       t.switches_f;
@@ -626,7 +623,14 @@ let enable ?(opts = default_opts) ?governor hyp =
   Hyp.on_breakpoint hyp (fun _hyp regs addr -> handle_kernel_view_trap t regs addr);
   Hyp.on_invalid_opcode hyp (fun _hyp regs -> handle_invalid_opcode t regs);
   Hyp.on_fault hyp (fun _hyp _regs m -> handle_fault t m);
-  Hyp.set_breakpoint hyp ctx_switch_addr;
+  t
+
+let enable ?(opts = default_opts) ?governor hyp =
+  let t =
+    make ~opts ~governor:(Option.map Governor.create governor)
+      ~log:(Recovery_log.create ()) hyp
+  in
+  Hyp.set_breakpoint hyp t.ctx_switch_addr;
   t
 
 let load_view t config =
@@ -738,8 +742,6 @@ let freeze t ~table_id =
   }
 
 let restore ~hyp ~table_of (z : frozen) =
-  let os = Hyp.os hyp in
-  let image = Os.image os in
   let log =
     match Recovery_log.of_string ~cap:z.zf_log_cap z.zf_log with
     | Ok l ->
@@ -747,60 +749,18 @@ let restore ~hyp ~table_of (z : frozen) =
         l
     | Error e -> invalid_arg ("Facechange.restore: bad recovery log: " ^ e)
   in
-  let obs = Hyp.obs hyp in
-  let m = Obs.metrics obs in
   let t =
-    {
-      hyp;
-      obs;
-      opts = z.zf_opts;
-      views = List.map (fun zv -> View.restore ~hyp ~table_of zv) z.zf_views;
-      bindings = z.zf_bindings;
-      next_index = z.zf_next_index;
-      active = Array.of_list z.zf_active;
-      pending = Array.of_list z.zf_pending;
-      ctx_switch_addr = Image.addr_of_exn image "__switch_to";
-      resume_addr = Image.addr_of_exn image "resume_userspace";
-      all_dirs = compute_all_dirs image;
-      log;
-      switches = Metrics.counter m ~subsystem:"fc" "view_switches";
-      switch_skips = Metrics.counter m ~subsystem:"fc" "switches_skipped";
-      deferred = Metrics.counter m ~subsystem:"fc" "switches_deferred";
-      recoveries = Metrics.counter m ~subsystem:"fc" "recoveries";
-      recovered_bytes = Metrics.counter m ~subsystem:"fc" "recovered_bytes";
-      recovery_bytes_h = Metrics.histogram m ~subsystem:"fc" "recovery_bytes";
-      view_build_cycles = Metrics.histogram m ~subsystem:"fc" "view_build_cycles";
-      switches_f = Metrics.counter_family m ~subsystem:"fc" "view_switches";
-      recoveries_f = Metrics.counter_family m ~subsystem:"fc" "recoveries";
-      recovered_bytes_f = Metrics.counter_family m ~subsystem:"fc" "recovered_bytes";
-      retired_cow_breaks = z.zf_retired_cow_breaks;
-      governor = Option.map Governor.thaw z.zf_governor;
-      saved_bindings =
-        (let h = Hashtbl.create 8 in
-         List.iter (fun (c, i) -> Hashtbl.replace h c i) z.zf_saved_bindings;
-         h);
-      storms = Metrics.counter m ~subsystem:"fc" "storms";
-      degraded_c = Metrics.counter m ~subsystem:"fc" "degradations";
-      renarrowed_c = Metrics.counter m ~subsystem:"fc" "renarrows";
-      quarantined_c = Metrics.counter m ~subsystem:"fc" "quarantines";
-      broken_walks = Metrics.counter m ~subsystem:"fc" "broken_backtraces";
-      tolerated = Metrics.counter m ~subsystem:"fc" "tolerated_faults";
-      degraded_f = Metrics.counter_family m ~subsystem:"fc" "degradations";
-      enabled = z.zf_enabled;
-    }
+    make ~opts:z.zf_opts ~governor:(Option.map Governor.thaw z.zf_governor) ~log
+      hyp
   in
-  (* no counter resets here (the codec's metrics section is applied after
-     every layer is restored); gauges re-register over the new instance *)
-  Metrics.gauge m ~subsystem:"fc" "views_loaded" (fun () -> List.length t.views);
-  Metrics.gauge m ~subsystem:"fc" "view_pages" (fun () ->
-      List.fold_left (fun n v -> n + View.private_page_count v) 0 t.views);
-  Metrics.gauge m ~subsystem:"fc" "shared_frames" (fun () -> shared_frames t);
-  Metrics.gauge m ~subsystem:"fc" "cow_breaks" (fun () -> cow_breaks t);
-  Metrics.gauge m ~subsystem:"fc" "recovery_log_dropped" (fun () ->
-      Recovery_log.dropped t.log);
-  Hyp.on_breakpoint hyp (fun _hyp regs addr -> handle_kernel_view_trap t regs addr);
-  Hyp.on_invalid_opcode hyp (fun _hyp regs -> handle_invalid_opcode t regs);
-  Hyp.on_fault hyp (fun _hyp _regs m -> handle_fault t m);
+  t.views <- List.map (fun zv -> View.restore ~hyp ~table_of zv) z.zf_views;
+  t.bindings <- z.zf_bindings;
+  t.next_index <- z.zf_next_index;
+  List.iteri (fun vid i -> t.active.(vid) <- i) z.zf_active;
+  List.iteri (fun vid p -> t.pending.(vid) <- p) z.zf_pending;
+  t.retired_cow_breaks <- z.zf_retired_cow_breaks;
+  List.iter (fun (c, i) -> Hashtbl.replace t.saved_bindings c i) z.zf_saved_bindings;
+  t.enabled <- z.zf_enabled;
   (* breakpoints are NOT re-set: the __switch_to trap (and the resume
      trap, when a deferred switch was pending) live in the restored trap
      set already — setting them again would bump the trap generation a

@@ -156,8 +156,9 @@ val freeze : t -> table_id:(Fc_mem.Ept.table -> int) -> frozen
 val restore :
   hyp:Fc_hypervisor.Hypervisor.t ->
   table_of:(int -> Fc_mem.Ept.table) -> frozen -> t
-(** Re-enable FACE-CHANGE from a frozen image on a restored hypervisor:
-    views, bindings, per-vCPU active/pending switches, the governor and
-    the recovery log come back verbatim; the breakpoint, invalid-opcode
-    and fault handlers are installed, but no breakpoints are set —
-    the guest's restored trap set already holds them. *)
+(** Re-enable FACE-CHANGE from a frozen image on a restored hypervisor,
+    through {!enable}'s constructor (same instruments, gauges and
+    handlers): views, bindings, per-vCPU active/pending switches, the
+    governor and the recovery log come back verbatim, but no
+    breakpoints are set — the guest's restored trap set already holds
+    them. *)

@@ -237,56 +237,47 @@ let materialize_page t loads buf gpa_page =
   Metrics.incr t.pages_materialized;
   Hyp.charge t.hyp Cost.view_page_init
 
+(* The one constructor behind [build] and [restore]: an empty view over
+   [tables], its two counters registered by explicit lets in the order
+   the snapshot's METR section lists them. *)
+let make ~hyp ~index ~share ~tables config =
+  let m = Obs.metrics (Hyp.obs hyp) in
+  let cow_breaks_c =
+    Metrics.family_counter
+      (Metrics.counter_family m ~subsystem:"view" "cow_breaks")
+      config.Fc_profiler.View_config.app
+  in
+  let pages_materialized = Metrics.counter m ~subsystem:"view" "pages_materialized" in
+  {
+    hyp;
+    index;
+    config;
+    share;
+    tables;
+    page_frames = Hashtbl.create 256;
+    pages_materialized;
+    cow_breaks_c;
+    loaded_bytes = 0;
+    cow_breaks = 0;
+    destroyed = false;
+  }
+
 let build ~hyp ?(whole_function_load = true) ?(share_frames = true) ~index
     config =
   let os = Hyp.os hyp in
   let image = Os.image os in
   let text_lo = Image.text_base image and text_hi = Image.text_end image in
-  let dir_of gva = Ept.dir_of_page (Layout.page_of (Layout.gva_to_gpa gva)) in
-  (* collect affected directories: base text + module area *)
-  let dirs = ref [] in
-  let add_dir d = if not (List.mem d !dirs) then dirs := d :: !dirs in
-  let rec sweep gva limit =
-    if gva < limit then begin
-      add_dir (dir_of gva);
-      sweep (gva + (Ept.dir_span_pages * Layout.page_size)) limit
-    end
-  in
-  sweep text_lo text_hi;
-  add_dir (dir_of (text_hi - 1));
-  sweep Layout.module_area_base Layout.module_area_limit;
-  add_dir (dir_of (Layout.module_area_limit - 1));
+  (* every kernel-code directory, starting from a copy of its original
+     table so data/unknown pages keep their real mapping *)
   let tables =
-    List.rev_map
+    List.map
       (fun dir ->
         match Hyp.original_table hyp ~dir with
         | Some table -> (dir, Ept.table_copy table)
         | None -> (dir, Ept.table_create ()))
-      !dirs
+      (Image.code_dirs image)
   in
-  let t =
-    {
-      hyp;
-      index;
-      config;
-      share = share_frames;
-      tables;
-      page_frames = Hashtbl.create 256;
-      pages_materialized =
-        Metrics.counter
-          (Obs.metrics (Hyp.obs hyp))
-          ~subsystem:"view" "pages_materialized";
-      cow_breaks_c =
-        Metrics.family_counter
-          (Metrics.counter_family
-             (Obs.metrics (Hyp.obs hyp))
-             ~subsystem:"view" "cow_breaks")
-          config.Fc_profiler.View_config.app;
-      loaded_bytes = 0;
-      cow_breaks = 0;
-      destroyed = false;
-    }
-  in
+  let t = make ~hyp ~index ~share:share_frames ~tables config in
   (* Pass 1: compute the load set — the exact whole-function relaxation
      walk, recorded (as absolute guest-virtual spans) in an interval
      index instead of written byte-by-byte.  Byte and cycle accounting is
@@ -376,28 +367,15 @@ let restore ~hyp ~table_of (z : frozen) =
     | Ok c -> c
     | Error e -> invalid_arg ("View.restore: bad embedded config: " ^ e)
   in
-  let page_frames = Hashtbl.create 256 in
-  List.iter (fun (p, f) -> Hashtbl.replace page_frames p f) z.zv_page_frames;
+  let t =
+    make ~hyp ~index:z.zv_index ~share:z.zv_share
+      ~tables:(List.map (fun (d, id) -> (d, table_of id)) z.zv_tables)
+      config
+  in
   (* page frames carry their references through the restored pool, so no
      refcounts are taken here; [destroy] stays balanced *)
-  {
-    hyp;
-    index = z.zv_index;
-    config;
-    share = z.zv_share;
-    tables = List.map (fun (d, id) -> (d, table_of id)) z.zv_tables;
-    page_frames;
-    pages_materialized =
-      Metrics.counter
-        (Obs.metrics (Hyp.obs hyp))
-        ~subsystem:"view" "pages_materialized";
-    cow_breaks_c =
-      Metrics.family_counter
-        (Metrics.counter_family
-           (Obs.metrics (Hyp.obs hyp))
-           ~subsystem:"view" "cow_breaks")
-        config.Fc_profiler.View_config.app;
-    loaded_bytes = z.zv_loaded_bytes;
-    cow_breaks = z.zv_cow_breaks;
-    destroyed = z.zv_destroyed;
-  }
+  List.iter (fun (p, f) -> Hashtbl.replace t.page_frames p f) z.zv_page_frames;
+  t.loaded_bytes <- z.zv_loaded_bytes;
+  t.cow_breaks <- z.zv_cow_breaks;
+  t.destroyed <- z.zv_destroyed;
+  t

@@ -152,6 +152,13 @@ let apply_at_round t kind =
 
 let mk ~os ~hyp ~fc (plan : Fault.plan) =
   let m = Obs.metrics (Os.obs os) in
+  (* registration order is the snapshot's METR order *)
+  let validation_misses_c =
+    Metrics.counter m ~subsystem:"faults" "validation_misses"
+  in
+  let config_rejects_c = Metrics.counter m ~subsystem:"faults" "config_rejects" in
+  let bp_misses_c = Metrics.counter m ~subsystem:"faults" "bp_misses" in
+  let injected_c = Metrics.counter m ~subsystem:"faults" "injected" in
   {
     os;
     hyp;
@@ -159,12 +166,11 @@ let mk ~os ~hyp ~fc (plan : Fault.plan) =
     obs = Os.obs os;
     plan;
     switch_addr = Image.addr_of_exn (Os.image os) "__switch_to";
-    injected_c = Metrics.counter m ~subsystem:"faults" "injected";
+    injected_c;
     injected_f = Metrics.counter_family m ~subsystem:"faults" "injected";
-    bp_misses_c = Metrics.counter m ~subsystem:"faults" "bp_misses";
-    config_rejects_c = Metrics.counter m ~subsystem:"faults" "config_rejects";
-    validation_misses_c =
-      Metrics.counter m ~subsystem:"faults" "validation_misses";
+    bp_misses_c;
+    config_rejects_c;
+    validation_misses_c;
     miss_budget = 0;
     queue = [];
     armed = true;

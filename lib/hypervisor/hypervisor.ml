@@ -229,61 +229,62 @@ let dispatch_exit t regs = function
   | Os.Exit_fault m ->
       repair t regs Event.Exit_fault (fun () -> t.fault_handler t regs m)
 
+(* The pristine kernel-code tables, before any view replaces them. *)
 let snapshot_tables os =
   let tables = Hashtbl.create 16 in
-  let note gva =
-    let dir = Fc_mem.Ept.dir_of_page (Layout.page_of (Layout.gva_to_gpa gva)) in
-    if not (Hashtbl.mem tables dir) then
+  List.iter
+    (fun dir ->
       match Fc_mem.Ept.get_dir (Os.ept os) ~dir with
       | Some table -> Hashtbl.replace tables dir table
-      | None -> ()
-  in
-  let img = Os.image os in
-  let rec sweep gva limit =
-    if gva < limit then begin
-      note gva;
-      sweep (gva + (Fc_mem.Ept.dir_span_pages * Layout.page_size)) limit
-    end
-  in
-  sweep (Image.text_base img) (Image.text_end img);
-  note (Image.text_end img - 1);
-  sweep Layout.module_area_base Layout.module_area_limit;
-  note (Layout.module_area_limit - 1);
+      | None -> ())
+    (Image.code_dirs (Os.image os));
   tables
 
-let attach os =
+(* The one constructor behind [attach] and [restore].  Instruments are
+   registered by explicit lets in the order the snapshot's METR section
+   lists them, then reset: a fresh hypervisor starts from zero even if a
+   previous attachment to this guest registered the same counters (a
+   restore overwrites them afterwards from its metrics section). *)
+let make os ~original_tables =
   let obs = Os.obs os in
   let m = Obs.metrics obs in
+  let charge_cycles = Metrics.histogram m ~subsystem:"hyp" "charge_cycles" in
+  let cycles_charged = Metrics.counter m ~subsystem:"hyp" "cycles_charged" in
+  let invalid_opcode_exits =
+    Metrics.counter m ~subsystem:"hyp" "invalid_opcode_exits"
+  in
+  let breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits" in
+  let frame_cache = Fc_mem.Frame_cache.create ~obs (Os.phys os) in
+  let app_cycles = Metrics.counter_family m ~subsystem:"hyp" "cycles_charged" in
   let mods = Os.vmi_module_list os in
   let t =
     {
       os;
       obs;
-      original_tables = snapshot_tables os;
-      frame_cache = Fc_mem.Frame_cache.create ~obs (Os.phys os);
+      original_tables;
+      frame_cache;
       symbols = symbols_for os mods;
       visible_modules = mods;
       bp_handlers = [];
       io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
       fault_handler = (fun _ _ m -> `Unhandled m);
-      breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
-      invalid_opcode_exits =
-        Metrics.counter m ~subsystem:"hyp" "invalid_opcode_exits";
-      cycles_charged = Metrics.counter m ~subsystem:"hyp" "cycles_charged";
-      charge_cycles = Metrics.histogram m ~subsystem:"hyp" "charge_cycles";
-      app_cycles = Metrics.counter_family m ~subsystem:"hyp" "cycles_charged";
+      breakpoint_exits;
+      invalid_opcode_exits;
+      cycles_charged;
+      charge_cycles;
+      app_cycles;
       app_memo = None;
     }
   in
-  (* a fresh hypervisor starts from zero even if a previous attachment to
-     this guest registered the same counters *)
-  Metrics.reset t.breakpoint_exits;
-  Metrics.reset t.invalid_opcode_exits;
-  Metrics.reset t.cycles_charged;
-  Metrics.reset_histogram t.charge_cycles;
-  Metrics.reset_family t.app_cycles;
+  Metrics.reset breakpoint_exits;
+  Metrics.reset invalid_opcode_exits;
+  Metrics.reset cycles_charged;
+  Metrics.reset_histogram charge_cycles;
+  Metrics.reset_family app_cycles;
   Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
   t
+
+let attach os = make os ~original_tables:(snapshot_tables os)
 
 let detach t =
   List.iter (Os.clear_trap t.os) (Os.trap_addresses t.os);
@@ -310,36 +311,10 @@ let freeze t ~table_id =
   }
 
 let restore ~os ~table_of (z : frozen) =
-  let obs = Os.obs os in
-  let m = Obs.metrics obs in
   let original_tables = Hashtbl.create 16 in
   List.iter
     (fun (dir, id) -> Hashtbl.replace original_tables dir (table_of id))
     z.zh_tables;
-  let frame_cache = Fc_mem.Frame_cache.create ~obs (Os.phys os) in
-  Fc_mem.Frame_cache.import frame_cache z.zh_cache;
-  let mods = Os.vmi_module_list os in
-  let t =
-    {
-      os;
-      obs;
-      original_tables;
-      frame_cache;
-      symbols = symbols_for os mods;
-      visible_modules = mods;
-      bp_handlers = [];
-      io_handler = (fun _ _ -> `Unhandled "invalid opcode (no recovery installed)");
-      fault_handler = (fun _ _ m -> `Unhandled m);
-      breakpoint_exits = Metrics.counter m ~subsystem:"hyp" "breakpoint_exits";
-      invalid_opcode_exits =
-        Metrics.counter m ~subsystem:"hyp" "invalid_opcode_exits";
-      cycles_charged = Metrics.counter m ~subsystem:"hyp" "cycles_charged";
-      charge_cycles = Metrics.histogram m ~subsystem:"hyp" "charge_cycles";
-      app_cycles = Metrics.counter_family m ~subsystem:"hyp" "cycles_charged";
-      app_memo = None;
-    }
-  in
-  (* no counter resets here: the codec applies its metrics section after
-     every layer is restored, and a fresh registry already reads zero *)
-  Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
+  let t = make os ~original_tables in
+  Fc_mem.Frame_cache.import t.frame_cache z.zh_cache;
   t

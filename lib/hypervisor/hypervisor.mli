@@ -165,6 +165,7 @@ val restore :
   os:Fc_machine.Os.t -> table_of:(int -> Fc_mem.Ept.table) -> frozen -> t
 (** Re-attach a hypervisor to a thawed guest without re-deriving state
     from the live EPT (the way {!attach} does): the pristine table set
-    and frame cache come from the snapshot, symbols are refreshed from
-    restored guest RAM, the exit handler is installed, and no counters
-    are reset — the codec's metrics section is applied afterwards. *)
+    and frame cache come from the snapshot.  Otherwise it is {!attach}'s
+    constructor — symbols refreshed from restored guest RAM, the exit
+    handler installed, the same instruments registered and reset — and
+    the codec's metrics section then overwrites the counters. *)

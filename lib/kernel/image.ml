@@ -72,6 +72,23 @@ let unit_image t = t.unit_image
 let text_base t = t.unit_image.base
 let text_end t = t.unit_image.base + Bytes.length t.unit_image.code
 
+let code_dirs t =
+  let module Ept = Fc_mem.Ept in
+  let dir_of gva = Ept.dir_of_page (Layout.page_of (Layout.gva_to_gpa gva)) in
+  let acc = ref [] in
+  let add d = if not (List.mem d !acc) then acc := d :: !acc in
+  let rec sweep gva limit =
+    if gva < limit then begin
+      add (dir_of gva);
+      sweep (gva + (Ept.dir_span_pages * Layout.page_size)) limit
+    end
+  in
+  sweep (text_base t) (text_end t);
+  add (dir_of (text_end t - 1));
+  sweep Layout.module_area_base Layout.module_area_limit;
+  add (dir_of (Layout.module_area_limit - 1));
+  List.rev !acc
+
 let addr_of_exn t name =
   match addr_of t name with
   | Some a -> a

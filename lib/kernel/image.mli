@@ -27,6 +27,11 @@ val text_base : t -> int
 val text_end : t -> int
 (** One past the last byte of base kernel code. *)
 
+val code_dirs : t -> int list
+(** The EPT directories holding kernel code — base text, then the module
+    area — in sweep order, each once.  Views put this order on the wire
+    ([View.frozen.zv_tables]). *)
+
 val addr_of : t -> string -> int option
 (** Address of a base-kernel function. *)
 

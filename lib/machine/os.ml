@@ -717,9 +717,23 @@ let wire_instruments t =
       Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
   tlb_gauge "d_flushes" (fun () -> t.data_epoch)
 
-let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
-  if vcpus < 1 || vcpus > 8 then invalid_arg "Os.create: 1-8 vcpus";
-  let obs = match obs with Some o -> o | None -> Fc_obs.Obs.create () in
+(* The one constructor behind [create] and [thaw]: a machine with no
+   guest state yet, every instrument registered and every hook wired.
+   The snapshot's METR section lists stored instruments in registration
+   order, so the counters are registered here by explicit lets, in that
+   order. *)
+let make ~config ~obs ~engine ~vcpus image =
+  let metrics = Fc_obs.Obs.metrics obs in
+  let counter subsystem name = Fc_obs.Metrics.counter metrics ~subsystem name in
+  let family subsystem name = Fc_obs.Metrics.counter_family metrics ~subsystem name in
+  let sb_invals = counter "sb" "invalidations" in
+  let sb_hits = counter "sb" "hits" in
+  let sb_built = counter "sb" "blocks_built" in
+  let tlb_d_misses = counter "tlb" "d_misses" in
+  let tlb_d_hits = counter "tlb" "d_hits" in
+  let tlb_i_misses = counter "tlb" "i_misses" in
+  let tlb_i_hits = counter "tlb" "i_hits" in
+  let phys = Phys.create ~metrics () in
   let fast = match engine with Fast -> true | Reference -> false in
   let master_pt = Pt.create () in
   let mk_vcpu vid =
@@ -743,7 +757,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       image;
       config;
       obs;
-      phys = Phys.create ~metrics:(Fc_obs.Obs.metrics obs) ();
+      phys;
       vcpus = Array.init vcpus mk_vcpu;
       active = 0;
       ram = Hashtbl.create 2048;
@@ -782,28 +796,26 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
       sleep_override = None;
       faults = None;
       tick = None;
-      run_cycles_f =
-        Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"os"
-          "run_cycles";
-      run_slices_f =
-        Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"os"
-          "run_slices";
-      oops_kills_f =
-        Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"os"
-          "oops_kills";
-      tlb_i_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "i_hits";
-      tlb_i_misses = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "i_misses";
-      tlb_d_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "d_hits";
-      tlb_d_misses = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"tlb" "d_misses";
-      sb_built = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "blocks_built";
-      sb_hits = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "hits";
-      sb_invals = Fc_obs.Metrics.counter (Fc_obs.Obs.metrics obs) ~subsystem:"sb" "invalidations";
-      tlb_flushes_f =
-        Fc_obs.Metrics.counter_family (Fc_obs.Obs.metrics obs) ~subsystem:"tlb"
-          "flushes";
+      run_cycles_f = family "os" "run_cycles";
+      run_slices_f = family "os" "run_slices";
+      oops_kills_f = family "os" "oops_kills";
+      tlb_i_hits;
+      tlb_i_misses;
+      tlb_d_hits;
+      tlb_d_misses;
+      sb_built;
+      sb_hits;
+      sb_invals;
+      tlb_flushes_f = family "tlb" "flushes";
     }
   in
   wire_instruments t;
+  t
+
+let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
+  if vcpus < 1 || vcpus > 8 then invalid_arg "Os.create: 1-8 vcpus";
+  let obs = match obs with Some o -> o | None -> Fc_obs.Obs.create () in
+  let t = make ~config ~obs ~engine ~vcpus image in
   (* base kernel text *)
   let text_lo = Image.text_base image and text_hi = Image.text_end image in
   map_fresh_range t ~lo:text_lo ~hi:text_hi;
@@ -1565,15 +1577,16 @@ let freeze t ~table_id =
   }
 
 let thaw ?obs ~image ~table_of (z : frozen) =
+  let vcpus = List.length z.z_vcpus in
+  if vcpus < 1 then invalid_arg "Os.thaw: no vCPUs in frozen state";
   let obs = match obs with Some o -> o | None -> Fc_obs.Obs.create () in
-  let metrics = Fc_obs.Obs.metrics obs in
-  let master_pt = Pt.create () in
+  let t = make ~config:z.z_config ~obs ~engine:z.z_engine ~vcpus image in
   List.iter
-    (fun (gva_page, gpa_page) -> Pt.map master_pt ~gva_page ~gpa_page)
+    (fun (gva_page, gpa_page) -> Pt.map t.master_pt ~gva_page ~gpa_page)
     z.z_master_pt;
   (* processes, newest first as stored: identity (and [pick_ready]'s
      tie-break order) depends on [procs_rev] order *)
-  let procs_rev =
+  t.procs_rev <-
     List.map
       (fun zp ->
         let page_table = Pt.create () in
@@ -1589,63 +1602,39 @@ let thaw ?obs ~image ~table_of (z : frozen) =
           Option.map
             (fun (eip, ebp, esp) -> { Cpu.eip; ebp; esp })
             zp.zp_saved_regs;
-        let q = Queue.create () in
-        List.iter (fun d -> Queue.push d q) zp.zp_saved_dispatch;
-        p.Process.saved_dispatch <- q;
+        List.iter (fun d -> Queue.push d p.Process.saved_dispatch) zp.zp_saved_dispatch;
         p.Process.in_kernel <- zp.zp_in_kernel;
         p.Process.syscall_count <- zp.zp_syscall_count;
         p.Process.last_scheduled_round <- zp.zp_last_scheduled_round;
         p)
-      z.z_procs
-  in
-  let proc_by_pid pid =
-    List.find_opt (fun (p : Process.t) -> p.Process.pid = pid) procs_rev
-  in
-  let fast = match z.z_engine with Fast -> true | Reference -> false in
-  let vcpu_arr = Array.of_list z.z_vcpus in
-  let vcpus = Array.length vcpu_arr in
-  if vcpus < 1 then invalid_arg "Os.thaw: no vCPUs in frozen state";
-  let mk_vcpu vid =
-    let zv = vcpu_arr.(vid) in
-    let name = if vid = 0 then "swapper" else Printf.sprintf "swapper/%d" vid in
-    let vidle = Process.create ~cpu:vid ~pid:vid ~name ~page_table:master_pt [] in
-    vidle.Process.last_scheduled_round <- zv.zv_idle_last_round;
-    let vept = Ept.create () in
-    List.iter
-      (fun (dir, id) -> Ept.install_dir vept ~dir (Some (table_of id)))
-      zv.zv_dirs;
-    (* tags last: the frozen view/era/generations (and flush count)
-       overwrite whatever construction did, so the i_flushes gauge and
-       tag validity resume exactly where the snapshot left them *)
-    Ept.restore_tags vept zv.zv_tags;
-    let vcurrent =
-      if zv.zv_current_pid = vid then vidle
-      else
-        match proc_by_pid zv.zv_current_pid with
-        | Some p -> p
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Os.thaw: vCPU %d current pid %d not in snapshot"
-                 vid zv.zv_current_pid)
-    in
-    let vitlb, vdtlb = vcpu_caches ~fast in
-    {
-      vid;
-      vept;
-      vidle;
-      vcurrent;
-      vin_interrupt = zv.zv_in_interrupt;
-      vslice = Fc_obs.Span.none;
-      vslice_start = zv.zv_slice_start;
-      vitlb;
-      vdtlb;
-    }
-  in
-  let ram = Hashtbl.create 2048 in
-  List.iter (fun (gpa_page, frame) -> Hashtbl.replace ram gpa_page frame) z.z_ram;
-  let itimers = Hashtbl.create 8 in
-  List.iter (fun pid -> Hashtbl.replace itimers pid ()) z.z_itimers;
-  let modules =
+      z.z_procs;
+  t.page_tables <-
+    List.map (fun (p : Process.t) -> p.Process.page_table) t.procs_rev
+    @ [ t.master_pt ];
+  List.iteri
+    (fun vid zv ->
+      let v = t.vcpus.(vid) in
+      v.vidle.Process.last_scheduled_round <- zv.zv_idle_last_round;
+      List.iter
+        (fun (dir, id) -> Ept.install_dir v.vept ~dir (Some (table_of id)))
+        zv.zv_dirs;
+      (* tags last: the frozen view/era/generations (and flush count)
+         overwrite whatever construction did, so the i_flushes gauge and
+         tag validity resume exactly where the snapshot left them *)
+      Ept.restore_tags v.vept zv.zv_tags;
+      (if zv.zv_current_pid <> vid then
+         match find_process t ~pid:zv.zv_current_pid with
+         | Some p -> v.vcurrent <- p
+         | None ->
+             invalid_arg
+               (Printf.sprintf "Os.thaw: vCPU %d current pid %d not in snapshot"
+                  vid zv.zv_current_pid));
+      v.vin_interrupt <- zv.zv_in_interrupt;
+      v.vslice_start <- zv.zv_slice_start)
+    z.z_vcpus;
+  List.iter (fun (gpa_page, frame) -> Hashtbl.replace t.ram gpa_page frame) z.z_ram;
+  List.iter (fun pid -> Hashtbl.replace t.itimers pid ()) z.z_itimers;
+  t.modules <-
     List.map
       (fun zm ->
         {
@@ -1661,69 +1650,20 @@ let thaw ?obs ~image ~table_of (z : frozen) =
                   zm.zm_functions;
             };
         })
-      z.z_modules
-  in
-  let t =
-    {
-      image;
-      config = z.z_config;
-      obs;
-      phys = Phys.create ~metrics ();
-      vcpus = Array.init vcpus mk_vcpu;
-      active = 0;
-      ram;
-      master_pt;
-      page_tables =
-        List.map (fun (p : Process.t) -> p.Process.page_table) procs_rev
-        @ [ master_pt ];
-      traps = Hashtbl.create 8;
-      trap_arr = [||];
-      trap_lo = max_int;
-      trap_hi = min_int;
-      trace = None;
-      cover = None;
-      events = None;
-      branch_policy = None;
-      cycles = ref z.z_cycles;
-      instrs = ref z.z_instrs;
-      fast;
-      trap_gen = 0;
-      data_epoch = z.z_data_epoch;
-      round_no = z.z_round_no;
-      context_switches = z.z_context_switches;
-      procs_rev;
-      next_pid = z.z_next_pid;
-      handler = default_handler;
-      modules;
-      next_module_base = z.z_next_module_base;
-      timers =
-        List.map
-          (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
-          z.z_timers;
-      decode_cache = Hashtbl.create 512;
-      at_round = [];
-      rewriter = None;
-      itimers;
-      symbols = Hashtbl.create 2048;
-      sleep_override = z.z_sleep_override;
-      faults = None;
-      tick = None;
-      run_cycles_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "run_cycles";
-      run_slices_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "run_slices";
-      oops_kills_f = Fc_obs.Metrics.counter_family metrics ~subsystem:"os" "oops_kills";
-      tlb_i_hits = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "i_hits";
-      tlb_i_misses = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "i_misses";
-      tlb_d_hits = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "d_hits";
-      tlb_d_misses = Fc_obs.Metrics.counter metrics ~subsystem:"tlb" "d_misses";
-      sb_built = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "blocks_built";
-      sb_hits = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "hits";
-      sb_invals = Fc_obs.Metrics.counter metrics ~subsystem:"sb" "invalidations";
-      tlb_flushes_f =
-        Fc_obs.Metrics.counter_family metrics ~subsystem:"tlb" "flushes";
-    }
-  in
+      z.z_modules;
+  t.cycles := z.z_cycles;
+  t.instrs := z.z_instrs;
+  t.data_epoch <- z.z_data_epoch;
+  t.round_no <- z.z_round_no;
+  t.context_switches <- z.z_context_switches;
+  t.next_pid <- z.z_next_pid;
+  t.next_module_base <- z.z_next_module_base;
+  t.timers <-
+    List.map
+      (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
+      z.z_timers;
+  t.sleep_override <- z.z_sleep_override;
   Phys.import t.phys z.z_phys;
-  wire_instruments t;
   (* traps: refill the set, rebuild the sorted mirror, then pin the
      generation back to the frozen value (lines are empty, so only
      monotonic faithfulness matters) *)

@@ -428,6 +428,7 @@ val thaw :
     pool.  The kernel [image] is not serialized — {!Fc_kernel.Image.build}
     is deterministic; guest RAM contents come from the restored frame
     pool, so nothing is re-written (frame versions stay faithful).
-    Hooks, views and breakpoints are re-attached by the hypervisor
-    layer; apply the codec's metrics section after every layer is
-    restored. *)
+    It starts from the constructor {!create} boots through, so both
+    register the same instruments in the same order.  Hooks, views and
+    breakpoints are re-attached by the hypervisor layer; apply the
+    codec's metrics section after every layer is restored. *)

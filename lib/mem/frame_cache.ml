@@ -26,14 +26,18 @@ let create ?obs phys =
   let m =
     match obs with Some o -> Obs.metrics o | None -> Metrics.create ()
   in
+  (* registration order is the snapshot's METR order *)
+  let cow_breaks = Metrics.counter m ~subsystem:"cache" "cow_breaks" in
+  let misses = Metrics.counter m ~subsystem:"cache" "misses" in
+  let hits = Metrics.counter m ~subsystem:"cache" "hits" in
   let t =
     {
       phys;
       entries = Hashtbl.create 256;
       obs;
-      hits = Metrics.counter m ~subsystem:"cache" "hits";
-      misses = Metrics.counter m ~subsystem:"cache" "misses";
-      cow_breaks = Metrics.counter m ~subsystem:"cache" "cow_breaks";
+      hits;
+      misses;
+      cow_breaks;
       hits_f = Metrics.counter_family m ~subsystem:"cache" "hits";
     }
   in

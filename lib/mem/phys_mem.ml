@@ -19,12 +19,13 @@ let create ?metrics () =
   let m =
     match metrics with Some m -> m | None -> Fc_obs.Metrics.create ()
   in
+  (* registration order is the snapshot's METR order *)
+  let frees = Fc_obs.Metrics.counter m ~subsystem:"mem" "frames_freed" in
+  let allocs = Fc_obs.Metrics.counter m ~subsystem:"mem" "frames_allocated" in
   let t =
     { frames = Array.make 64 None; versions = Array.make 64 0;
       refcounts = Array.make 64 0; next = 0; free_list = []; live = 0;
-      on_release = None;
-      allocs = Fc_obs.Metrics.counter m ~subsystem:"mem" "frames_allocated";
-      frees = Fc_obs.Metrics.counter m ~subsystem:"mem" "frames_freed" }
+      on_release = None; allocs; frees }
   in
   Fc_obs.Metrics.gauge m ~subsystem:"mem" "live_frames" (fun () -> t.live);
   t

@@ -192,17 +192,25 @@ let snapshot_histogram (h : histogram) =
   done;
   { h_count = h.h_count; h_sum = h.h_sum; h_max = h.h_max; h_buckets = !buckets }
 
-let snapshot t =
-  List.rev_map
-    (fun r ->
+(* [t.order] is reverse registration order, so the fold yields
+   registration order: a deterministic run gives a byte-stable list. *)
+let samples ~gauges t =
+  List.fold_left
+    (fun acc r ->
       let value =
         match r.inst with
-        | I_counter c -> Counter c.c_value
-        | I_gauge f -> Gauge (!f ())
-        | I_histogram h -> Histogram (snapshot_histogram h)
+        | I_counter c -> Some (Counter c.c_value)
+        | I_gauge f -> if gauges then Some (Gauge (!f ())) else None
+        | I_histogram h -> Some (Histogram (snapshot_histogram h))
       in
-      { subsystem = r.subsystem; name = r.name; label = r.label; value })
-    t.order
+      match value with
+      | Some value ->
+          { subsystem = r.subsystem; name = r.name; label = r.label; value }
+          :: acc
+      | None -> acc)
+    [] t.order
+
+let snapshot = samples ~gauges:true
 
 let find t k =
   match Hashtbl.find_opt t.by_key k with
@@ -212,88 +220,41 @@ let find t k =
 
 (* {1 Dump / load} *)
 
-type dump_value =
-  | D_counter of int
-  | D_histogram of {
-      d_buckets : (int * int) list;
-      d_count : int;
-      d_sum : int;
-      d_max : int;
-    }
+let dump = samples ~gauges:false
 
-type dump_entry = {
-  d_subsystem : string;
-  d_name : string;
-  d_label : string option;
-  d_value : dump_value;
-}
-
-let dump t =
-  List.fold_left
-    (fun acc r ->
-      match r.inst with
-      | I_gauge _ -> acc
-      | I_counter c ->
-          {
-            d_subsystem = r.subsystem;
-            d_name = r.name;
-            d_label = r.label;
-            d_value = D_counter c.c_value;
-          }
-          :: acc
-      | I_histogram h ->
-          let s = snapshot_histogram h in
-          {
-            d_subsystem = r.subsystem;
-            d_name = r.name;
-            d_label = r.label;
-            d_value =
-              D_histogram
-                {
-                  d_buckets = s.h_buckets;
-                  d_count = s.h_count;
-                  d_sum = s.h_sum;
-                  d_max = s.h_max;
-                };
-          }
-          :: acc)
-    [] t.order
-(* [t.order] is reverse registration order, so the fold yields
-   registration order — the dump is as deterministic as the run that
-   registered the instruments. *)
-
-let load t entries =
+let load t samples =
   List.iter
-    (fun e ->
-      match e.d_value with
-      | D_counter v ->
+    (fun s ->
+      match s.value with
+      | Gauge _ -> ()
+      | Counter v ->
           let c =
-            match e.d_label with
-            | None -> counter t ~subsystem:e.d_subsystem e.d_name
+            match s.label with
+            | None -> counter t ~subsystem:s.subsystem s.name
             | Some label ->
                 family_counter
-                  (counter_family t ~subsystem:e.d_subsystem e.d_name)
+                  (counter_family t ~subsystem:s.subsystem s.name)
                   label
           in
           c.c_value <- v
-      | D_histogram d ->
+      | Histogram d ->
           let h =
-            match e.d_label with
-            | None -> histogram t ~subsystem:e.d_subsystem e.d_name
+            match s.label with
+            | None -> histogram t ~subsystem:s.subsystem s.name
             | Some label ->
                 family_histogram
-                  (histogram_family t ~subsystem:e.d_subsystem e.d_name)
+                  (histogram_family t ~subsystem:s.subsystem s.name)
                   label
           in
           reset_histogram h;
           List.iter
             (fun (pow2, n) ->
               if pow2 >= 0 && pow2 < bucket_count then h.buckets.(pow2) <- n)
-            d.d_buckets;
-          h.h_count <- d.d_count;
-          h.h_sum <- d.d_sum;
-          h.h_max <- d.d_max)
-    entries
+            d.h_buckets;
+          h.h_count <- d.h_count;
+          h.h_sum <- d.h_sum;
+          h.h_max <- d.h_max)
+    samples
 
 (* Percentile estimate from log2 buckets: find the bucket holding the
    q-th observation, then interpolate linearly inside its value range

@@ -97,37 +97,21 @@ val find : t -> string -> int option
 
 (** {1 Dump / load}
 
-    A plain-data image of every {e stored} instrument — counters and
-    histograms, labeled family members included — used by the snapshot
-    codec.  Gauges are read-through closures over live subsystem state
-    and are deliberately excluded: the restoring side re-registers them
-    over the rebuilt structures, and their values follow.  Dumps list
-    instruments in registration order, so a deterministic run produces a
-    byte-stable dump. *)
+    The plain-data image of every {e stored} instrument — counters and
+    histograms, labeled family members included — that the snapshot
+    codec writes.  Gauges are read-through closures over live subsystem
+    state and are deliberately excluded: the restoring side re-registers
+    them over the rebuilt structures, and their values follow. *)
 
-type dump_value =
-  | D_counter of int
-  | D_histogram of {
-      d_buckets : (int * int) list;  (** (pow2, count), zero buckets omitted *)
-      d_count : int;
-      d_sum : int;
-      d_max : int;
-    }
+val dump : t -> sample list
+(** {!snapshot} without the gauges, in registration order. *)
 
-type dump_entry = {
-  d_subsystem : string;
-  d_name : string;
-  d_label : string option;
-  d_value : dump_value;
-}
-
-val dump : t -> dump_entry list
-
-val load : t -> dump_entry list -> unit
-(** Find-or-create each instrument (family members via their label) and
-    overwrite its value.  Instruments already registered keep their
-    registration slot; new ones append.  Apply {e last} during a restore:
-    the constructors run beforehand reset the counters they own. *)
+val load : t -> sample list -> unit
+(** Find-or-create each counter and histogram (family members via their
+    label) and overwrite its value; [Gauge] samples are skipped.
+    Instruments already registered keep their registration slot; new
+    ones append.  Apply {e last} during a restore: the constructors run
+    beforehand reset the counters they own. *)
 
 val percentile : histogram_snapshot -> float -> float
 (** [percentile s q] estimates the [q]-quantile ([0. <= q <= 1.]) by

@@ -33,7 +33,7 @@ type t = {
   s_hyp : Hyp.frozen option;
   s_fc : Facechange.frozen option;
   s_cursor : Injector.cursor option;
-  s_metrics : Metrics.dump_entry list;
+  s_metrics : Metrics.sample list;
 }
 
 type error = { section : string; offset : int; reason : string }
@@ -144,675 +144,567 @@ let crc32 s =
     s;
   !c lxor 0xFFFFFFFF
 
-(* ---------------- writer ---------------- *)
+(* ---------------- codecs ---------------- *)
 
-let w_int b v =
-  let cell = Bytes.create 8 in
-  Bytes.set_int64_le cell 0 (Int64.of_int v);
-  Buffer.add_bytes b cell
-
-let w_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-let w_tag b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
-
-let w_list b f xs =
-  w_int b (List.length xs);
-  List.iter (f b) xs
-
-let w_option b f = function
-  | None -> w_tag b 0
-  | Some v ->
-      w_tag b 1;
-      f b v
-
-let w_pair fa fb b (x, y) =
-  fa b x;
-  fb b y
-
-let w_triple fa fb fc b (x, y, z) =
-  fa b x;
-  fb b y;
-  fc b z
-
-(* ---------------- reader ---------------- *)
+(* Each wire type is one codec: its writer and its reader side by side,
+   so the two cannot disagree on a byte.  Records are assembled with
+   [record] from one [field] per record field, joined by [let+]/[and+]
+   and written and read in the order listed; variants with [variant]
+   from one tag table. *)
 
 exception Decode_err of int * string
 
 type reader = { src : string; mutable pos : int }
+type 'a codec = { write : Buffer.t -> 'a -> unit; read : reader -> 'a }
 
 let fail r reason = raise (Decode_err (r.pos, reason))
 
+(* A length is compared with the bytes that remain, never added to the
+   position: a length near [max_int] must not overflow past the check. *)
 let need r n =
-  if n < 0 || r.pos + n > String.length r.src then
-    fail r
-      (Printf.sprintf "truncated: need %d bytes, %d remain" n
-         (String.length r.src - r.pos))
+  let remain = String.length r.src - r.pos in
+  if n < 0 || n > remain then
+    fail r (Printf.sprintf "truncated: need %d bytes, %d remain" n remain)
 
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_le r.src r.pos) in
-  r.pos <- r.pos + 8;
-  v
+let int =
+  {
+    write = (fun b v -> Buffer.add_int64_le b (Int64.of_int v));
+    read =
+      (fun r ->
+        need r 8;
+        let v = Int64.to_int (String.get_int64_le r.src r.pos) in
+        r.pos <- r.pos + 8;
+        v);
+  }
 
-let r_tag r =
-  need r 1;
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
+let byte =
+  {
+    write = (fun b v -> Buffer.add_char b (Char.chr (v land 0xff)));
+    read =
+      (fun r ->
+        need r 1;
+        let v = Char.code r.src.[r.pos] in
+        r.pos <- r.pos + 1;
+        v);
+  }
 
-let r_bool r =
-  match r_tag r with
-  | 0 -> false
-  | 1 -> true
-  | n -> fail r (Printf.sprintf "bad boolean byte %d" n)
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
 
-let r_string r =
-  let n = r_int r in
-  if n < 0 then fail r (Printf.sprintf "negative string length %d" n);
-  need r n;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
+let string =
+  {
+    write =
+      (fun b s ->
+        int.write b (String.length s);
+        Buffer.add_string b s);
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then fail r (Printf.sprintf "negative string length %d" n);
+        need r n;
+        let s = String.sub r.src r.pos n in
+        r.pos <- r.pos + n;
+        s);
+  }
 
-let r_list r f =
-  let n = r_int r in
-  if n < 0 then fail r (Printf.sprintf "negative list length %d" n);
-  List.init n (fun _ -> f r)
+let list c =
+  {
+    write =
+      (fun b xs ->
+        int.write b (List.length xs);
+        List.iter (c.write b) xs);
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then fail r (Printf.sprintf "negative list length %d" n);
+        List.init n (fun _ -> c.read r));
+  }
 
-let r_option r f = match r_tag r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | n -> fail r (Printf.sprintf "bad option tag %d" n)
+let array c =
+  let l = list c in
+  { write = (fun b a -> l.write b (Array.to_list a)); read = (fun r -> Array.of_list (l.read r)) }
 
-let r_pair fa fb r =
-  let a = fa r in
-  let b = fb r in
-  (a, b)
+(* Record builder. *)
+type ('r, 'a) fields = { put : Buffer.t -> 'r -> unit; get : reader -> 'a }
 
-let r_triple fa fb fc r =
-  let a = fa r in
-  let b = fb r in
-  let c = fc r in
-  (a, b, c)
+let field proj c = { put = (fun b r -> c.write b (proj r)); get = c.read }
+let ( let+ ) f k = { put = f.put; get = (fun r -> k (f.get r)) }
+
+let ( and+ ) f g =
+  {
+    put =
+      (fun b r ->
+        f.put b r;
+        g.put b r);
+    get =
+      (fun r ->
+        let x = f.get r in
+        let y = g.get r in
+        (x, y));
+  }
+
+let record f = { write = f.put; read = f.get }
+
+(* Variant builder: one [case] per constructor — its tag byte, payload
+   codec, constructor and projection; [constant] for a constructor
+   without payload.  [what] names the tag in the decode error. *)
+type 'a case = Case : int * 'p codec * ('p -> 'a) * ('a -> 'p option) -> 'a case
+
+let case tag payload inj proj = Case (tag, payload, inj, proj)
+let constant tag v = case tag unit (fun () -> v) (fun x -> if x = v then Some () else None)
+
+let variant what cases =
+  {
+    write =
+      (fun b v ->
+        let rec go = function
+          | [] -> invalid_arg (Printf.sprintf "Snapshot.encode: no %s for this value" what)
+          | Case (tag, payload, _, proj) :: rest -> (
+              match proj v with
+              | Some p ->
+                  byte.write b tag;
+                  payload.write b p
+              | None -> go rest)
+        in
+        go cases);
+    read =
+      (fun r ->
+        let tag = byte.read r in
+        match List.find_opt (fun (Case (t, _, _, _)) -> t = tag) cases with
+        | Some (Case (_, payload, inj, _)) -> inj (payload.read r)
+        | None -> fail r (Printf.sprintf "bad %s %d" what tag));
+  }
+
+let bool = variant "boolean byte" [ constant 0 false; constant 1 true ]
+let option c = variant "option tag" [ constant 0 None; case 1 c Option.some Fun.id ]
+let pair a b = record (let+ x = field fst a and+ y = field snd b in (x, y))
+
+let triple a b c =
+  record
+    (let+ x = field (fun (x, _, _) -> x) a
+     and+ y = field (fun (_, y, _) -> y) b
+     and+ z = field (fun (_, _, z) -> z) c in
+     (x, y, z))
+
+let int_pair = pair int int
 
 (* ---------------- domain codecs ---------------- *)
 
-let w_clocksource b = function
-  | Irq_paths.Acpi_pm -> w_tag b 0
-  | Irq_paths.Kvmclock -> w_tag b 1
+let clocksource =
+  variant "clocksource tag"
+    [ constant 0 Irq_paths.Acpi_pm; constant 1 Irq_paths.Kvmclock ]
 
-let r_clocksource r =
-  match r_tag r with
-  | 0 -> Irq_paths.Acpi_pm
-  | 1 -> Irq_paths.Kvmclock
-  | n -> fail r (Printf.sprintf "bad clocksource tag %d" n)
+let engine = variant "engine tag" [ constant 0 Os.Reference; constant 1 Os.Fast ]
 
-let w_engine b = function Os.Reference -> w_tag b 0 | Os.Fast -> w_tag b 1
+let irq_source =
+  variant "irq source tag"
+    [
+      case 0 clocksource (fun c -> Irq_paths.Timer c)
+        (function Irq_paths.Timer c -> Some c | _ -> None);
+      case 1 clocksource (fun c -> Irq_paths.Timer_itimer c)
+        (function Irq_paths.Timer_itimer c -> Some c | _ -> None);
+      constant 2 Irq_paths.Keyboard_console;
+      constant 3 Irq_paths.Keyboard_evdev;
+      constant 4 Irq_paths.Net_rx_tcp;
+      constant 5 Irq_paths.Net_rx_udp;
+      constant 6 Irq_paths.Net_rx_sniffed_tcp;
+      constant 7 Irq_paths.Net_rx_sniffed_udp;
+      constant 8 Irq_paths.Disk;
+    ]
 
-let r_engine r =
-  match r_tag r with
-  | 0 -> Os.Reference
-  | 1 -> Os.Fast
-  | n -> fail r (Printf.sprintf "bad engine tag %d" n)
+let action =
+  variant "action tag"
+    [
+      case 0 string (fun s -> Action.Syscall s)
+        (function Action.Syscall s -> Some s | _ -> None);
+      case 1 int (fun n -> Action.Compute n)
+        (function Action.Compute n -> Some n | _ -> None);
+      case 2 int (fun n -> Action.Sleep n)
+        (function Action.Sleep n -> Some n | _ -> None);
+      constant 3 Action.Fault;
+      constant 4 Action.Exit;
+    ]
 
-let w_irq_source b = function
-  | Irq_paths.Timer cs ->
-      w_tag b 0;
-      w_clocksource b cs
-  | Irq_paths.Timer_itimer cs ->
-      w_tag b 1;
-      w_clocksource b cs
-  | Irq_paths.Keyboard_console -> w_tag b 2
-  | Irq_paths.Keyboard_evdev -> w_tag b 3
-  | Irq_paths.Net_rx_tcp -> w_tag b 4
-  | Irq_paths.Net_rx_udp -> w_tag b 5
-  | Irq_paths.Net_rx_sniffed_tcp -> w_tag b 6
-  | Irq_paths.Net_rx_sniffed_udp -> w_tag b 7
-  | Irq_paths.Disk -> w_tag b 8
+let run_state =
+  variant "run_state tag"
+    [
+      constant 0 Process.Ready;
+      case 1 int_pair
+        (fun (yield_id, wake_round) -> Process.Blocked { yield_id; wake_round })
+        (function
+          | Process.Blocked { yield_id; wake_round } -> Some (yield_id, wake_round)
+          | _ -> None);
+      constant 2 Process.Exited;
+    ]
 
-let r_irq_source r =
-  match r_tag r with
-  | 0 -> Irq_paths.Timer (r_clocksource r)
-  | 1 -> Irq_paths.Timer_itimer (r_clocksource r)
-  | 2 -> Irq_paths.Keyboard_console
-  | 3 -> Irq_paths.Keyboard_evdev
-  | 4 -> Irq_paths.Net_rx_tcp
-  | 5 -> Irq_paths.Net_rx_udp
-  | 6 -> Irq_paths.Net_rx_sniffed_tcp
-  | 7 -> Irq_paths.Net_rx_sniffed_udp
-  | 8 -> Irq_paths.Disk
-  | n -> fail r (Printf.sprintf "bad irq source tag %d" n)
+let config =
+  record
+    (let+ clocksource = field (fun c -> c.Os.clocksource) clocksource
+     and+ timer_period = field (fun c -> c.Os.timer_period) int
+     and+ quantum = field (fun c -> c.Os.quantum) int
+     and+ wake_delay = field (fun c -> c.Os.wake_delay) int
+     and+ background_irqs =
+       field (fun c -> c.Os.background_irqs) (list (pair irq_source int))
+     in
+     { Os.clocksource; timer_period; quantum; wake_delay; background_irqs })
 
-let w_action b = function
-  | Action.Syscall s ->
-      w_tag b 0;
-      w_string b s
-  | Action.Compute n ->
-      w_tag b 1;
-      w_int b n
-  | Action.Sleep n ->
-      w_tag b 2;
-      w_int b n
-  | Action.Fault -> w_tag b 3
-  | Action.Exit -> w_tag b 4
+let fault_kind =
+  variant "fault kind tag"
+    [
+      case 0 int_pair
+        (fun (frac, count) -> Fault.Spurious_ud2 { frac; count })
+        (function Fault.Spurious_ud2 { frac; count } -> Some (frac, count) | _ -> None);
+      case 1 int (fun frac -> Fault.Broken_rbp { frac })
+        (function Fault.Broken_rbp { frac } -> Some frac | _ -> None);
+      case 2 int (fun frac -> Fault.Cyclic_rbp { frac })
+        (function Fault.Cyclic_rbp { frac } -> Some frac | _ -> None);
+      case 3 int (fun frac -> Fault.Flip_view_byte { frac })
+        (function Fault.Flip_view_byte { frac } -> Some frac | _ -> None);
+      constant 4 Fault.Evict_frames;
+      case 5 int (fun count -> Fault.Miss_breakpoints { count })
+        (function Fault.Miss_breakpoints { count } -> Some count | _ -> None);
+      constant 6 Fault.Truncated_config;
+      constant 7 Fault.Overlapping_config;
+    ]
 
-let r_action r =
-  match r_tag r with
-  | 0 -> Action.Syscall (r_string r)
-  | 1 -> Action.Compute (r_int r)
-  | 2 -> Action.Sleep (r_int r)
-  | 3 -> Action.Fault
-  | 4 -> Action.Exit
-  | n -> fail r (Printf.sprintf "bad action tag %d" n)
+let fault_event =
+  record
+    (let+ at_round = field (fun e -> e.Fault.at_round) int
+     and+ kind = field (fun e -> e.Fault.kind) fault_kind in
+     { Fault.at_round; kind })
 
-let w_run_state b = function
-  | Process.Ready -> w_tag b 0
-  | Process.Blocked { yield_id; wake_round } ->
-      w_tag b 1;
-      w_int b yield_id;
-      w_int b wake_round
-  | Process.Exited -> w_tag b 2
+let gov_state =
+  variant "governor state tag"
+    [
+      constant 0 Governor.Narrow;
+      constant 1 Governor.Throttled;
+      constant 2 Governor.Degraded;
+      constant 3 Governor.Quarantined;
+    ]
 
-let r_run_state r =
-  match r_tag r with
-  | 0 -> Process.Ready
-  | 1 ->
-      let yield_id = r_int r in
-      let wake_round = r_int r in
-      Process.Blocked { yield_id; wake_round }
-  | 2 -> Process.Exited
-  | n -> fail r (Printf.sprintf "bad run_state tag %d" n)
+let gov_policy =
+  record
+    (let+ window_cycles = field (fun p -> p.Governor.window_cycles) int
+     and+ throttle_after = field (fun p -> p.Governor.throttle_after) int
+     and+ storm_after = field (fun p -> p.Governor.storm_after) int
+     and+ cooldown_cycles = field (fun p -> p.Governor.cooldown_cycles) int
+     and+ quarantine_after = field (fun p -> p.Governor.quarantine_after) int
+     and+ max_backtrace_depth = field (fun p -> p.Governor.max_backtrace_depth) int
+     and+ on_unhandled =
+       field
+         (fun p -> p.Governor.on_unhandled)
+         (variant "on_unhandled tag" [ constant 0 `Degrade; constant 1 `Die ])
+     in
+     {
+       Governor.window_cycles;
+       throttle_after;
+       storm_after;
+       cooldown_cycles;
+       quarantine_after;
+       max_backtrace_depth;
+       on_unhandled;
+     })
 
-let w_int_pair = w_pair w_int w_int
-let r_int_pair = r_pair r_int r_int
+let gov_app =
+  record
+    (let+ za_st = field (fun a -> a.Governor.za_st) gov_state
+     and+ za_recent = field (fun a -> a.Governor.za_recent) (list int)
+     and+ za_degradations = field (fun a -> a.Governor.za_degradations) int
+     and+ za_degraded_at = field (fun a -> a.Governor.za_degraded_at) int
+     and+ za_unhandled = field (fun a -> a.Governor.za_unhandled) int in
+     { Governor.za_st; za_recent; za_degradations; za_degraded_at; za_unhandled })
 
-let w_config b (c : Os.config) =
-  w_clocksource b c.Os.clocksource;
-  w_int b c.Os.timer_period;
-  w_int b c.Os.quantum;
-  w_int b c.Os.wake_delay;
-  w_list b (w_pair w_irq_source w_int) c.Os.background_irqs
-
-let r_config r =
-  let clocksource = r_clocksource r in
-  let timer_period = r_int r in
-  let quantum = r_int r in
-  let wake_delay = r_int r in
-  let background_irqs = r_list r (r_pair r_irq_source r_int) in
-  { Os.clocksource; timer_period; quantum; wake_delay; background_irqs }
-
-let w_fault_kind b = function
-  | Fault.Spurious_ud2 { frac; count } ->
-      w_tag b 0;
-      w_int b frac;
-      w_int b count
-  | Fault.Broken_rbp { frac } ->
-      w_tag b 1;
-      w_int b frac
-  | Fault.Cyclic_rbp { frac } ->
-      w_tag b 2;
-      w_int b frac
-  | Fault.Flip_view_byte { frac } ->
-      w_tag b 3;
-      w_int b frac
-  | Fault.Evict_frames -> w_tag b 4
-  | Fault.Miss_breakpoints { count } ->
-      w_tag b 5;
-      w_int b count
-  | Fault.Truncated_config -> w_tag b 6
-  | Fault.Overlapping_config -> w_tag b 7
-
-let r_fault_kind r =
-  match r_tag r with
-  | 0 ->
-      let frac = r_int r in
-      let count = r_int r in
-      Fault.Spurious_ud2 { frac; count }
-  | 1 -> Fault.Broken_rbp { frac = r_int r }
-  | 2 -> Fault.Cyclic_rbp { frac = r_int r }
-  | 3 -> Fault.Flip_view_byte { frac = r_int r }
-  | 4 -> Fault.Evict_frames
-  | 5 -> Fault.Miss_breakpoints { count = r_int r }
-  | 6 -> Fault.Truncated_config
-  | 7 -> Fault.Overlapping_config
-  | n -> fail r (Printf.sprintf "bad fault kind tag %d" n)
-
-let w_fault_event b (e : Fault.event) =
-  w_int b e.Fault.at_round;
-  w_fault_kind b e.Fault.kind
-
-let r_fault_event r =
-  let at_round = r_int r in
-  let kind = r_fault_kind r in
-  { Fault.at_round; kind }
-
-let w_gov_state b = function
-  | Governor.Narrow -> w_tag b 0
-  | Governor.Throttled -> w_tag b 1
-  | Governor.Degraded -> w_tag b 2
-  | Governor.Quarantined -> w_tag b 3
-
-let r_gov_state r =
-  match r_tag r with
-  | 0 -> Governor.Narrow
-  | 1 -> Governor.Throttled
-  | 2 -> Governor.Degraded
-  | 3 -> Governor.Quarantined
-  | n -> fail r (Printf.sprintf "bad governor state tag %d" n)
-
-let w_gov_policy b (p : Governor.policy) =
-  w_int b p.Governor.window_cycles;
-  w_int b p.Governor.throttle_after;
-  w_int b p.Governor.storm_after;
-  w_int b p.Governor.cooldown_cycles;
-  w_int b p.Governor.quarantine_after;
-  w_int b p.Governor.max_backtrace_depth;
-  w_tag b (match p.Governor.on_unhandled with `Degrade -> 0 | `Die -> 1)
-
-let r_gov_policy r =
-  let window_cycles = r_int r in
-  let throttle_after = r_int r in
-  let storm_after = r_int r in
-  let cooldown_cycles = r_int r in
-  let quarantine_after = r_int r in
-  let max_backtrace_depth = r_int r in
-  let on_unhandled =
-    match r_tag r with
-    | 0 -> `Degrade
-    | 1 -> `Die
-    | n -> fail r (Printf.sprintf "bad on_unhandled tag %d" n)
-  in
-  {
-    Governor.window_cycles;
-    throttle_after;
-    storm_after;
-    cooldown_cycles;
-    quarantine_after;
-    max_backtrace_depth;
-    on_unhandled;
-  }
-
-let w_gov_frozen b (z : Governor.frozen) =
-  w_gov_policy b z.Governor.zg_policy;
-  w_list b
-    (w_pair w_string (fun b (a : Governor.frozen_app) ->
-         w_gov_state b a.Governor.za_st;
-         w_list b w_int a.Governor.za_recent;
-         w_int b a.Governor.za_degradations;
-         w_int b a.Governor.za_degraded_at;
-         w_int b a.Governor.za_unhandled))
-    z.Governor.zg_apps
-
-let r_gov_frozen r =
-  let zg_policy = r_gov_policy r in
-  let zg_apps =
-    r_list r
-      (r_pair r_string (fun r ->
-           let za_st = r_gov_state r in
-           let za_recent = r_list r r_int in
-           let za_degradations = r_int r in
-           let za_degraded_at = r_int r in
-           let za_unhandled = r_int r in
-           { Governor.za_st; za_recent; za_degradations; za_degraded_at; za_unhandled }))
-  in
-  { Governor.zg_policy; zg_apps }
+let gov_frozen =
+  record
+    (let+ zg_policy = field (fun z -> z.Governor.zg_policy) gov_policy
+     and+ zg_apps = field (fun z -> z.Governor.zg_apps) (list (pair string gov_app)) in
+     { Governor.zg_policy; zg_apps })
 
 (* --- OS frozen --- *)
 
-let w_frozen_proc b (p : Os.frozen_proc) =
-  w_int b p.Os.zp_pid;
-  w_string b p.Os.zp_name;
-  w_int b p.Os.zp_cpu;
-  w_list b w_action p.Os.zp_script;
-  w_run_state b p.Os.zp_state;
-  w_option b (w_triple w_int w_int w_int) p.Os.zp_saved_regs;
-  w_list b w_int p.Os.zp_saved_dispatch;
-  w_bool b p.Os.zp_in_kernel;
-  w_int b p.Os.zp_syscall_count;
-  w_int b p.Os.zp_last_scheduled_round;
-  w_list b w_int_pair p.Os.zp_mappings
+let frozen_proc =
+  record
+    (let+ zp_pid = field (fun p -> p.Os.zp_pid) int
+     and+ zp_name = field (fun p -> p.Os.zp_name) string
+     and+ zp_cpu = field (fun p -> p.Os.zp_cpu) int
+     and+ zp_script = field (fun p -> p.Os.zp_script) (list action)
+     and+ zp_state = field (fun p -> p.Os.zp_state) run_state
+     and+ zp_saved_regs =
+       field (fun p -> p.Os.zp_saved_regs) (option (triple int int int))
+     and+ zp_saved_dispatch = field (fun p -> p.Os.zp_saved_dispatch) (list int)
+     and+ zp_in_kernel = field (fun p -> p.Os.zp_in_kernel) bool
+     and+ zp_syscall_count = field (fun p -> p.Os.zp_syscall_count) int
+     and+ zp_last_scheduled_round =
+       field (fun p -> p.Os.zp_last_scheduled_round) int
+     and+ zp_mappings = field (fun p -> p.Os.zp_mappings) (list int_pair) in
+     {
+       Os.zp_pid;
+       zp_name;
+       zp_cpu;
+       zp_script;
+       zp_state;
+       zp_saved_regs;
+       zp_saved_dispatch;
+       zp_in_kernel;
+       zp_syscall_count;
+       zp_last_scheduled_round;
+       zp_mappings;
+     })
 
-let r_frozen_proc r =
-  let zp_pid = r_int r in
-  let zp_name = r_string r in
-  let zp_cpu = r_int r in
-  let zp_script = r_list r r_action in
-  let zp_state = r_run_state r in
-  let zp_saved_regs = r_option r (r_triple r_int r_int r_int) in
-  let zp_saved_dispatch = r_list r r_int in
-  let zp_in_kernel = r_bool r in
-  let zp_syscall_count = r_int r in
-  let zp_last_scheduled_round = r_int r in
-  let zp_mappings = r_list r r_int_pair in
-  {
-    Os.zp_pid;
-    zp_name;
-    zp_cpu;
-    zp_script;
-    zp_state;
-    zp_saved_regs;
-    zp_saved_dispatch;
-    zp_in_kernel;
-    zp_syscall_count;
-    zp_last_scheduled_round;
-    zp_mappings;
-  }
+let frozen_module =
+  record
+    (let+ zm_name = field (fun m -> m.Os.zm_name) string
+     and+ zm_hidden = field (fun m -> m.Os.zm_hidden) bool
+     and+ zm_base = field (fun m -> m.Os.zm_base) int
+     and+ zm_code = field (fun m -> m.Os.zm_code) string
+     and+ zm_functions =
+       field (fun m -> m.Os.zm_functions) (list (triple string int int))
+     in
+     { Os.zm_name; zm_hidden; zm_base; zm_code; zm_functions })
 
-let w_frozen_module b (m : Os.frozen_module) =
-  w_string b m.Os.zm_name;
-  w_bool b m.Os.zm_hidden;
-  w_int b m.Os.zm_base;
-  w_string b m.Os.zm_code;
-  w_list b (w_triple w_string w_int w_int) m.Os.zm_functions
-
-let r_frozen_module r =
-  let zm_name = r_string r in
-  let zm_hidden = r_bool r in
-  let zm_base = r_int r in
-  let zm_code = r_string r in
-  let zm_functions = r_list r (r_triple r_string r_int r_int) in
-  { Os.zm_name; zm_hidden; zm_base; zm_code; zm_functions }
-
-let w_frozen_timer b (tm : Os.frozen_timer) =
-  w_irq_source b tm.Os.zt_source;
-  w_int b tm.Os.zt_period;
-  w_int b tm.Os.zt_next_at
-
-let r_frozen_timer r =
-  let zt_source = r_irq_source r in
-  let zt_period = r_int r in
-  let zt_next_at = r_int r in
-  { Os.zt_source; zt_period; zt_next_at }
+let frozen_timer =
+  record
+    (let+ zt_source = field (fun t -> t.Os.zt_source) irq_source
+     and+ zt_period = field (fun t -> t.Os.zt_period) int
+     and+ zt_next_at = field (fun t -> t.Os.zt_next_at) int in
+     { Os.zt_source; zt_period; zt_next_at })
 
 (* Format version 2: each vCPU carries its EPT tag state (active view,
    era, per-view generations, flush count) so view-tagged translation
    validity — and the tlb.i_flushes gauge — survive restore. *)
-let w_ept_tags b (z : Ept.tags) =
-  w_int b z.Ept.zt_view;
-  w_int b z.Ept.zt_era;
-  w_int b z.Ept.zt_flushes;
-  w_list b w_int_pair z.Ept.zt_gens
+let ept_tags =
+  record
+    (let+ zt_view = field (fun z -> z.Ept.zt_view) int
+     and+ zt_era = field (fun z -> z.Ept.zt_era) int
+     and+ zt_flushes = field (fun z -> z.Ept.zt_flushes) int
+     and+ zt_gens = field (fun z -> z.Ept.zt_gens) (list int_pair) in
+     { Ept.zt_view; zt_era; zt_flushes; zt_gens })
 
-let r_ept_tags r =
-  let zt_view = r_int r in
-  let zt_era = r_int r in
-  let zt_flushes = r_int r in
-  let zt_gens = r_list r r_int_pair in
-  { Ept.zt_view; zt_era; zt_flushes; zt_gens }
-
-let w_frozen_vcpu b (v : Os.frozen_vcpu) =
-  w_list b w_int_pair v.Os.zv_dirs;
-  w_int b v.Os.zv_current_pid;
-  w_bool b v.Os.zv_in_interrupt;
-  w_int b v.Os.zv_idle_last_round;
-  w_int b v.Os.zv_slice_start;
-  w_ept_tags b v.Os.zv_tags
-
-let r_frozen_vcpu r =
-  let zv_dirs = r_list r r_int_pair in
-  let zv_current_pid = r_int r in
-  let zv_in_interrupt = r_bool r in
-  let zv_idle_last_round = r_int r in
-  let zv_slice_start = r_int r in
-  let zv_tags = r_ept_tags r in
-  {
-    Os.zv_dirs;
-    zv_current_pid;
-    zv_in_interrupt;
-    zv_idle_last_round;
-    zv_slice_start;
-    zv_tags;
-  }
+let frozen_vcpu =
+  record
+    (let+ zv_dirs = field (fun v -> v.Os.zv_dirs) (list int_pair)
+     and+ zv_current_pid = field (fun v -> v.Os.zv_current_pid) int
+     and+ zv_in_interrupt = field (fun v -> v.Os.zv_in_interrupt) bool
+     and+ zv_idle_last_round = field (fun v -> v.Os.zv_idle_last_round) int
+     and+ zv_slice_start = field (fun v -> v.Os.zv_slice_start) int
+     and+ zv_tags = field (fun v -> v.Os.zv_tags) ept_tags in
+     {
+       Os.zv_dirs;
+       zv_current_pid;
+       zv_in_interrupt;
+       zv_idle_last_round;
+       zv_slice_start;
+       zv_tags;
+     })
 
 (* The physical pool splits across two sections: frame contents live in
-   the content-keyed FRAM store (unique pages, digest-verified); the OS
-   section stores each live frame as (frame, refcount, content index). *)
-let w_phys ~content_id b (z : Phys.frozen) =
-  w_int b z.Phys.z_next;
-  w_list b w_int z.Phys.z_free_list;
-  w_list b w_int (Array.to_list z.Phys.z_versions);
-  w_list b
-    (fun b (frame, refs, bytes) ->
-      w_int b frame;
-      w_int b refs;
-      w_int b (content_id (Bytes.to_string bytes)))
-    z.Phys.z_live
+   the content-keyed FRAM store (unique pages in first-use order,
+   digest-verified); the OS section stores each live frame as (frame,
+   refcount, content index). *)
+type store = { ids : (string, int) Hashtbl.t; pages : (int, string) Hashtbl.t }
 
-let r_phys ~content_of r =
-  let z_next = r_int r in
-  let z_free_list = r_list r r_int in
-  let z_versions = Array.of_list (r_list r r_int) in
-  let z_live =
-    r_list r (fun r ->
-        let frame = r_int r in
-        let refs = r_int r in
-        let idx = r_int r in
-        (frame, refs, Bytes.of_string (content_of r idx)))
-  in
-  { Phys.z_next; z_free_list; z_versions; z_live }
+let store () = { ids = Hashtbl.create 256; pages = Hashtbl.create 256 }
 
-let w_os ~content_id b (z : Os.frozen) =
-  w_config b z.Os.z_config;
-  w_engine b z.Os.z_engine;
-  w_int b z.Os.z_cycles;
-  w_int b z.Os.z_instrs;
-  w_int b z.Os.z_round_no;
-  w_int b z.Os.z_context_switches;
-  w_int b z.Os.z_next_pid;
-  w_int b z.Os.z_next_module_base;
-  w_int b z.Os.z_data_epoch;
-  w_int b z.Os.z_trap_gen;
-  w_list b w_int_pair z.Os.z_ram;
-  w_phys ~content_id b z.Os.z_phys;
-  w_list b w_int_pair z.Os.z_master_pt;
-  w_list b w_frozen_vcpu z.Os.z_vcpus;
-  w_list b w_frozen_proc z.Os.z_procs;
-  w_list b w_frozen_module z.Os.z_modules;
-  w_list b w_frozen_timer z.Os.z_timers;
-  w_list b w_int z.Os.z_traps;
-  w_list b w_int z.Os.z_itimers;
-  w_option b w_int z.Os.z_sleep_override
-
-let r_os ~content_of r =
-  let z_config = r_config r in
-  let z_engine = r_engine r in
-  let z_cycles = r_int r in
-  let z_instrs = r_int r in
-  let z_round_no = r_int r in
-  let z_context_switches = r_int r in
-  let z_next_pid = r_int r in
-  let z_next_module_base = r_int r in
-  let z_data_epoch = r_int r in
-  let z_trap_gen = r_int r in
-  let z_ram = r_list r r_int_pair in
-  let z_phys = r_phys ~content_of r in
-  let z_master_pt = r_list r r_int_pair in
-  let z_vcpus = r_list r r_frozen_vcpu in
-  let z_procs = r_list r r_frozen_proc in
-  let z_modules = r_list r r_frozen_module in
-  let z_timers = r_list r r_frozen_timer in
-  let z_traps = r_list r r_int in
-  let z_itimers = r_list r r_int in
-  let z_sleep_override = r_option r r_int in
+let page store =
   {
-    Os.z_config;
-    z_engine;
-    z_cycles;
-    z_instrs;
-    z_round_no;
-    z_context_switches;
-    z_next_pid;
-    z_next_module_base;
-    z_data_epoch;
-    z_trap_gen;
-    z_ram;
-    z_phys;
-    z_master_pt;
-    z_vcpus;
-    z_procs;
-    z_modules;
-    z_timers;
-    z_traps;
-    z_itimers;
-    z_sleep_override;
+    write =
+      (fun b bytes ->
+        let page = Bytes.to_string bytes in
+        match Hashtbl.find_opt store.ids page with
+        | Some id -> int.write b id
+        | None ->
+            let id = Hashtbl.length store.pages in
+            Hashtbl.replace store.ids page id;
+            Hashtbl.replace store.pages id page;
+            int.write b id);
+    read =
+      (fun r ->
+        let id = int.read r in
+        match Hashtbl.find_opt store.pages id with
+        | Some page -> Bytes.of_string page
+        | None -> fail r (Printf.sprintf "frame content index %d out of store" id));
   }
+
+let fram_page =
+  {
+    write =
+      (fun b page ->
+        string.write b (Digest.string page);
+        string.write b page);
+    read =
+      (fun r ->
+        let digest = string.read r in
+        let page = string.read r in
+        if Digest.string page <> digest then
+          fail r "content digest mismatch (corrupt page record)";
+        page);
+  }
+
+let phys store =
+  record
+    (let+ z_next = field (fun z -> z.Phys.z_next) int
+     and+ z_free_list = field (fun z -> z.Phys.z_free_list) (list int)
+     and+ z_versions = field (fun z -> z.Phys.z_versions) (array int)
+     and+ z_live = field (fun z -> z.Phys.z_live) (list (triple int int (page store))) in
+     { Phys.z_next; z_free_list; z_versions; z_live })
+
+let os store =
+  record
+    (let+ z_config = field (fun z -> z.Os.z_config) config
+     and+ z_engine = field (fun z -> z.Os.z_engine) engine
+     and+ z_cycles = field (fun z -> z.Os.z_cycles) int
+     and+ z_instrs = field (fun z -> z.Os.z_instrs) int
+     and+ z_round_no = field (fun z -> z.Os.z_round_no) int
+     and+ z_context_switches = field (fun z -> z.Os.z_context_switches) int
+     and+ z_next_pid = field (fun z -> z.Os.z_next_pid) int
+     and+ z_next_module_base = field (fun z -> z.Os.z_next_module_base) int
+     and+ z_data_epoch = field (fun z -> z.Os.z_data_epoch) int
+     and+ z_trap_gen = field (fun z -> z.Os.z_trap_gen) int
+     and+ z_ram = field (fun z -> z.Os.z_ram) (list int_pair)
+     and+ z_phys = field (fun z -> z.Os.z_phys) (phys store)
+     and+ z_master_pt = field (fun z -> z.Os.z_master_pt) (list int_pair)
+     and+ z_vcpus = field (fun z -> z.Os.z_vcpus) (list frozen_vcpu)
+     and+ z_procs = field (fun z -> z.Os.z_procs) (list frozen_proc)
+     and+ z_modules = field (fun z -> z.Os.z_modules) (list frozen_module)
+     and+ z_timers = field (fun z -> z.Os.z_timers) (list frozen_timer)
+     and+ z_traps = field (fun z -> z.Os.z_traps) (list int)
+     and+ z_itimers = field (fun z -> z.Os.z_itimers) (list int)
+     and+ z_sleep_override = field (fun z -> z.Os.z_sleep_override) (option int) in
+     {
+       Os.z_config;
+       z_engine;
+       z_cycles;
+       z_instrs;
+       z_round_no;
+       z_context_switches;
+       z_next_pid;
+       z_next_module_base;
+       z_data_epoch;
+       z_trap_gen;
+       z_ram;
+       z_phys;
+       z_master_pt;
+       z_vcpus;
+       z_procs;
+       z_modules;
+       z_timers;
+       z_traps;
+       z_itimers;
+       z_sleep_override;
+     })
 
 (* --- hypervisor / FACE-CHANGE / cursor / metrics --- *)
 
-let w_hyp b (z : Hyp.frozen) =
-  w_list b w_int_pair z.Hyp.zh_tables;
-  w_list b (w_triple w_string w_int w_int) z.Hyp.zh_cache
+let hyp =
+  record
+    (let+ zh_tables = field (fun z -> z.Hyp.zh_tables) (list int_pair)
+     and+ zh_cache = field (fun z -> z.Hyp.zh_cache) (list (triple string int int)) in
+     { Hyp.zh_tables; zh_cache })
 
-let r_hyp r =
-  let zh_tables = r_list r r_int_pair in
-  let zh_cache = r_list r (r_triple r_string r_int r_int) in
-  { Hyp.zh_tables; zh_cache }
+let opts =
+  record
+    (let+ switch_at_resume = field (fun o -> o.Facechange.switch_at_resume) bool
+     and+ same_view_opt = field (fun o -> o.Facechange.same_view_opt) bool
+     and+ whole_function_load = field (fun o -> o.Facechange.whole_function_load) bool
+     and+ instant_recovery = field (fun o -> o.Facechange.instant_recovery) bool
+     and+ share_frames = field (fun o -> o.Facechange.share_frames) bool in
+     {
+       Facechange.switch_at_resume;
+       same_view_opt;
+       whole_function_load;
+       instant_recovery;
+       share_frames;
+     })
 
-let w_opts b (o : Facechange.opts) =
-  w_bool b o.Facechange.switch_at_resume;
-  w_bool b o.Facechange.same_view_opt;
-  w_bool b o.Facechange.whole_function_load;
-  w_bool b o.Facechange.instant_recovery;
-  w_bool b o.Facechange.share_frames
+let view =
+  record
+    (let+ zv_index = field (fun z -> z.View.zv_index) int
+     and+ zv_config = field (fun z -> z.View.zv_config) string
+     and+ zv_share = field (fun z -> z.View.zv_share) bool
+     and+ zv_tables = field (fun z -> z.View.zv_tables) (list int_pair)
+     and+ zv_page_frames = field (fun z -> z.View.zv_page_frames) (list int_pair)
+     and+ zv_loaded_bytes = field (fun z -> z.View.zv_loaded_bytes) int
+     and+ zv_cow_breaks = field (fun z -> z.View.zv_cow_breaks) int
+     and+ zv_destroyed = field (fun z -> z.View.zv_destroyed) bool in
+     {
+       View.zv_index;
+       zv_config;
+       zv_share;
+       zv_tables;
+       zv_page_frames;
+       zv_loaded_bytes;
+       zv_cow_breaks;
+       zv_destroyed;
+     })
 
-let r_opts r =
-  let switch_at_resume = r_bool r in
-  let same_view_opt = r_bool r in
-  let whole_function_load = r_bool r in
-  let instant_recovery = r_bool r in
-  let share_frames = r_bool r in
-  {
-    Facechange.switch_at_resume;
-    same_view_opt;
-    whole_function_load;
-    instant_recovery;
-    share_frames;
-  }
+let fc =
+  record
+    (let+ zf_opts = field (fun z -> z.Facechange.zf_opts) opts
+     and+ zf_views = field (fun z -> z.Facechange.zf_views) (list view)
+     and+ zf_bindings =
+       field (fun z -> z.Facechange.zf_bindings) (list (pair string int))
+     and+ zf_next_index = field (fun z -> z.Facechange.zf_next_index) int
+     and+ zf_active = field (fun z -> z.Facechange.zf_active) (list int)
+     and+ zf_pending = field (fun z -> z.Facechange.zf_pending) (list (option int))
+     and+ zf_retired_cow_breaks =
+       field (fun z -> z.Facechange.zf_retired_cow_breaks) int
+     and+ zf_governor = field (fun z -> z.Facechange.zf_governor) (option gov_frozen)
+     and+ zf_saved_bindings =
+       field (fun z -> z.Facechange.zf_saved_bindings) (list (pair string int))
+     and+ zf_log = field (fun z -> z.Facechange.zf_log) string
+     and+ zf_log_dropped = field (fun z -> z.Facechange.zf_log_dropped) int
+     and+ zf_log_cap = field (fun z -> z.Facechange.zf_log_cap) int
+     and+ zf_enabled = field (fun z -> z.Facechange.zf_enabled) bool in
+     {
+       Facechange.zf_opts;
+       zf_views;
+       zf_bindings;
+       zf_next_index;
+       zf_active;
+       zf_pending;
+       zf_retired_cow_breaks;
+       zf_governor;
+       zf_saved_bindings;
+       zf_log;
+       zf_log_dropped;
+       zf_log_cap;
+       zf_enabled;
+     })
 
-let w_view b (z : View.frozen) =
-  w_int b z.View.zv_index;
-  w_string b z.View.zv_config;
-  w_bool b z.View.zv_share;
-  w_list b w_int_pair z.View.zv_tables;
-  w_list b w_int_pair z.View.zv_page_frames;
-  w_int b z.View.zv_loaded_bytes;
-  w_int b z.View.zv_cow_breaks;
-  w_bool b z.View.zv_destroyed
+let cursor =
+  record
+    (let+ cu_seed = field (fun c -> c.Injector.cu_seed) int
+     and+ cu_events = field (fun c -> c.Injector.cu_events) (list fault_event)
+     and+ cu_position = field (fun c -> c.Injector.cu_position) int
+     and+ cu_queue = field (fun c -> c.Injector.cu_queue) (list fault_kind)
+     and+ cu_miss_budget = field (fun c -> c.Injector.cu_miss_budget) int in
+     { Injector.cu_seed; cu_events; cu_position; cu_queue; cu_miss_budget })
 
-let r_view r =
-  let zv_index = r_int r in
-  let zv_config = r_string r in
-  let zv_share = r_bool r in
-  let zv_tables = r_list r r_int_pair in
-  let zv_page_frames = r_list r r_int_pair in
-  let zv_loaded_bytes = r_int r in
-  let zv_cow_breaks = r_int r in
-  let zv_destroyed = r_bool r in
-  {
-    View.zv_index;
-    zv_config;
-    zv_share;
-    zv_tables;
-    zv_page_frames;
-    zv_loaded_bytes;
-    zv_cow_breaks;
-    zv_destroyed;
-  }
+(* Gauges are never dumped ({!Metrics.dump}), so they have no tag. *)
+let histogram =
+  record
+    (let+ h_buckets = field (fun h -> h.Metrics.h_buckets) (list int_pair)
+     and+ h_count = field (fun h -> h.Metrics.h_count) int
+     and+ h_sum = field (fun h -> h.Metrics.h_sum) int
+     and+ h_max = field (fun h -> h.Metrics.h_max) int in
+     { Metrics.h_count; h_sum; h_max; h_buckets })
 
-let w_fc b (z : Facechange.frozen) =
-  w_opts b z.Facechange.zf_opts;
-  w_list b w_view z.Facechange.zf_views;
-  w_list b (w_pair w_string w_int) z.Facechange.zf_bindings;
-  w_int b z.Facechange.zf_next_index;
-  w_list b w_int z.Facechange.zf_active;
-  w_list b (fun b o -> w_option b w_int o) z.Facechange.zf_pending;
-  w_int b z.Facechange.zf_retired_cow_breaks;
-  w_option b w_gov_frozen z.Facechange.zf_governor;
-  w_list b (w_pair w_string w_int) z.Facechange.zf_saved_bindings;
-  w_string b z.Facechange.zf_log;
-  w_int b z.Facechange.zf_log_dropped;
-  w_int b z.Facechange.zf_log_cap;
-  w_bool b z.Facechange.zf_enabled
-
-let r_fc r =
-  let zf_opts = r_opts r in
-  let zf_views = r_list r r_view in
-  let zf_bindings = r_list r (r_pair r_string r_int) in
-  let zf_next_index = r_int r in
-  let zf_active = r_list r r_int in
-  let zf_pending = r_list r (fun r -> r_option r r_int) in
-  let zf_retired_cow_breaks = r_int r in
-  let zf_governor = r_option r r_gov_frozen in
-  let zf_saved_bindings = r_list r (r_pair r_string r_int) in
-  let zf_log = r_string r in
-  let zf_log_dropped = r_int r in
-  let zf_log_cap = r_int r in
-  let zf_enabled = r_bool r in
-  {
-    Facechange.zf_opts;
-    zf_views;
-    zf_bindings;
-    zf_next_index;
-    zf_active;
-    zf_pending;
-    zf_retired_cow_breaks;
-    zf_governor;
-    zf_saved_bindings;
-    zf_log;
-    zf_log_dropped;
-    zf_log_cap;
-    zf_enabled;
-  }
-
-let w_cursor b (c : Injector.cursor) =
-  w_int b c.Injector.cu_seed;
-  w_list b w_fault_event c.Injector.cu_events;
-  w_int b c.Injector.cu_position;
-  w_list b w_fault_kind c.Injector.cu_queue;
-  w_int b c.Injector.cu_miss_budget
-
-let r_cursor r =
-  let cu_seed = r_int r in
-  let cu_events = r_list r r_fault_event in
-  let cu_position = r_int r in
-  let cu_queue = r_list r r_fault_kind in
-  let cu_miss_budget = r_int r in
-  { Injector.cu_seed; cu_events; cu_position; cu_queue; cu_miss_budget }
-
-let w_metric b (e : Metrics.dump_entry) =
-  w_string b e.Metrics.d_subsystem;
-  w_string b e.Metrics.d_name;
-  w_option b w_string e.Metrics.d_label;
-  match e.Metrics.d_value with
-  | Metrics.D_counter v ->
-      w_tag b 0;
-      w_int b v
-  | Metrics.D_histogram { d_buckets; d_count; d_sum; d_max } ->
-      w_tag b 1;
-      w_list b w_int_pair d_buckets;
-      w_int b d_count;
-      w_int b d_sum;
-      w_int b d_max
-
-let r_metric r =
-  let d_subsystem = r_string r in
-  let d_name = r_string r in
-  let d_label = r_option r r_string in
-  let d_value =
-    match r_tag r with
-    | 0 -> Metrics.D_counter (r_int r)
-    | 1 ->
-        let d_buckets = r_list r r_int_pair in
-        let d_count = r_int r in
-        let d_sum = r_int r in
-        let d_max = r_int r in
-        Metrics.D_histogram { d_buckets; d_count; d_sum; d_max }
-    | n -> fail r (Printf.sprintf "bad metric value tag %d" n)
-  in
-  { Metrics.d_subsystem; d_name; d_label; d_value }
+let metric =
+  record
+    (let+ subsystem = field (fun s -> s.Metrics.subsystem) string
+     and+ name = field (fun s -> s.Metrics.name) string
+     and+ label = field (fun s -> s.Metrics.label) (option string)
+     and+ value =
+       field
+         (fun s -> s.Metrics.value)
+         (variant "metric value tag"
+            [
+              case 0 int (fun v -> Metrics.Counter v)
+                (function Metrics.Counter v -> Some v | _ -> None);
+              case 1 histogram (fun h -> Metrics.Histogram h)
+                (function Metrics.Histogram h -> Some h | _ -> None);
+            ])
+     in
+     { Metrics.subsystem; name; label; value })
 
 (* ---------------- container format ---------------- *)
 
@@ -825,64 +717,42 @@ let magic = "FCSN"
    unsupported-version error, as always. *)
 let version = 4
 
+let meta_codec = list (pair string string)
+let tables_codec = array (list int_pair)
+let metrics_codec = list metric
+
 let encode t =
-  (* content-keyed page store: unique page bytes, MD5-keyed, referenced
-     by index from the OS section's live-frame records *)
-  let contents = Hashtbl.create 256 in
-  let content_rev = ref [] and content_count = ref 0 in
-  let content_id page =
-    match Hashtbl.find_opt contents page with
-    | Some i -> i
-    | None ->
-        let i = !content_count in
-        Hashtbl.replace contents page i;
-        content_rev := page :: !content_rev;
-        incr content_count;
-        i
-  in
+  let store = store () in
   let sections = ref [] in
-  let add_section tag payload = sections := (tag, payload) :: !sections in
-  let render tag f =
+  let render tag c v =
     let b = Buffer.create 4096 in
-    f b;
-    add_section tag (Buffer.contents b)
+    c.write b v;
+    sections := (tag, Buffer.contents b) :: !sections
   in
-  render "META" (fun b -> w_list b (w_pair w_string w_string) t.s_meta);
-  render "TABL" (fun b ->
-      w_list b (fun b entries -> w_list b w_int_pair entries)
-        (Array.to_list t.s_tables));
+  render "META" meta_codec t.s_meta;
+  render "TABL" tables_codec t.s_tables;
   (* the OS payload is rendered before FRAM so the content store is
      populated, but FRAM is placed first in the file so a streaming
      decoder meets contents before references *)
   let os_buf = Buffer.create 65536 in
-  w_os ~content_id os_buf t.s_os;
-  render "FRAM" (fun b ->
-      w_list b
-        (fun b page ->
-          w_string b (Digest.string page);
-          w_string b page)
-        (List.rev !content_rev));
-  add_section "OSST" (Buffer.contents os_buf);
-  (match t.s_hyp with Some z -> render "HYPV" (fun b -> w_hyp b z) | None -> ());
-  (match t.s_fc with Some z -> render "FCCR" (fun b -> w_fc b z) | None -> ());
-  (match t.s_cursor with
-  | Some c -> render "CURS" (fun b -> w_cursor b c)
-  | None -> ());
-  render "METR" (fun b -> w_list b w_metric t.s_metrics);
+  (os store).write os_buf t.s_os;
+  render "FRAM" (list fram_page)
+    (List.init (Hashtbl.length store.pages) (Hashtbl.find store.pages));
+  sections := ("OSST", Buffer.contents os_buf) :: !sections;
+  Option.iter (render "HYPV" hyp) t.s_hyp;
+  Option.iter (render "FCCR" fc) t.s_fc;
+  Option.iter (render "CURS" cursor) t.s_cursor;
+  render "METR" metrics_codec t.s_metrics;
   let sections = List.rev !sections in
   let out = Buffer.create 262144 in
   Buffer.add_string out magic;
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int version);
-  Bytes.set_int32_le hdr 4 (Int32.of_int (List.length sections));
-  Buffer.add_bytes out hdr;
+  Buffer.add_int32_le out (Int32.of_int version);
+  Buffer.add_int32_le out (Int32.of_int (List.length sections));
   List.iter
     (fun (tag, payload) ->
       Buffer.add_string out tag;
-      let pre = Bytes.create 12 in
-      Bytes.set_int64_le pre 0 (Int64.of_int (String.length payload));
-      Bytes.set_int32_le pre 8 (Int32.of_int (crc32 payload));
-      Buffer.add_bytes out pre;
+      Buffer.add_int64_le out (Int64.of_int (String.length payload));
+      Buffer.add_int32_le out (Int32.of_int (crc32 payload));
       Buffer.add_string out payload)
     sections;
   Buffer.contents out
@@ -928,7 +798,9 @@ let split_sections s =
             let tag = String.sub s pos 4 in
             let plen = Int64.to_int (String.get_int64_le s (pos + 4)) in
             let crc = Int32.to_int (String.get_int32_le s (pos + 12)) land 0xFFFFFFFF in
-            if plen < 0 || pos + 16 + plen > len then
+            (* against the bytes that remain: [pos + 16 + plen] overflows
+               for a length near [max_int] *)
+            if plen < 0 || plen > len - pos - 16 then
               Error
                 {
                   section = tag;
@@ -960,14 +832,14 @@ let decode s =
       let find tag =
         List.find_opt (fun (t', _, _) -> String.equal t' tag) sections
       in
-      let parse tag f =
+      let parse tag c =
         match find tag with
         | None ->
             Error
               { section = tag; offset = 0; reason = "required section missing" }
         | Some (_, payload, base) -> (
             let r = { src = payload; pos = 0 } in
-            match f r with
+            match c.read r with
             | v ->
                 if r.pos <> String.length payload then
                   Error
@@ -982,10 +854,10 @@ let decode s =
             | exception Decode_err (pos, reason) ->
                 Error { section = tag; offset = base + pos; reason })
       in
-      let parse_opt tag f =
+      let parse_opt tag c =
         match find tag with
         | None -> Ok None
-        | Some _ -> ( match parse tag f with Ok v -> Ok (Some v) | Error e -> Error e)
+        | Some _ -> Result.map Option.some (parse tag c)
       in
       let ( let* ) = Result.bind in
       let* () =
@@ -1001,40 +873,17 @@ let decode s =
               }
         | None -> Ok ()
       in
-      let* s_meta = parse "META" (fun r -> r_list r (r_pair r_string r_string)) in
-      let* tables =
-        parse "TABL" (fun r -> r_list r (fun r -> r_list r r_int_pair))
-      in
-      let* contents =
-        parse "FRAM" (fun r ->
-            r_list r (fun r ->
-                let digest = r_string r in
-                let page = r_string r in
-                if Digest.string page <> digest then
-                  fail r "content digest mismatch (corrupt page record)";
-                page))
-      in
-      let content_arr = Array.of_list contents in
-      let content_of r idx =
-        if idx < 0 || idx >= Array.length content_arr then
-          fail r (Printf.sprintf "frame content index %d out of store" idx)
-        else content_arr.(idx)
-      in
-      let* s_os = parse "OSST" (r_os ~content_of) in
-      let* s_hyp = parse_opt "HYPV" r_hyp in
-      let* s_fc = parse_opt "FCCR" r_fc in
-      let* s_cursor = parse_opt "CURS" r_cursor in
-      let* s_metrics = parse "METR" (fun r -> r_list r r_metric) in
-      Ok
-        {
-          s_meta;
-          s_tables = Array.of_list tables;
-          s_os;
-          s_hyp;
-          s_fc;
-          s_cursor;
-          s_metrics;
-        })
+      let* s_meta = parse "META" meta_codec in
+      let* s_tables = parse "TABL" tables_codec in
+      let* pages = parse "FRAM" (list fram_page) in
+      let store = store () in
+      List.iteri (Hashtbl.replace store.pages) pages;
+      let* s_os = parse "OSST" (os store) in
+      let* s_hyp = parse_opt "HYPV" hyp in
+      let* s_fc = parse_opt "FCCR" fc in
+      let* s_cursor = parse_opt "CURS" cursor in
+      let* s_metrics = parse "METR" metrics_codec in
+      Ok { s_meta; s_tables; s_os; s_hyp; s_fc; s_cursor; s_metrics })
 
 (* ---------------- files / description ---------------- *)
 

@@ -23,7 +23,9 @@ type t = {
   s_hyp : Fc_hypervisor.Hypervisor.frozen option;
   s_fc : Fc_core.Facechange.frozen option;
   s_cursor : Fc_faults.Injector.cursor option;
-  s_metrics : Fc_obs.Metrics.dump_entry list;
+  s_metrics : Fc_obs.Metrics.sample list;
+      (** {!Fc_obs.Metrics.dump}: counters and histograms only.  A gauge
+          has no wire form; {!encode} raises [Invalid_argument] on one. *)
 }
 
 type error = { section : string; offset : int; reason : string }

@@ -771,13 +771,13 @@ let test_subscriber_moves_no_counter () =
     in
     Os.run os;
     List.map
-      (fun (d : Metrics.dump_entry) ->
-        Printf.sprintf "%s.%s{%s} = %s" d.Metrics.d_subsystem d.Metrics.d_name
-          (Option.value d.Metrics.d_label ~default:"")
-          (match d.Metrics.d_value with
-          | Metrics.D_counter n -> string_of_int n
-          | Metrics.D_histogram h ->
-              Printf.sprintf "%d/%d/%d" h.d_count h.d_sum h.d_max))
+      (fun (s : Metrics.sample) ->
+        Printf.sprintf "%s.%s{%s} = %s" s.Metrics.subsystem s.Metrics.name
+          (Option.value s.Metrics.label ~default:"")
+          (match s.Metrics.value with
+          | Metrics.Counter n | Metrics.Gauge n -> string_of_int n
+          | Metrics.Histogram h ->
+              Printf.sprintf "%d/%d/%d" h.h_count h.h_sum h.h_max))
       (Metrics.dump (Obs.metrics (Os.obs os)))
   in
   List.iter

@@ -6,8 +6,12 @@
      must be identical to an uninterrupted run, on both engines under
      random governed fault plans;
    - decode∘encode = id on captured machines (QCheck);
-   - corrupt-input totality: bit flips, truncations and version bumps
-     return typed errors naming section and offset — never raise;
+   - corrupt-input totality: bit flips, truncations, version bumps and
+     lengths near max_int return typed errors naming section and
+     offset — never raise;
+   - restore identity: capture, encode, decode, restore and capture
+     again gives the same snapshot (METR as a multiset);
+   - the version-4 bytes of every variant constructor, pinned by digest;
    - warm start: a fleet cell booted from wire-format snapshots
      fingerprints identically to a cold boot;
    - live migration: pre-copy + stop-and-copy lands a guest that
@@ -31,6 +35,8 @@ module Snapshot = Fc_snapshot.Snapshot
 module Migrate = Fc_host.Migrate
 module Metrics = Fc_obs.Metrics
 module J = Fc_obs.Jsonx
+module Action = Fc_machine.Action
+module Irq_paths = Fc_kernel.Irq_paths
 
 let profiles () = Lazy.force Test_env.profiles
 let image () = Lazy.force Test_env.image
@@ -218,6 +224,26 @@ let prop_corrupt_total =
         | Error e ->
             String.length e.Snapshot.section > 0 && e.Snapshot.offset >= 0)
 
+let golden_wire () =
+  In_channel.with_open_bin "../bench/golden.fcsnap" In_channel.input_all
+
+let golden () =
+  match Snapshot.decode (golden_wire ()) with
+  | Ok s -> s
+  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+
+(* CRC-32 (IEEE), bit by bit: reseals a section after a deliberate edit *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
 let corrupt_errors_name_sections () =
   let snap = capture_machine ~fault_seed:5 ~at:15 in
   let wire = Snapshot.encode snap in
@@ -239,13 +265,35 @@ let corrupt_errors_name_sections () =
    | Error e -> Alcotest.fail ("expected version error, got " ^ Snapshot.error_to_string e)
    | Ok _ -> Alcotest.fail "bumped version decoded");
   (* payload corruption: the error names the section tag *)
-  let b = Bytes.of_string wire in
-  let i = String.length wire - 3 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-  match Snapshot.decode (Bytes.to_string b) with
-  | Error e ->
-      check_bool "section tag is 4 chars" true (String.length e.Snapshot.section = 4)
-  | Ok _ -> Alcotest.fail "payload corruption decoded"
+  (let b = Bytes.of_string wire in
+   let i = String.length wire - 3 in
+   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+   match Snapshot.decode (Bytes.to_string b) with
+   | Error e ->
+       check_bool "section tag is 4 chars" true (String.length e.Snapshot.section = 4)
+   | Ok _ -> Alcotest.fail "payload corruption decoded");
+  (* lengths near max_int, in the golden: the first section's length and
+     the first string of a META payload whose CRC is valid *)
+  let golden = golden_wire () in
+  let with_int s off v =
+    let b = Bytes.of_string s in
+    Bytes.set_int64_le b off (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let meta_error label offset input =
+    match Snapshot.decode input with
+    | Error { section = "META"; offset = o; _ } when o = offset -> ()
+    | Error e -> Alcotest.failf "%s: got %s" label (Snapshot.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: decoded" label
+  in
+  meta_error "section length max_int" 16 (with_int golden 16 max_int);
+  meta_error "section length max_int - 20" 16 (with_int golden 16 (max_int - 20));
+  let plen = Int64.to_int (String.get_int64_le golden 16) in
+  let payload = with_int (String.sub golden 28 plen) 8 max_int in
+  let b = Bytes.of_string golden in
+  Bytes.blit_string payload 0 b 28 plen;
+  Bytes.set_int32_le b 24 (Int32.of_int (crc32 payload));
+  meta_error "string length max_int" 44 (Bytes.to_string b)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -279,6 +327,145 @@ let empty_and_trailing () =
   | Error { section = "trailer"; _ } -> ()
   | Error e -> Alcotest.fail ("expected trailer error, got " ^ Snapshot.error_to_string e)
   | Ok _ -> Alcotest.fail "trailing bytes decoded"
+
+(* ---------------- restore identity ---------------- *)
+
+(* Capture, encode, decode, restore, capture again: what restore rebuilt
+   must be exactly what capture recorded.  METR is compared as a
+   multiset, since restore registers labelled family members in another
+   order than the run that created them. *)
+let restore_identity (snap : Snapshot.t) =
+  match Snapshot.decode (Snapshot.encode snap) with
+  | Error e -> [ Snapshot.error_to_string e ]
+  | Ok s ->
+      let r = Snapshot.restore ~image:(image ()) s in
+      let os = r.Snapshot.r_os in
+      let cursor =
+        Option.map (fun i -> Injector.cursor i ~position:(Os.round os)) r.r_inj
+      in
+      let again =
+        Snapshot.capture ~meta:r.r_meta ?cursor ?fc:r.r_fc ?hyp:r.r_hyp os
+      in
+      let sorted = List.sort compare in
+      List.filter_map
+        (fun (section, equal) -> if equal then None else Some section)
+        [
+          ("META", again.s_meta = snap.s_meta);
+          ("TABL", again.s_tables = snap.s_tables);
+          ("OSST", again.s_os = snap.s_os);
+          ("HYPV", again.s_hyp = snap.s_hyp);
+          ("FCCR", again.s_fc = snap.s_fc);
+          ("CURS", again.s_cursor = snap.s_cursor);
+          ("METR", sorted again.s_metrics = sorted snap.s_metrics);
+        ]
+
+(* Governed guests under 8-fault plans, snapshotted every 5 rounds; on
+   even seeds the app's view is unloaded at round 20, so saved bindings,
+   retired COW breaks and armed itimers are non-empty at some capture
+   points. *)
+let identity_guest ~seed =
+  let r = Frand.create (seed lxor 0x1de7) in
+  let pool = [ "top"; "apache"; "gvim"; "tcpdump"; "bash"; "gzip"; "vsftpd"; "eog" ] in
+  let name = Frand.pick r pool in
+  let app = App.find_exn name in
+  let os = Os.create ~config:(App.os_config app) (Profiles.image (profiles ())) in
+  let hyp = Hyp.attach os in
+  let fc = Facechange.enable ~governor:Fc_benchkit.Chaos.chaos_policy hyp in
+  let index = Facechange.load_view fc (Profiles.config_of (profiles ()) name) in
+  let (_ : Process.t) = Os.spawn os ~name (app.App.script 4) in
+  let companion = App.find_exn "top" in
+  let (_ : Process.t) = Os.spawn os ~name:"companion" (companion.App.script 2) in
+  let inj = Injector.arm ~os ~hyp ~fc (Fault.gen ~seed ~rounds:120 ~n:8) in
+  let snaps = ref [] in
+  let rec go at =
+    let cursor = Injector.cursor inj ~position:(Os.round os) in
+    snaps := Snapshot.capture ~meta:[ ("seed", string_of_int seed) ] ~cursor ~fc ~hyp os :: !snaps;
+    if seed land 1 = 0 && at = 20 then Facechange.unload_view fc index;
+    match Os.run ~until:(fun t -> Os.round t >= at + 5) ~max_rounds:budget os with
+    | () -> if Os.round os >= at + 5 then go (at + 5)
+    | exception Os.Guest_panic _ -> ()
+  in
+  go 0;
+  Injector.disarm inj;
+  List.rev !snaps
+
+let restore_identity_case () =
+  let check label snap =
+    match restore_identity snap with
+    | [] -> ()
+    | diffs -> Alcotest.failf "%s: sections differ: %s" label (String.concat " " diffs)
+  in
+  check "golden" (golden ());
+  for seed = 1 to 40 do
+    List.iteri
+      (fun i snap -> check (Printf.sprintf "seed %d snapshot %d" seed i) snap)
+      (identity_guest ~seed)
+  done
+
+(* ---------------- the version-4 bytes of every constructor ---------------- *)
+
+(* The golden, edited to hold every variant constructor on the wire: 9
+   irq sources, 5 actions, 3 run states, 8 fault kinds, 4 governor
+   states, both clocksources and metric value kinds, and — across the
+   two values — both engines and both [on_unhandled] answers.  The
+   digest of their encodings was recorded from the version-4 writer the
+   per-type tag tables replaced; a swapped tag changes it. *)
+let every_constructor (g : Snapshot.t) ~engine ~on_unhandled =
+  let os = g.Snapshot.s_os in
+  let irqs =
+    Irq_paths.
+      [ Timer Acpi_pm; Timer_itimer Kvmclock; Keyboard_console; Keyboard_evdev;
+        Net_rx_tcp; Net_rx_udp; Net_rx_sniffed_tcp; Net_rx_sniffed_udp; Disk ]
+  in
+  let script = Action.[ Syscall "read"; Compute 7; Sleep 3; Fault; Exit ] in
+  let states = Process.[ Ready; Blocked { yield_id = 5; wake_round = 9 }; Exited ] in
+  let proc = List.hd os.Os.z_procs in
+  let kinds =
+    Fault.
+      [ Spurious_ud2 { frac = 1; count = 2 }; Broken_rbp { frac = 3 };
+        Cyclic_rbp { frac = 4 }; Flip_view_byte { frac = 5 }; Evict_frames;
+        Miss_breakpoints { count = 6 }; Truncated_config; Overlapping_config ]
+  in
+  let app st =
+    { Governor.za_st = st; za_recent = [ 10; 20 ]; za_degradations = 1;
+      za_degraded_at = 30; za_unhandled = 2 }
+  in
+  let gov =
+    { Governor.zg_policy = { Governor.default_policy with Governor.on_unhandled };
+      zg_apps =
+        List.mapi (fun i st -> (Printf.sprintf "app%d" i, app st))
+          Governor.[ Narrow; Throttled; Degraded; Quarantined ] }
+  in
+  {
+    g with
+    Snapshot.s_os =
+      {
+        os with
+        Os.z_engine = engine;
+        z_config =
+          { os.Os.z_config with
+            Os.background_irqs = List.mapi (fun i s -> (s, 1000 + i)) irqs };
+        z_procs =
+          List.map (fun st -> { proc with Os.zp_script = script; zp_state = st }) states;
+      };
+    s_fc =
+      Option.map (fun fc -> { fc with Facechange.zf_governor = Some gov }) g.Snapshot.s_fc;
+    s_cursor =
+      Some
+        { Injector.cu_seed = 77;
+          cu_events = List.mapi (fun i kind -> { Fault.at_round = i; kind }) kinds;
+          cu_position = 3; cu_queue = kinds; cu_miss_budget = 4 };
+  }
+
+let constructor_bytes_pinned () =
+  let g = golden () in
+  let a = every_constructor g ~engine:Os.Fast ~on_unhandled:`Degrade in
+  let b = every_constructor g ~engine:Os.Reference ~on_unhandled:`Die in
+  let wa = Snapshot.encode a and wb = Snapshot.encode b in
+  check_string "digest of the version-4 bytes" "bc3c55bcb342fb217550c829d4faad4a"
+    (Digest.to_hex (Digest.string (wa ^ wb)));
+  check_bool "decode (encode a) = a" true (Snapshot.decode wa = Ok a);
+  check_bool "decode (encode b) = b" true (Snapshot.decode wb = Ok b)
 
 (* ---------------- save / load ---------------- *)
 
@@ -437,6 +624,10 @@ let suites =
           empty_and_trailing;
         Alcotest.test_case "save/load roundtrip + missing file" `Quick
           save_load_roundtrip;
+        Alcotest.test_case "every constructor keeps its version-4 bytes" `Quick
+          constructor_bytes_pinned;
+        Alcotest.test_case "restore rebuilds what capture recorded" `Slow
+          restore_identity_case;
       ] );
     ( "snapshot-warm-start",
       [ Alcotest.test_case "fleet digest parity" `Slow warm_start_parity ] );
