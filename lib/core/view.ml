@@ -68,14 +68,15 @@ let map_page t gpa_page frame =
          (installed tables are shared by reference), and [table_set]
          moves no directory entry and no view generation.  The
          invalidation is frame-targeted instead: every cached translation
-         validates [Phys_mem.version] of its fill-time frame, so touching
-         the displaced frame kills exactly the entries that resolve
+         validates [Phys_mem.version] of its fill-time frame, so bumping
+         the displaced frame's version kills exactly the entries that resolve
          through it — one page's worth, in whichever views cached it —
          and every other translation in this view survives untouched.  A
          previously empty slot needs nothing: translations are never
-         cached negatively. *)
+         cached negatively.  The displaced frame's bytes did not change,
+         so [bump] keeps its digest valid. *)
       (match prev with
-      | Some old when old <> frame -> Phys.touch (Os.phys os) old
+      | Some old when old <> frame -> Phys.bump (Os.phys os) old
       | Some _ | None -> ())
   | None -> invalid_arg "View: page outside view directories");
   Hashtbl.replace t.page_frames gpa_page frame
@@ -195,37 +196,52 @@ let ud2_page =
         (if i land 1 = 0 then Fc_isa.Insn.ud2_first_byte
          else Fc_isa.Insn.ud2_second_byte))
 
-(* Build one page's final contents in [buf] (one buffer per build, reused
-   page after page): UD2 fill, then the covered parts of the load set
-   overlaid from the original code a page chunk at a time.  The interval
-   index makes the overlay O(log n) per page plus the covered bytes. *)
-let page_contents t loads buf gpa_page =
-  Bytes.blit ud2_page 0 buf 0 Phys.page_size;
-  let gva_lo = Layout.gpa_to_gva (gpa_page * Phys.page_size) in
-  let window = Span.make ~lo:gva_lo ~hi:(gva_lo + Phys.page_size) in
-  List.iter
-    (fun (s : Span.t) ->
-      Hyp.iter_original_code t.hyp ~lo:s.Span.lo ~hi:s.Span.hi
-        (fun ~gva src off len -> Bytes.blit src off buf (gva - gva_lo) len))
-    (Range_list.covered_spans loads Segment.Base_kernel window)
-
-(* Back one page: intern through the hypervisor's content-keyed frame
-   cache when sharing, allocate privately otherwise.  Both modes charge
+(* A view page's bytes are UD2 fill with the covered parts of the load
+   set overlaid from the original page, so they depend only on the
+   original page's bytes and those spans.  The image memoizes the page's
+   MD5 under exactly that key, and the bytes are assembled in [buf] (one
+   buffer per build, reused page after page) only when the memo misses
+   or a frame must be filled.  The interval index makes the overlay
+   O(log n) per page plus the covered bytes.  Both sharing modes charge
    exactly {!Cost.view_page_init}. *)
 let materialize_page t loads buf gpa_page =
   let phys = Os.phys (Hyp.os t.hyp) in
-  page_contents t loads buf gpa_page;
+  let gva_lo = Layout.gpa_to_gva (gpa_page * Phys.page_size) in
+  let window = Span.make ~lo:gva_lo ~hi:(gva_lo + Phys.page_size) in
+  let spans = Range_list.covered_spans loads Segment.Base_kernel window in
+  let assembled = ref false in
+  let contents () =
+    if not !assembled then begin
+      assembled := true;
+      Bytes.blit ud2_page 0 buf 0 Phys.page_size;
+      List.iter
+        (fun (s : Span.t) ->
+          Hyp.iter_original_code t.hyp ~lo:s.Span.lo ~hi:s.Span.hi
+            (fun ~gva src off len -> Bytes.blit src off buf (gva - gva_lo) len))
+        spans
+    end;
+    buf
+  in
+  let key =
+    Image.view_page (Os.image (Hyp.os t.hyp))
+      ~original:
+        (match Hyp.original_frame t.hyp ~gpa_page with
+        | Some f -> Phys.digest phys f
+        | None -> "" (* an unmapped page loads no bytes *))
+      ~spans:(List.map (fun (s : Span.t) -> (s.Span.lo - gva_lo, s.Span.hi - gva_lo)) spans)
+      (fun () -> Digest.bytes (contents ()))
+  in
   let fill_fresh () =
     let f = Phys.alloc phys in
-    Phys.blit_bytes phys ~src:buf ~src_off:0 ~dst:(Phys.addr_of_frame f)
-      ~len:Phys.page_size;
+    Phys.blit_bytes phys ~src:(contents ()) ~src_off:0
+      ~dst:(Phys.addr_of_frame f) ~len:Phys.page_size;
+    Phys.set_digest phys f key;
     f
   in
   let frame =
     if not t.share then fill_fresh ()
     else
       let cache = Hyp.frame_cache t.hyp in
-      let key = Digest.bytes buf in
       match Frame_cache.find cache ~label:(app t) key with
       | Some f -> f
       | None ->

@@ -4,9 +4,9 @@
     per-guest half — start pc and trap generation — is
     [Fc_machine.Cpu.sblock]).  It is a pure function of the
     block's start pc and the bytes of the page it lies in, so guests of
-    one kernel image share bodies through a content-addressed memo
-    ([Fc_kernel.Image.body]) and each block is decoded at most once per
-    image (DESIGN.md §10).
+    one kernel image share bodies through a memo keyed by page content
+    ([Fc_kernel.Image.page], [Fc_kernel.Image.body]) and each block is
+    decoded at most once per image (DESIGN.md §10).
 
     {2 The packed word}
 

@@ -1,13 +1,17 @@
 module Asm = Fc_isa.Asm
 module Block = Fc_isa.Block
+module Pcs = Map.Make (Int)
+module Digests = Map.Make (String)
 
-(* Decoded superblock bodies by (start pc, MD5 of the page's bytes). *)
-module Bodies = Map.Make (struct
-  type t = int * Digest.t
+(* A view page's inputs: its original page's MD5 and the spans loaded
+   onto it, as page offsets in ascending order. *)
+module View_keys = Map.Make (struct
+  type t = Digest.t * (int * int) list
 
-  let compare (pc, d) (pc', d') =
-    match Int.compare pc pc' with 0 -> String.compare d d' | c -> c
+  let compare = compare
 end)
+
+type page = Block.body Pcs.t Atomic.t (* one page content's bodies by start pc *)
 
 type t = {
   unit_image : Asm.unit_image;
@@ -18,10 +22,13 @@ type t = {
       (* every catalog module, assembled once at its boot base, in load
          order; never mutated after [build], so guests booted on other
          domains share them without a lock *)
-  bodies : Block.body Bodies.t Atomic.t;
-      (* the one mutable part: append-only, and a body is a pure function
-         of its key, so whichever domain publishes a key first publishes
-         the same body any other would have *)
+  boot_digests : (int * Digest.t) list;
+      (* each page boot copies code into, with the MD5 boot leaves it at *)
+  (* The mutable part: append-only memos (each page's bodies hang off
+     [pages]), each entry a pure function of its key, so whichever domain
+     publishes a key first publishes the value any other would have. *)
+  pages : page Digests.t Atomic.t; (* page MD5 -> the page's bodies *)
+  view_pages : Digest.t View_keys.t Atomic.t; (* view page inputs -> its MD5 *)
 }
 
 let next_module_base (u : Asm.unit_image) =
@@ -34,6 +41,35 @@ let addr_of t name = Option.map (fun (p : Asm.placed) -> p.addr) (Hashtbl.find_o
 let assemble_module_fns t ~base fns =
   let specs = List.map Kfunc.to_spec fns in
   Asm.assemble ~base ~resolve:(addr_of t) specs
+
+(* Each page the units' code lands in, as boot leaves it: a zeroed frame
+   with the code copied in, hashed once. *)
+let hash_boot_pages units =
+  let pages = Hashtbl.create 256 in
+  List.iter
+    (fun (u : Asm.unit_image) ->
+      let len = Bytes.length u.Asm.code in
+      let rec copy off =
+        if off < len then begin
+          let gva = u.Asm.base + off in
+          let page = gva - (gva mod Layout.page_size) in
+          let buf =
+            match Hashtbl.find_opt pages page with
+            | Some b -> b
+            | None ->
+                let b = Bytes.make Layout.page_size '\x00' in
+                Hashtbl.add pages page b;
+                b
+          in
+          let n = min (len - off) (page + Layout.page_size - gva) in
+          Bytes.blit u.Asm.code off buf (gva - page) n;
+          copy (off + n)
+        end
+      in
+      copy 0)
+    units;
+  List.sort compare
+    (Hashtbl.fold (fun page buf acc -> (page, Digest.bytes buf) :: acc) pages [])
 
 let build () =
   let specs = List.map Kfunc.to_spec Catalog.base_functions in
@@ -51,11 +87,20 @@ let build () =
           by_name;
           starts;
           boot_modules = [];
-          bodies = Atomic.make Bodies.empty;
+          boot_digests = [];
+          pages = Atomic.make Digests.empty;
+          view_pages = Atomic.make View_keys.empty;
         }
       in
       let rec boot acc base = function
-        | [] -> Ok { t with boot_modules = List.rev acc }
+        | [] ->
+            let boot_modules = List.rev acc in
+            Ok
+              {
+                t with
+                boot_modules;
+                boot_digests = hash_boot_pages (unit_image :: List.map snd boot_modules);
+              }
         | (name, fns) :: rest -> (
             match assemble_module_fns t ~base fns with
             | Error e -> Error (Printf.sprintf "module %s: %s" name e)
@@ -119,27 +164,45 @@ let read_byte t gva =
 
 let boot_modules t = t.boot_modules
 
-let body t ~pc ~page decode =
-  let key = (pc, page) in
-  match Bodies.find_opt key (Atomic.get t.bodies) with
-  | Some b -> Some b
-  | None -> (
-      match decode () with
-      | None -> None
-      | Some b ->
-          (* publish by compare-and-set; a lost race means another guest
-             published this key meanwhile, with an equal body *)
-          let rec publish () =
-            let m = Atomic.get t.bodies in
-            match Bodies.find_opt key m with
-            | Some b' -> b'
-            | None ->
-                if Atomic.compare_and_set t.bodies m (Bodies.add key b m) then b
-                else publish ()
-          in
-          Some (publish ()))
+let boot_digests t = t.boot_digests
 
-let decoded_blocks t = Bodies.cardinal (Atomic.get t.bodies)
+(* Publish [v] under [key] in [cell] by compare-and-set, unless the key
+   is there already, and return the value published.  A lost race means
+   another guest published the key meanwhile, with an equal value. *)
+let publish ~find ~add cell key v =
+  let rec go () =
+    let m = Atomic.get cell in
+    match find key m with
+    | Some v' -> v'
+    | None -> if Atomic.compare_and_set cell m (add key v m) then v else go ()
+  in
+  go ()
+
+let page t digest =
+  match Digests.find_opt digest (Atomic.get t.pages) with
+  | Some p -> p
+  | None ->
+      publish ~find:Digests.find_opt ~add:Digests.add t.pages digest
+        (Atomic.make Pcs.empty)
+
+let body page ~pc decode =
+  match Pcs.find_opt pc (Atomic.get page) with
+  | Some b -> Some b
+  | None -> Option.map (publish ~find:Pcs.find_opt ~add:Pcs.add page pc) (decode ())
+
+let view_page t ~original ~spans hash =
+  let key = (original, spans) in
+  match View_keys.find_opt key (Atomic.get t.view_pages) with
+  | Some d -> d
+  | None ->
+      publish ~find:View_keys.find_opt ~add:View_keys.add t.view_pages key (hash ())
+
+let decoded_pages t = Digests.cardinal (Atomic.get t.pages)
+
+let decoded_blocks t =
+  Digests.fold (fun _ p n -> n + Pcs.cardinal (Atomic.get p)) (Atomic.get t.pages) 0
+
+let view_pages t = View_keys.cardinal (Atomic.get t.view_pages)
 
 let assemble_module t ~name ~base =
   match List.assoc_opt name t.boot_modules with

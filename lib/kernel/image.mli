@@ -11,9 +11,12 @@
     different base yields different absolute call displacements but
     identical structure.
 
-    An image's code is immutable once built.  Its one mutable part is
-    the memo of decoded superblock bodies ({!body}), and guests on
-    several domains share one image safely: the memo only grows, each
+    An image's code is immutable once built, and so is the MD5 of each
+    code page as boot leaves it ({!boot_digests}), hashed once here so
+    that no guest hashes it again.  Its mutable part is two memos: the
+    decoded superblock bodies of each page content ({!page}, {!body}),
+    and the MD5 of each view page by its inputs ({!view_page}).  Guests
+    on several domains share one image safely: the memos only grow, each
     entry is a pure function of its key, and entries are published by
     compare-and-set on an immutable map. *)
 
@@ -65,21 +68,47 @@ val assemble_module_fns :
   t -> base:int -> Kfunc.t list -> (Fc_isa.Asm.unit_image, string) result
 (** Assemble any function list at [base] (always a fresh assembly). *)
 
-val body :
-  t ->
-  pc:int ->
-  page:Digest.t ->
-  (unit -> Fc_isa.Block.body option) ->
-  Fc_isa.Block.body option
-(** [body t ~pc ~page decode] is the superblock body starting at [pc]
-    in a page whose bytes have MD5 [page]: the one already published for
-    that key, or else [decode ()]'s, which is published.  [decode] must
-    decode the block at [pc] from those bytes with no trap stops
-    ({!Fc_isa.Block.decode}), so every guest of the image gets the same
-    body for the same key; a [None] is not remembered. *)
+val boot_digests : t -> (int * Digest.t) list
+(** Each page that boot copies code into, by its guest-virtual base
+    address, in address order, with the MD5 of that page as boot leaves
+    it: a zeroed page with the base text, or a boot module's code, copied
+    in.  [Os.create] records them on the frames it boots, so no guest
+    hashes a boot code page. *)
+
+type page
+(** The bodies decoded from one page content, by start pc. *)
+
+val page : t -> Digest.t -> page
+(** The bodies of the page whose bytes have MD5 [digest] (empty at
+    first).  A frame's line resolves it once, at its first block
+    build. *)
+
+val body : page -> pc:int -> (unit -> Fc_isa.Block.body option) -> Fc_isa.Block.body option
+(** [body page ~pc decode] is the superblock body starting at [pc] in
+    the page: the one already published for [pc], or else [decode ()]'s,
+    which is published.  [decode] must decode the block at [pc] from the
+    page's bytes with no trap stops ({!Fc_isa.Block.decode}), so every
+    guest of the image gets the same body for the same key; a [None] is
+    not remembered. *)
+
+val view_page :
+  t -> original:Digest.t -> spans:(int * int) list -> (unit -> Digest.t) -> Digest.t
+(** [view_page t ~original ~spans hash] is the MD5 of the kernel-view page
+    made of UD2 fill with [spans] (page offsets [[lo, hi)], ascending)
+    loaded from an original page whose bytes have MD5 [original]: the one
+    already published for that key, or else [hash ()], which is
+    published.  Those inputs fix the page's bytes, so [hash] must hash
+    exactly them. *)
 
 val decoded_blocks : t -> int
-(** The number of bodies published so far. *)
+(** The number of bodies published so far, over all pages. *)
+
+val decoded_pages : t -> int
+(** The number of page contents the body memo holds (each resolved by
+    {!page}). *)
+
+val view_pages : t -> int
+(** The number of view-page digests published so far. *)
 
 val false_prologues : t -> int list
 (** Alignment-boundary addresses inside the text section that carry the

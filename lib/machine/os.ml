@@ -74,13 +74,13 @@ let engine_name = function Reference -> "reference" | Fast -> "fast"
    carried as the iTLB entry's payload; cleared when the frame's version
    moves, dropped when the frame is released.  Each engine fills one
    array: the reference engine decodes per byte offset, the fast engine
-   keeps superblocks by start offset plus the page digest that keys the
-   image's body memo. *)
+   keeps superblocks by start offset plus the image's memo of the
+   bodies decoded from the frame's page content. *)
 type line = {
   mutable line_version : int;
   decoded : Cpu.decode_result option array; (* reference: per byte offset *)
   blocks : Cpu.sblock array; (* fast: per start offset, [no_block] when empty *)
-  mutable digest : Digest.t option; (* fast: MD5 of the bytes, once hashed *)
+  mutable page : Image.page option; (* fast: resolved at the first build *)
 }
 
 (* One virtual CPU: its own EPT (so FACE-CHANGE can switch views
@@ -330,7 +330,7 @@ let line_for t frame ~version =
           end)
         ln.blocks;
       if !held > 0 then Fc_obs.Metrics.add t.sb_invals !held;
-      ln.digest <- None;
+      ln.page <- None;
       ln.line_version <- version;
       ln
   | None ->
@@ -338,7 +338,7 @@ let line_for t frame ~version =
       let decoded, blocks =
         if t.fast then ([||], Array.make n no_block) else (Array.make n None, [||])
       in
-      let ln = { line_version = version; decoded; blocks; digest = None } in
+      let ln = { line_version = version; decoded; blocks; page = None } in
       Hashtbl.replace t.decode_cache frame ln;
       ln
 
@@ -530,8 +530,8 @@ let map_fresh_range t ~lo ~hi =
    each page chunk [gva, gva+n) of [lo, hi), with [hpa] its RAM address
    ([None] if unmapped).  Each page is translated once through
    [ram_translate] and moved with one blit by the caller, so the guest's
-   dTLB is neither consulted nor counted — [tlb.d_*] count guest accesses
-   only. *)
+   dTLB is neither consulted nor counted.  (Host-side readers that go
+   byte by byte through [read_guest_byte] are counted in [tlb.d_*].) *)
 let ram_chunks t ~lo ~hi f =
   let rec go gva =
     if gva < hi then begin
@@ -685,7 +685,7 @@ let write_task_struct t (p : Process.t) =
     write_guest_byte t (task + 4 + i) c
   done
 
-let dummy_line = { line_version = min_int; decoded = [||]; blocks = [||]; digest = None }
+let dummy_line = { line_version = min_int; decoded = [||]; blocks = [||]; page = None }
 
 (* Per-vCPU iTLB and dTLB; the reference engine never consults them, so
    it gets single-entry placeholders. *)
@@ -841,6 +841,13 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   List.iter
     (fun (name, u) -> ignore (install_module t ~name u))
     (Image.boot_modules image);
+  (* the code pages now hold what the image hashed once for every guest *)
+  List.iter
+    (fun (gva, d) ->
+      Option.iter
+        (fun hpa -> Phys.set_digest t.phys (Phys.frame_of_addr hpa) d)
+        (ram_translate t gva))
+    (Image.boot_digests image);
   t
 
 let spawn ?cpu t ~name script =
@@ -923,13 +930,15 @@ let no_trap_in t ~lo ~hi =
    cleared), and a view switch only changes which frame, and so which
    line, the pc resolves to: the iTLB's one check covers both.
 
-   The decoded ops come from the image's body memo, keyed by the start pc
-   and the page's digest, so each body is decoded once per image for all
-   its guests.  Memo bodies are decoded with no trap stops; a guest uses
-   one only when no trap lies in its interior (the entry pc is never a
-   trap here), and otherwise decodes a private, trap-split body exactly
-   as the memo's would be split — so every guest's blocks are the ones a
-   private decoder would build. *)
+   The decoded ops come from the image's body memo: the line resolves
+   its page content's bodies once, by the frame's digest (recorded at
+   boot or materialization, so hashed only for bytes written since),
+   and finds the body there by start pc, so each body is decoded once
+   per image for all its guests.  Memo bodies are decoded with no trap
+   stops; a guest uses one only when no trap lies in its interior (the
+   entry pc is never a trap here), and otherwise decodes a private,
+   trap-split body exactly as the memo's would be split — so every
+   guest's blocks are the ones a private decoder would build. *)
 let build_sblock t (e : line Tlb.entry) pc =
   if is_trap_addr t pc then None
   else
@@ -944,15 +953,15 @@ let build_sblock t (e : line Tlb.entry) pc =
       Block.decode ~read ~last:(base + Layout.page_size - 6) ~stop pc
     in
     let page =
-      match ln.digest with
-      | Some d -> d
+      match ln.page with
+      | Some p -> p
       | None ->
-          let d = Digest.bytes bytes in
-          ln.digest <- Some d;
-          d
+          let p = Image.page t.image (Phys.digest t.phys e.Tlb.frame) in
+          ln.page <- Some p;
+          p
     in
     let body =
-      match Image.body t.image ~pc ~page (fun () -> decode (fun _ -> false)) with
+      match Image.body page ~pc (fun () -> decode (fun _ -> false)) with
       | Some b when no_trap_in t ~lo:b.Block.lo ~hi:b.Block.hi -> Some b
       | Some _ -> decode (is_trap_addr t)
       | None -> None

@@ -298,8 +298,8 @@ val decode_cache_frames : t -> int
     [os.decode_cache_frames] gauge).  A line holds what the engine
     derived from one version of the frame's bytes, in one 4,096-slot
     array: the reference engine's per-offset decodes, or the fast
-    engine's superblocks by start offset (plus the page digest that
-    keys the image's body memo).  Lines are evicted when their frame's
+    engine's superblocks by start offset (plus the image's memo of the
+    bodies of the frame's page content).  Lines are evicted when their frame's
     last reference is dropped, so view churn must not grow this
     monotonically — the regression test for the old unbounded behavior
     reads it. *)

@@ -3,6 +3,9 @@ let page_size = 4096
 type t = {
   mutable frames : Bytes.t option array;  (* None = never allocated / freed *)
   mutable versions : int array;           (* bumped on each write *)
+  mutable digests : Digest.t array;       (* MD5 of the frame's bytes ... *)
+  mutable digested : int array;           (* ... at this version; -1: none *)
+  mutable hashed : int;                   (* digests computed by [digest] *)
   mutable refcounts : int array;          (* owners of a live frame *)
   mutable next : int;                     (* high-water mark *)
   mutable free_list : int list;
@@ -24,6 +27,7 @@ let create ?metrics () =
   let allocs = Fc_obs.Metrics.counter m ~subsystem:"mem" "frames_allocated" in
   let t =
     { frames = Array.make 64 None; versions = Array.make 64 0;
+      digests = Array.make 64 ""; digested = Array.make 64 (-1); hashed = 0;
       refcounts = Array.make 64 0; next = 0; free_list = []; live = 0;
       on_release = None; allocs; frees }
   in
@@ -33,15 +37,16 @@ let create ?metrics () =
 let grow t want =
   if want >= Array.length t.frames then begin
     let cap = max (want + 1) (2 * Array.length t.frames) in
-    let a = Array.make cap None in
-    Array.blit t.frames 0 a 0 (Array.length t.frames);
-    t.frames <- a;
-    let v = Array.make cap 0 in
-    Array.blit t.versions 0 v 0 (Array.length t.versions);
-    t.versions <- v;
-    let r = Array.make cap 0 in
-    Array.blit t.refcounts 0 r 0 (Array.length t.refcounts);
-    t.refcounts <- r
+    let widen a empty =
+      let w = Array.make cap empty in
+      Array.blit a 0 w 0 (Array.length a);
+      w
+    in
+    t.frames <- widen t.frames None;
+    t.versions <- widen t.versions 0;
+    t.digests <- widen t.digests "";
+    t.digested <- widen t.digested (-1);
+    t.refcounts <- widen t.refcounts 0
   end
 
 let alloc t =
@@ -110,6 +115,31 @@ let version t f = if f >= 0 && f < Array.length t.versions then t.versions.(f) e
 (* Hot path: callers (the software TLB) only hold [f] while its version
    matches a snapshot, which implies the frame is live and in range. *)
 let touch t f = t.versions.(f) <- t.versions.(f) + 1
+
+(* The bytes did not change, so a digest valid before the bump is valid
+   after it. *)
+let bump t f =
+  let v = t.versions.(f) in
+  t.versions.(f) <- v + 1;
+  if t.digested.(f) = v then t.digested.(f) <- v + 1
+
+let digest t f =
+  let b = frame_bytes t f in
+  if t.digested.(f) = t.versions.(f) then t.digests.(f)
+  else begin
+    let d = Digest.bytes b in
+    t.digests.(f) <- d;
+    t.digested.(f) <- t.versions.(f);
+    t.hashed <- t.hashed + 1;
+    d
+  end
+
+let set_digest t f d =
+  ignore (frame_bytes t f : Bytes.t);
+  t.digests.(f) <- d;
+  t.digested.(f) <- t.versions.(f)
+
+let digests_computed t = t.hashed
 
 let read_u32 t hpa =
   let b i = read_byte t (hpa + i) in

@@ -93,8 +93,41 @@ val version : t -> int -> int
 val touch : t -> int -> unit
 (** Bump the version of a live frame without writing — used by word-level
     writers that mutate the frame's storage directly (via {!frame_bytes})
-    and must keep version-keyed caches coherent.  The frame must be live
-    and in range (unchecked; hot path). *)
+    and must keep version-keyed caches coherent.  The bytes may have
+    changed, so the frame's {!digest} is invalidated.  The frame must be
+    live and in range (unchecked; hot path). *)
+
+val bump : t -> int -> unit
+(** Bump the version of a live frame whose bytes did not change — a
+    mapping through the frame changed (a kernel view spliced another
+    frame over it), so translations cached through it must die.  Like
+    {!touch} it kills every version-keyed entry, but a {!digest} valid
+    before the bump stays valid.  The frame must be live and in range
+    (unchecked). *)
+
+(** {1 Content digests}
+
+    Each frame carries the MD5 of its bytes together with the version it
+    is valid at, so the bytes are hashed at most once per version, and
+    not at all when a writer already knows what it wrote. *)
+
+val digest : t -> int -> Digest.t
+(** The MD5 of a live frame's 4 KiB ([Digest.bytes] of its bytes):
+    the recorded one while the frame's version has not moved since it was
+    recorded, else hashed now and recorded.  The only place a frame is
+    hashed.
+    @raise Invalid_argument if the frame is not live. *)
+
+val set_digest : t -> int -> Digest.t -> unit
+(** Record the MD5 of a live frame's current bytes, known to the writer
+    that just wrote them (boot code pages from the kernel image, view
+    pages from their frame-cache key).  The caller vouches for it: a
+    wrong digest is served by {!digest} until the next write.
+    @raise Invalid_argument if the frame is not live. *)
+
+val digests_computed : t -> int
+(** How many times {!digest} has hashed a frame since the pool was
+    created — a plain accessor, not a registered metric. *)
 
 val frame_count : t -> int
 (** The allocation high-water mark: every frame number ever handed out is
@@ -114,7 +147,8 @@ val versions_snapshot : t -> int array
     created} pool (so the metrics registry hooks from {!create} stay
     wired).  Dead-frame versions are preserved: version counters feed
     version-keyed caches, and the post-restore allocation stream must
-    continue where the snapshot left off. *)
+    continue where the snapshot left off.  Digests are not captured: a
+    restored pool hashes each frame again on its first {!digest}. *)
 
 type frozen = {
   z_next : int;

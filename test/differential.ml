@@ -151,6 +151,9 @@ let run ?(trace = true) ~profiles ~engine ~fault_seed () =
   let coverage = runs_digest covered in
   if trace && runs_digest traced <> coverage then
     failwith "coverage stretches coalesce to other runs than the trace";
+  (match Test_env.misfiled_frames hyp with
+  | [] -> ()
+  | f :: _ -> failwith (Printf.sprintf "frame %d's frame-cache key is not its MD5" f));
   let m = Fc_obs.Obs.metrics (Os.obs os) in
   let c key = Option.value ~default:0 (Metrics.find m key) in
   ( {

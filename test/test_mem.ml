@@ -313,6 +313,114 @@ let prop_fill_tiles =
       && List.for_all same_frame [ 0; 1; 2; 3; 4; 5; 6; 7 ]
       && tiled ())
 
+(* A frame's digest is never stale.  Random operation sequences over a
+   small pool — every writer, including a word write through
+   [frame_bytes] followed by [touch], the bytes-unchanged [bump] and
+   [set_digest] given the true MD5 — and after every step each live
+   frame's [digest] must equal the MD5 of its bytes.  Operations name a
+   live frame by index into the live set (skipped when none is live) and
+   stay within one frame. *)
+type digest_op =
+  | D_alloc
+  | D_free of int
+  | D_incref of int
+  | D_fill of int * int * int * int list (* frame, off, len, pattern *)
+  | D_blit of int * int * int (* frame, off, seed *)
+  | D_copy of int * int * int (* src frame, dst frame, len *)
+  | D_write_byte of int * int * int (* frame, off, value *)
+  | D_word_touch of int * int * int (* frame, off, value *)
+  | D_bump of int
+  | D_set_digest of int
+
+let print_digest_op = function
+  | D_alloc -> "alloc"
+  | D_free f -> Printf.sprintf "free %d" f
+  | D_incref f -> Printf.sprintf "incref %d" f
+  | D_fill (f, off, len, p) ->
+      Printf.sprintf "fill %d +%d len %d [%s]" f off len
+        (String.concat ";" (List.map string_of_int p))
+  | D_blit (f, off, seed) -> Printf.sprintf "blit %d +%d seed %d" f off seed
+  | D_copy (s, d, len) -> Printf.sprintf "copy %d -> %d len %d" s d len
+  | D_write_byte (f, off, v) -> Printf.sprintf "write_byte %d +%d %d" f off v
+  | D_word_touch (f, off, v) -> Printf.sprintf "word+touch %d +%d %d" f off v
+  | D_bump f -> Printf.sprintf "bump %d" f
+  | D_set_digest f -> Printf.sprintf "set_digest %d" f
+
+let gen_digest_op =
+  let open QCheck.Gen in
+  let page = Phys.page_size in
+  let frame = int_bound 7 and off = int_bound (page - 1) in
+  frequency
+    [
+      (3, return D_alloc);
+      (1, map (fun f -> D_free f) frame);
+      (1, map (fun f -> D_incref f) frame);
+      ( 2,
+        map
+          (fun ((f, o, len), p) -> D_fill (f, o, len, p))
+          (pair (triple frame off (int_bound page))
+             (list_size (int_range 1 3) (int_bound 255))) );
+      (2, map (fun (f, o, seed) -> D_blit (f, o, seed)) (triple frame off nat));
+      (2, map (fun (s, d, len) -> D_copy (s, d, len)) (triple frame frame (int_bound page)));
+      (2, map (fun (f, o, v) -> D_write_byte (f, o, v)) (triple frame off (int_bound 255)));
+      ( 3,
+        map
+          (fun (f, o, v) -> D_word_touch (f, o, v))
+          (triple frame (int_bound (page - 4)) (int_bound 0xffff)) );
+      (2, map (fun f -> D_bump f) frame);
+      (2, map (fun f -> D_set_digest f) frame);
+    ]
+
+let prop_digest_never_stale =
+  QCheck.Test.make ~name:"a frame's digest is never stale" ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map print_digest_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_digest_op))
+    (fun ops ->
+      let m = Phys.create () in
+      let live () =
+        List.filter (Phys.is_live m) (List.init (Phys.frame_count m) Fun.id)
+      in
+      let pick i k =
+        match live () with [] -> () | l -> k (List.nth l (i mod List.length l))
+      in
+      let addr f off = Phys.addr_of_frame f + off in
+      let within off len = min len (Phys.page_size - off) in
+      let step = function
+        | D_alloc -> ignore (Phys.alloc m : int)
+        | D_free i -> pick i (Phys.free m)
+        | D_incref i -> pick i (Phys.incref m)
+        | D_fill (i, off, len, pattern) ->
+            pick i (fun f ->
+                Phys.fill m ~addr:(addr f off) ~len:(within off len) ~pattern)
+        | D_blit (i, off, seed) ->
+            pick i (fun f ->
+                let rng = Random.State.make [| seed |] in
+                let len = within off (1 + Random.State.int rng 64) in
+                let src = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+                Phys.blit_bytes m ~src ~src_off:0 ~dst:(addr f off) ~len)
+        | D_copy (i, j, len) ->
+            pick i (fun src ->
+                pick j (fun dst ->
+                    if src <> dst then
+                      Phys.copy m ~src:(addr src 0) ~dst:(addr dst 0) ~len))
+        | D_write_byte (i, off, v) -> pick i (fun f -> Phys.write_byte m (addr f off) v)
+        | D_word_touch (i, off, v) ->
+            pick i (fun f ->
+                Bytes.set_uint16_le (Phys.frame_bytes m f) off v;
+                Phys.touch m f)
+        | D_bump i -> pick i (Phys.bump m)
+        | D_set_digest i ->
+            pick i (fun f -> Phys.set_digest m f (Digest.bytes (Phys.frame_bytes m f)))
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun f -> Phys.digest m f = Digest.bytes (Phys.frame_bytes m f))
+            (live ()))
+        ops)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -329,6 +437,7 @@ let suites =
         tc "blit and copy" test_copy;
         tc "refcounted sharing" test_refcounts;
         QCheck_alcotest.to_alcotest prop_fill_tiles;
+        QCheck_alcotest.to_alcotest prop_digest_never_stale;
       ] );
     ( "mem.frame_cache",
       [

@@ -289,22 +289,72 @@ let plain_guest img =
   Os.run os;
   os
 
-(* The image's body memo is engaged: a second identical guest finds
-   every body the first one published, and still instantiates (and
+(* A guest on [img] with gzip's and top's views loaded, running both. *)
+let viewed_guest img =
+  let os = Os.create img in
+  let hyp = Hyp.attach os in
+  let fc = Facechange.enable ~governor:Governor.default_policy hyp in
+  List.iter
+    (fun name ->
+      ignore (Facechange.load_view fc (Profiles.config_of (profiles ()) name) : int);
+      spawn_app os ~name ())
+    [ "gzip"; "top" ];
+  Os.run os;
+  os
+
+(* The image's memos are engaged: a second identical guest, with the
+   same views loaded, finds every body, page and view-page digest the
+   first one published and hashes no frame, yet still instantiates (and
    counts) exactly the blocks the first one built. *)
 let test_second_guest_publishes_nothing () =
   let img = Image.build_exn () in
-  let first = plain_guest img in
-  let published = Image.decoded_blocks img in
-  check_bool "the first guest published bodies" true (published > 0);
-  let second = plain_guest img in
-  check_int "the second guest published none" published
-    (Image.decoded_blocks img);
+  let first = viewed_guest img in
+  let memos () =
+    (Image.decoded_blocks img, Image.decoded_pages img, Image.view_pages img)
+  in
+  let ((bodies, pages, view_pages) as published) = memos () in
+  check_bool "the first guest published bodies" true (bodies > 0);
+  check_bool "and the pages they came from" true (pages > 0);
+  check_bool "and its view pages' digests" true (view_pages > 0);
+  let second = viewed_guest img in
+  check_bool "the second guest published nothing" true (published = memos ());
+  check_int "the second guest hashed no frame" 0
+    (Phys.digests_computed (Os.phys second));
   check_int "both guests built the same blocks"
     (metric first "sb.blocks_built")
     (metric second "sb.blocks_built");
   check_int "and retired the same instructions" (Os.instructions first)
     (Os.instructions second)
+
+(* Boot records the image's MD5 of every code page it fills, on both
+   engines and under any machine config: each is the MD5 of its frame,
+   and reading them hashes nothing. *)
+let test_boot_records_true_digests () =
+  let img = image () in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun name ->
+          let os = Os.create ~engine ~config:(App.os_config (App.find_exn name)) img in
+          let phys = Os.phys os in
+          List.iter
+            (fun (gva, d) ->
+              let gpa_page = Layout.page_of (Layout.gva_to_gpa gva) in
+              let f = Option.get (Os.ram_frame os ~gpa_page) in
+              let label what =
+                Printf.sprintf "%s, %s config: page 0x%x, %s" (Os.engine_name engine)
+                  name gva what
+              in
+              let md5 = Digest.to_hex (Digest.bytes (Phys.frame_bytes phys f)) in
+              Alcotest.(check string) (label "image's digest") md5 (Digest.to_hex d);
+              Alcotest.(check string) (label "recorded digest") md5
+                (Digest.to_hex (Phys.digest phys f)))
+            (Image.boot_digests img);
+          check_int
+            (Printf.sprintf "%s, %s config: no frame hashed" (Os.engine_name engine) name)
+            0 (Phys.digests_computed phys))
+        [ "firefox"; "apache"; "top"; "tcpdump" ])
+    [ Os.Reference; Os.Fast ]
 
 (* The memo is keyed by page content, not by address.  A process named
    top running gzip's script under top's view executes kernel paths the
@@ -350,7 +400,7 @@ let test_recovery_fill_decodes_new_content () =
   in
   check_bool "the recovered frame's bytes are new" true (page <> text);
   check_bool "a body was decoded from the recovered bytes" true
-    (Image.body img ~pc:a ~page:(Digest.bytes page) (fun () -> None) <> None);
+    (Image.body (Image.page img (Digest.bytes page)) ~pc:a (fun () -> None) <> None);
   let published = Image.decoded_blocks img in
   let again = plain_guest img in
   check_int "a plain guest still finds the old content's bodies" published
@@ -414,6 +464,8 @@ let suites =
           test_decode_cache_bounded_under_view_churn;
         tc "a second identical guest publishes no body"
           test_second_guest_publishes_nothing;
+        tc "boot records every code page's true digest"
+          test_boot_records_true_digests;
         tc "a recovery fill decodes the frame's new content, not the old"
           test_recovery_fill_decodes_new_content;
         tc "a bare Os.create runs the fast engine" test_default_engine_is_fast;

@@ -280,6 +280,49 @@ let test_unload_while_active_no_leaks () =
 let tc name f = Alcotest.test_case name `Quick f
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(* A view page's memo key includes its original bytes.  Two guests of
+   one image build the same view; in one of them a kernel-text byte
+   inside a loaded span was overwritten first, with a byte that cannot
+   start a prologue, so both views load the same spans.  In either build
+   order each view holds its own guest's byte there, and every
+   frame-cache key is the MD5 of its frame. *)
+let test_view_page_key_includes_original_bytes () =
+  let cfg = Lazy.force toplike_config in
+  let s =
+    List.hd
+      (Fc_ranges.Range_list.spans cfg.View_config.ranges
+         Fc_ranges.Segment.Base_kernel)
+  in
+  let gva = (s.Fc_ranges.Span.lo + s.Fc_ranges.Span.hi) / 2 in
+  List.iter
+    (fun patched_first ->
+      let img = Image.build_exn () in
+      let guest patched =
+        let os = Os.create img in
+        let orig = Option.get (Os.read_guest_byte os gva) in
+        let byte = if patched then (if orig = 0x90 then 0x91 else 0x90) else orig in
+        (if patched then
+           let gpa = Fc_kernel.Layout.gva_to_gpa gva in
+           let frame =
+             Option.get (Os.ram_frame os ~gpa_page:(Fc_kernel.Layout.page_of gpa))
+           in
+           Phys.write_byte (Os.phys os)
+             (Phys.addr_of_frame frame + (gpa mod Phys.page_size))
+             byte);
+        let hyp = Hyp.attach os in
+        let v = View.build ~hyp ~index:1 cfg in
+        let order = if patched = patched_first then "first" else "second" in
+        Alcotest.(check (option int))
+          (Printf.sprintf "the %s guest's view holds its own byte" order)
+          (Some byte) (View.read_code v ~gva);
+        Alcotest.(check (list int))
+          (Printf.sprintf "the %s guest's frame-cache keys are its frames' MD5s" order)
+          [] (Test_env.misfiled_frames hyp)
+      in
+      guest patched_first;
+      guest (not patched_first))
+    [ true; false ]
+
 let suites =
   [
     ( "sharing",
@@ -294,5 +337,7 @@ let suites =
           test_instant_recovery_cow_break;
         tc_slow "unload-while-active leaks no refcounts"
           test_unload_while_active_no_leaks;
+        tc "a view page's memo key includes its original bytes"
+          test_view_page_key_includes_original_bytes;
       ] );
   ]
