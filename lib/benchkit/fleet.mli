@@ -39,6 +39,16 @@ val pinned_guests : int
 val pinned_domains : int list
 (** [[1; 2; 4]] — the domain counts the pinned cell re-runs at. *)
 
+val run_guest :
+  ?telemetry:int ->
+  ?warm_start:bool ->
+  Profiles.t ->
+  seed:int ->
+  int ->
+  Fc_host.Fleet.guest
+(** One guest of a cell, by index: the job {!run_cell} hands
+    {!Fc_host.Fleet.run}. *)
+
 val run_cell :
   ?telemetry:int ->
   ?warm_start:bool ->

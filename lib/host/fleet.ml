@@ -164,9 +164,16 @@ let merge ~domains guests =
     r_guests_detail = guests;
   }
 
+(* One store per worker, indexed as [Pool.map] strides: worker [w] runs
+   exactly the jobs [i] with [i mod workers = w], so each store is only
+   ever touched by one domain.  The stores die with this call. *)
 let run ?domains ~guests f =
   let pool = Pool.create ?domains () in
-  let results = Pool.map pool guests f in
+  let stores = Array.init (Pool.workers pool guests) (fun _ -> Fc_machine.Os.spares ()) in
+  let results =
+    Pool.map pool guests (fun i ->
+        Fc_machine.Os.reusing stores.(i mod Array.length stores) (fun () -> f i))
+  in
   Array.iteri
     (fun i g ->
       if g.g_index <> i then

@@ -94,7 +94,15 @@ type report = {
 val run : ?domains:int -> guests:int -> (int -> guest) -> report
 (** Shard [guests] jobs across a {!Pool} of [domains] workers (default
     {!Pool.create}'s default) and merge.  The job for index [i] must
-    depend only on [i] for the determinism guarantee to hold. *)
+    depend only on [i] for the determinism guarantee to hold.
+
+    Each worker has its own {!Fc_machine.Os.spares} store, and runs
+    every job in it ({!Fc_machine.Os.reusing}): the machines a job boots
+    are reclaimed when it returns, and the next job on that worker boots
+    into their frame buffers and block arrays, so only each worker's
+    first guest allocates them in full.  A job must therefore return
+    plain data: a machine it lets escape can no longer run, spawn or be
+    captured.  The stores die when [run] returns. *)
 
 val merge : domains:int -> guest array -> report
 (** The export-side merge alone — exposed for tests that build guest

@@ -10,13 +10,14 @@ let create ?domains () =
   { domains }
 
 let domains t = t.domains
+let workers t n = max 1 (min t.domains n)
 
 let map t n f =
   if n < 0 then invalid_arg "Pool.map: negative count";
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    let workers = max 1 (min t.domains n) in
+    let workers = workers t n in
     (* strided shards: worker w owns indices w, w+workers, w+2*workers...
        Each slot is written by exactly one worker; Backend.run joins every
        worker before returning, which orders those writes before our

@@ -25,6 +25,11 @@ val create : ?domains:int -> unit -> t
 
 val domains : t -> int
 
+val workers : t -> int -> int
+(** [workers t n] — how many workers [map t n] runs: [domains t], but
+    never more than [n] (and at least 1).  Worker [w] runs exactly the
+    indices [i] with [i mod workers t n = w]. *)
+
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map t n f] — [[| f 0; ...; f (n-1) |]], computed with up to
     [domains t] workers.  A raising job fails the whole map (after all

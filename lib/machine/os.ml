@@ -83,6 +83,11 @@ type line = {
   mutable page : Image.page option; (* fast: resolved at the first build *)
 }
 
+(* Spare storage handed from the guests a job boots to the next job's
+   (DESIGN.md §11): frame buffers, and the fast engine's 4,096-slot
+   block arrays. *)
+type spares = { frames : Phys.spare; lines : Cpu.sblock array Stack.t }
+
 (* One virtual CPU: its own EPT (so FACE-CHANGE can switch views
    per-vCPU, the paper's SV-C extension), its own idle task, its own
    notion of the current process and interrupt nesting, and its own
@@ -187,6 +192,11 @@ type t = {
   sb_hits : Fc_obs.Metrics.counter;
   sb_invals : Fc_obs.Metrics.counter;
   tlb_flushes_f : Fc_obs.Metrics.family; (* tlb.flushes{cause} *)
+  mutable store : spares option;
+      (* where new fast lines take their block arrays from and where
+         [reclaim] returns them; [None] outside a store and once
+         reclaimed *)
+  mutable reclaimed : bool;
 }
 
 and handler = t -> Cpu.regs -> vm_exit -> exit_action
@@ -308,6 +318,16 @@ let ram_frame t ~gpa_page = Hashtbl.find_opt t.ram gpa_page
 (* The empty block slot of a line: no pc is -1. *)
 let no_block = { Cpu.sb_start = -1; sb_body = Block.empty; sb_trap_gen = -1 }
 
+(* A new fast line's block array, every slot [no_block]: a spare one,
+   cleared, while the machine's store has any. *)
+let line_blocks t =
+  match t.store with
+  | Some { lines; _ } when not (Stack.is_empty lines) ->
+      let a = Stack.pop lines in
+      Array.fill a 0 (Array.length a) no_block;
+      a
+  | _ -> Array.make Layout.page_size no_block
+
 (* The line of [frame] at [version].  Keyed by host frame, lines are
    naturally coherent across kernel view switches (different views fetch
    from different frames); writes invalidate through the frame version.
@@ -336,7 +356,7 @@ let line_for t frame ~version =
   | None ->
       let n = Layout.page_size in
       let decoded, blocks =
-        if t.fast then ([||], Array.make n no_block) else (Array.make n None, [||])
+        if t.fast then ([||], line_blocks t) else (Array.make n None, [||])
       in
       let ln = { line_version = version; decoded; blocks; page = None } in
       Hashtbl.replace t.decode_cache frame ln;
@@ -717,12 +737,20 @@ let wire_instruments t =
       Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
   tlb_gauge "d_flushes" (fun () -> t.data_epoch)
 
+(* The job running on this domain ([reusing]): the store its machines
+   draw from, and every machine booted since it began. *)
+type scope = { s_store : spares; mutable s_booted : t list }
+
+let scope : scope option Domain_local.key = Domain_local.new_key (fun () -> None)
+
 (* The one constructor behind [create] and [thaw]: a machine with no
-   guest state yet, every instrument registered and every hook wired.
-   The snapshot's METR section lists stored instruments in registration
-   order, so the counters are registered here by explicit lets, in that
-   order. *)
+   guest state yet, every instrument registered and every hook wired,
+   drawing on the running job's store if there is one.  The snapshot's
+   METR section lists stored instruments in registration order, so the
+   counters are registered here by explicit lets, in that order. *)
 let make ~config ~obs ~engine ~vcpus image =
+  let job = Domain_local.get scope in
+  let store = Option.map (fun j -> j.s_store) job in
   let metrics = Fc_obs.Obs.metrics obs in
   let counter subsystem name = Fc_obs.Metrics.counter metrics ~subsystem name in
   let family subsystem name = Fc_obs.Metrics.counter_family metrics ~subsystem name in
@@ -733,7 +761,7 @@ let make ~config ~obs ~engine ~vcpus image =
   let tlb_d_hits = counter "tlb" "d_hits" in
   let tlb_i_misses = counter "tlb" "i_misses" in
   let tlb_i_hits = counter "tlb" "i_hits" in
-  let phys = Phys.create ~metrics () in
+  let phys = Phys.create ~metrics ?spare:(Option.map (fun s -> s.frames) store) () in
   let fast = match engine with Fast -> true | Reference -> false in
   let master_pt = Pt.create () in
   let mk_vcpu vid =
@@ -807,10 +835,48 @@ let make ~config ~obs ~engine ~vcpus image =
       sb_hits;
       sb_invals;
       tlb_flushes_f = family "tlb" "flushes";
+      store;
+      reclaimed = false;
     }
   in
   wire_instruments t;
+  Option.iter (fun j -> j.s_booted <- t :: j.s_booted) job;
   t
+
+(* ---------------- stores ---------------- *)
+
+let spares () = { frames = Phys.spare (); lines = Stack.create () }
+let spare_frames s = Phys.spare_frames s.frames
+let spare_lines s = Stack.length s.lines
+
+(* A reclaimed machine's storage is another guest's: nothing cached from
+   it may be reached again, so its lines go, every TLB entry dies and
+   every frame is dead. *)
+let reclaim t =
+  t.reclaimed <- true;
+  (match t.store with
+  | Some s when t.fast ->
+      Hashtbl.iter (fun _ ln -> Stack.push ln.blocks s.lines) t.decode_cache
+  | _ -> ());
+  t.store <- None;
+  Hashtbl.reset t.decode_cache;
+  Array.iter
+    (fun v ->
+      Tlb.invalidate_all v.vitlb;
+      Tlb.invalidate_all v.vdtlb)
+    t.vcpus;
+  Phys.reclaim t.phys
+
+let reusing store f =
+  let outer = Domain_local.get scope in
+  let job = { s_store = store; s_booted = [] } in
+  Domain_local.set scope (Some job);
+  Fun.protect f ~finally:(fun () ->
+      Domain_local.set scope outer;
+      List.iter reclaim job.s_booted)
+
+let check_live t what =
+  if t.reclaimed then invalid_arg (what ^ ": the machine's job has ended")
 
 let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   if vcpus < 1 || vcpus > 8 then invalid_arg "Os.create: 1-8 vcpus";
@@ -851,6 +917,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   t
 
 let spawn ?cpu t ~name script =
+  check_live t "Os.spawn";
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   if pid > 200 then raise (Guest_panic "too many processes");
@@ -1383,6 +1450,7 @@ let pick_ready t ~vid =
         |> Option.get)
 
 let run ?(max_rounds = 1_000_000) ?(until = fun _ -> false) t =
+  check_live t "Os.run";
   let live () = List.exists (fun p -> not (Process.is_exited p)) t.procs_rev in
   let rounds = ref 0 in
   while live () && (not (until t)) && !rounds < max_rounds do
@@ -1507,6 +1575,7 @@ type frozen = {
 }
 
 let freeze t ~table_id =
+  check_live t "Os.freeze";
   Array.iter
     (fun v ->
       if v.vslice <> Fc_obs.Span.none then

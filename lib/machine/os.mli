@@ -69,11 +69,52 @@ val create :
     layer later attached to this guest (hypervisor, FACE-CHANGE) shares
     it.
 
+    Inside {!reusing}, the guest's frames and lines come from the job's
+    store, and the guest is reclaimed when the job ends.
+
     [engine] (default [Fast]) picks how the host executes the guest.
     Guest-visible behavior — outcome, stats, instruction and cycle
     counts, traces — is identical on both (test/differential.ml enforces
     it under random fault plans); only the [tlb.*]/[sb.*] metrics and
     wall-clock speed differ. *)
+
+(** {1 Stores: one job's guests after another}
+
+    A guest's frames and lines are its biggest allocations: a 4 KiB
+    buffer per frame, and a 4,096-slot block array per executed frame
+    on the fast engine.  A store keeps them from the guests of one job
+    for the guests of the next, so that only a worker's first guest
+    allocates them in full ({!Fc_host.Fleet.run} runs every job in its
+    worker's store).  Reuse is invisible: a reused frame is zero-filled
+    and a reused line cleared, so every counter, byte and outcome is the
+    one a guest booted with no store has. *)
+
+type spares
+(** A store: spare frame buffers and spare block arrays.  A plain value,
+    owned by whoever made it and dropped with its owner; one domain at a
+    time may run jobs in it. *)
+
+val spares : unit -> spares
+(** An empty store. *)
+
+val reusing : spares -> (unit -> 'a) -> 'a
+(** [reusing store f] runs the job [f] against [store]: every machine
+    {!create} or {!thaw} boots on this domain while [f] runs takes its
+    frames and lines from the store, and is {e reclaimed} into it when
+    [f] returns or raises.  A reclaimed machine has no lines, every
+    vCPU's TLBs are invalidated and its frames are dead: {!run},
+    {!spawn} and {!freeze} raise [Invalid_argument], and any other
+    guest-memory access fails as an access to a dead frame does.  So a
+    job must return plain data, never a machine or anything that reads
+    one later.  Scopes nest: a machine belongs to the innermost one, and
+    on exit the enclosing scope is current again. *)
+
+val spare_frames : spares -> int
+(** Frame buffers the store holds — never more than the most any one
+    job returned to it (a plain accessor, not a registry entry). *)
+
+val spare_lines : spares -> int
+(** Block arrays the store holds, bounded the same way. *)
 
 val obs : t -> Fc_obs.Obs.t
 (** The guest's observability hub. *)

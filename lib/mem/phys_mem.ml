@@ -1,5 +1,12 @@
 let page_size = 4096
 
+(* Spare frame buffers, handed from a reclaimed pool to the next pool
+   created over the same store. *)
+type spare = Bytes.t Stack.t
+
+let spare () = Stack.create ()
+let spare_frames = Stack.length
+
 type t = {
   mutable frames : Bytes.t option array;  (* None = never allocated / freed *)
   mutable versions : int array;           (* bumped on each write *)
@@ -14,11 +21,14 @@ type t = {
       (* fired when a frame's last reference drops: caches keyed by frame
          number (the OS's per-frame lines) evict their entry instead of holding
          it until the frame number happens to be recycled *)
+  mutable spare : spare option;
+      (* where new frame buffers come from and where [reclaim] returns
+         them; [None] once reclaimed *)
   allocs : Fc_obs.Metrics.counter;
   frees : Fc_obs.Metrics.counter;
 }
 
-let create ?metrics () =
+let create ?metrics ?spare () =
   let m =
     match metrics with Some m -> m | None -> Fc_obs.Metrics.create ()
   in
@@ -29,7 +39,7 @@ let create ?metrics () =
     { frames = Array.make 64 None; versions = Array.make 64 0;
       digests = Array.make 64 ""; digested = Array.make 64 (-1); hashed = 0;
       refcounts = Array.make 64 0; next = 0; free_list = []; live = 0;
-      on_release = None; allocs; frees }
+      on_release = None; spare; allocs; frees }
   in
   Fc_obs.Metrics.gauge m ~subsystem:"mem" "live_frames" (fun () -> t.live);
   t
@@ -49,6 +59,13 @@ let grow t want =
     t.refcounts <- widen t.refcounts 0
   end
 
+(* A frame buffer with unspecified contents: a spare one if the store
+   has any, else a new one. *)
+let buffer t =
+  match t.spare with
+  | Some s when not (Stack.is_empty s) -> Stack.pop s
+  | _ -> Bytes.create page_size
+
 let alloc t =
   let f =
     match t.free_list with
@@ -61,7 +78,9 @@ let alloc t =
         grow t f;
         f
   in
-  t.frames.(f) <- Some (Bytes.make page_size '\x00');
+  let b = buffer t in
+  Bytes.fill b 0 page_size '\x00';
+  t.frames.(f) <- Some b;
   t.versions.(f) <- t.versions.(f) + 1;
   t.refcounts.(f) <- 1;
   t.live <- t.live + 1;
@@ -210,7 +229,29 @@ let frame_count t = t.next
 
 let versions_snapshot t = Array.sub t.versions 0 t.next
 
+(* ---------------- reclaim ---------------- *)
+
+(* Every live frame's buffer goes back to the store and the frame dies;
+   the pool keeps no store, so later frames never touch it again. *)
+let reclaim t =
+  Option.iter
+    (fun s ->
+      for f = 0 to t.next - 1 do
+        Option.iter (fun b -> Stack.push b s) t.frames.(f)
+      done)
+    t.spare;
+  t.spare <- None;
+  Array.fill t.frames 0 (Array.length t.frames) None;
+  t.live <- 0
+
 (* ---------------- snapshot state ---------------- *)
+
+type frozen_frame = {
+  zl_frame : int;
+  zl_refcount : int;
+  zl_bytes : Bytes.t;
+  zl_digest : Digest.t option;  (* of [zl_bytes], when known *)
+}
 
 type frozen = {
   z_next : int;
@@ -218,7 +259,7 @@ type frozen = {
   z_versions : int array;  (* length z_next: dead frames keep their
                               version so post-restore reallocation
                               continues the same version stream *)
-  z_live : (int * int * Bytes.t) list;  (* (frame, refcount, contents) *)
+  z_live : frozen_frame list;  (* ascending frame numbers *)
 }
 
 let export t =
@@ -226,7 +267,14 @@ let export t =
   for f = t.next - 1 downto 0 do
     match t.frames.(f) with
     | None -> ()
-    | Some b -> live := (f, t.refcounts.(f), Bytes.copy b) :: !live
+    | Some b ->
+        let zl_digest =
+          if t.digested.(f) = t.versions.(f) then Some t.digests.(f) else None
+        in
+        live :=
+          { zl_frame = f; zl_refcount = t.refcounts.(f); zl_bytes = Bytes.copy b;
+            zl_digest }
+          :: !live
   done;
   {
     z_next = t.next;
@@ -243,10 +291,20 @@ let import t z =
   t.free_list <- z.z_free_list;
   Array.blit z.z_versions 0 t.versions 0 z.z_next;
   List.iter
-    (fun (f, rc, b) ->
+    (fun l ->
+      let f = l.zl_frame in
       if f < 0 || f >= z.z_next then
         invalid_arg "Phys_mem.import: frame out of range";
-      t.frames.(f) <- Some (Bytes.copy b);
-      t.refcounts.(f) <- rc;
+      if Bytes.length l.zl_bytes <> page_size then
+        invalid_arg "Phys_mem.import: frame contents not one page";
+      let b = buffer t in
+      Bytes.blit l.zl_bytes 0 b 0 page_size;
+      t.frames.(f) <- Some b;
+      t.refcounts.(f) <- l.zl_refcount;
+      Option.iter
+        (fun d ->
+          t.digests.(f) <- d;
+          t.digested.(f) <- t.versions.(f))
+        l.zl_digest;
       t.live <- t.live + 1)
     z.z_live

@@ -10,13 +10,28 @@ type t
 val page_size : int
 (** 4096. *)
 
-val create : ?metrics:Fc_obs.Metrics.t -> unit -> t
+type spare
+(** A store of spare 4 KiB frame buffers: {!reclaim} fills it, and the
+    pools created over it take from it before allocating.  A plain
+    value, owned by whoever made it and used by one domain at a time. *)
+
+val spare : unit -> spare
+(** An empty store. *)
+
+val spare_frames : spare -> int
+(** How many buffers the store holds. *)
+
+val create : ?metrics:Fc_obs.Metrics.t -> ?spare:spare -> unit -> t
 (** When a registry is given, allocation/free counters
     ([mem.frames_allocated], [mem.frames_freed]) and a [mem.live_frames]
-    gauge are registered on it. *)
+    gauge are registered on it.  With a [spare] store, {!alloc} and
+    {!import} take their buffers from it while it has any, and
+    {!reclaim} returns them to it. *)
 
 val alloc : t -> int
-(** Allocate a zeroed frame; returns its frame number. *)
+(** Allocate a zeroed frame; returns its frame number.  A buffer taken
+    from the store is zero-filled first, so it reads exactly as a new
+    one. *)
 
 val alloc_n : t -> int -> int list
 (** [n] fresh frames, in ascending allocation order. *)
@@ -140,6 +155,17 @@ val versions_snapshot : t -> int array
     frame freed and re-allocated between two snapshots still reads as
     dirty — exactly what pre-copy migration needs. *)
 
+(** {1 Reclaim} *)
+
+val reclaim : t -> unit
+(** Kill every frame at once, without counting frees or firing the
+    release hook, and return each live frame's buffer to the pool's
+    store (if it has one).  Afterwards every frame is dead, so any
+    access to one raises [Invalid_argument] as an access to a freed
+    frame does, and the pool no longer takes from or returns to the
+    store.  The owner must first drop whatever it cached from
+    {!frame_bytes} (the OS invalidates every TLB). *)
+
 (** {1 Snapshot state}
 
     The pool's complete state as plain data.  [export] deep-copies the
@@ -147,20 +173,33 @@ val versions_snapshot : t -> int array
     created} pool (so the metrics registry hooks from {!create} stay
     wired).  Dead-frame versions are preserved: version counters feed
     version-keyed caches, and the post-restore allocation stream must
-    continue where the snapshot left off.  Digests are not captured: a
-    restored pool hashes each frame again on its first {!digest}. *)
+    continue where the snapshot left off.  Each live frame carries its
+    {!digest} when one is known: [export] passes on a digest valid at
+    the frame's version without hashing, the snapshot decoder the one it
+    has just verified, and [import] records it, so a restored pool
+    hashes no frame a cold one would not. *)
+
+type frozen_frame = {
+  zl_frame : int;
+  zl_refcount : int;
+  zl_bytes : Bytes.t;  (** the frame's 4 KiB *)
+  zl_digest : Digest.t option;
+      (** the MD5 of [zl_bytes] when known; [import] trusts it as
+          {!set_digest} does *)
+}
 
 type frozen = {
   z_next : int;
   z_free_list : int list;
   z_versions : int array;
-  z_live : (int * int * Bytes.t) list;  (** (frame, refcount, contents) *)
+  z_live : frozen_frame list;  (** ascending frame numbers *)
 }
 
 val export : t -> frozen
 
 val import : t -> frozen -> unit
-(** @raise Invalid_argument if the pool has ever allocated. *)
+(** @raise Invalid_argument if the pool has ever allocated, or a live
+    frame is out of range or not one page long. *)
 
 val frame_bytes : t -> int -> Bytes.t
 (** The live storage of a frame.  The returned buffer is the frame itself,
@@ -168,5 +207,7 @@ val frame_bytes : t -> int -> Bytes.t
     version accounting — pair them with {!touch}.  The buffer becomes
     stale if the frame is freed and reallocated; any such reallocation
     bumps the frame's {!version}, so holding a version snapshot is enough
-    to detect staleness.
+    to detect staleness.  After {!reclaim} the buffer belongs to the
+    store, and from there to another pool: it is stale, and no version
+    check can tell, so everything holding it must be dropped first.
     @raise Invalid_argument if the frame is not live. *)

@@ -497,38 +497,44 @@ let frozen_vcpu =
      })
 
 (* The physical pool splits across two sections: frame contents live in
-   the content-keyed FRAM store (unique pages in first-use order,
-   digest-verified); the OS section stores each live frame as (frame,
-   refcount, content index). *)
-type store = { ids : (string, int) Hashtbl.t; pages : (int, string) Hashtbl.t }
+   the content-keyed FRAM store (unique pages in first-use order, each
+   with its MD5); the OS section stores each live frame as (frame,
+   refcount, content index).  A page's MD5 travels with it both ways: a
+   digest the pool already knows is written without hashing, and the
+   one the decoder verifies is handed to the restored pool. *)
+type store = {
+  ids : (string, int) Hashtbl.t;
+  pages : (int, string * Digest.t option) Hashtbl.t;
+}
 
 let store () = { ids = Hashtbl.create 256; pages = Hashtbl.create 256 }
 
 let page store =
   {
     write =
-      (fun b bytes ->
+      (fun b (bytes, digest) ->
         let page = Bytes.to_string bytes in
         match Hashtbl.find_opt store.ids page with
         | Some id -> int.write b id
         | None ->
             let id = Hashtbl.length store.pages in
             Hashtbl.replace store.ids page id;
-            Hashtbl.replace store.pages id page;
+            Hashtbl.replace store.pages id (page, digest);
             int.write b id);
     read =
       (fun r ->
         let id = int.read r in
         match Hashtbl.find_opt store.pages id with
-        | Some page -> Bytes.of_string page
+        | Some (page, digest) -> (Bytes.of_string page, digest)
         | None -> fail r (Printf.sprintf "frame content index %d out of store" id));
   }
 
 let fram_page =
   {
     write =
-      (fun b page ->
-        string.write b (Digest.string page);
+      (fun b (page, digest) ->
+        string.write b
+          (match digest with Some d -> d | None -> Digest.string page);
         string.write b page);
     read =
       (fun r ->
@@ -536,15 +542,24 @@ let fram_page =
         let page = string.read r in
         if Digest.string page <> digest then
           fail r "content digest mismatch (corrupt page record)";
-        page);
+        (page, Some digest));
   }
+
+let live_frame store =
+  record
+    (let+ zl_frame = field (fun l -> l.Phys.zl_frame) int
+     and+ zl_refcount = field (fun l -> l.Phys.zl_refcount) int
+     and+ zl_bytes, zl_digest =
+       field (fun l -> (l.Phys.zl_bytes, l.Phys.zl_digest)) (page store)
+     in
+     { Phys.zl_frame; zl_refcount; zl_bytes; zl_digest })
 
 let phys store =
   record
     (let+ z_next = field (fun z -> z.Phys.z_next) int
      and+ z_free_list = field (fun z -> z.Phys.z_free_list) (list int)
      and+ z_versions = field (fun z -> z.Phys.z_versions) (array int)
-     and+ z_live = field (fun z -> z.Phys.z_live) (list (triple int int (page store))) in
+     and+ z_live = field (fun z -> z.Phys.z_live) (list (live_frame store)) in
      { Phys.z_next; z_free_list; z_versions; z_live })
 
 let os store =

@@ -192,7 +192,10 @@ let test_merged_attribution () =
 (* Two domains' guests share one image's body memo: a second run of the
    same cell finds every body the first published, and neither the
    sharing nor the cold/warm difference moves the fingerprint away from
-   a 1-domain run on a fresh image. *)
+   a 1-domain run on a fresh image.  Every cell's guests after the first
+   on each worker boot into the storage of the one before
+   (Os.reusing), so the same cell run with no store at all must agree
+   too. *)
 let test_shared_image_memo () =
   let fresh () =
     Profiles.with_image (profiles ()) (Fc_kernel.Image.build_exn ())
@@ -216,7 +219,13 @@ let test_shared_image_memo () =
   check_string "first run = fresh 1-domain run" base.HFleet.r_fingerprint
     first.HFleet.r_fingerprint;
   check_string "second run = fresh 1-domain run" base.HFleet.r_fingerprint
-    second.HFleet.r_fingerprint
+    second.HFleet.r_fingerprint;
+  let storeless =
+    HFleet.merge ~domains:1
+      (Array.init fleet_guests (BFleet.run_guest (fresh ()) ~seed:fleet_seed))
+  in
+  check_string "no store = fresh 1-domain run" base.HFleet.r_fingerprint
+    storeless.HFleet.r_fingerprint
 
 (* ---------------- cross-guest frame dedup ---------------- *)
 

@@ -421,6 +421,54 @@ let prop_digest_never_stale =
             (live ()))
         ops)
 
+(* A reclaimed pool's live buffers go to its store, and the next pool
+   over the store takes them, zero-filled; the reclaimed pool's frames
+   are dead and it never touches the store again. *)
+let test_spare_reuse () =
+  let spare = Phys.spare () in
+  let a = Phys.create ~spare () in
+  let f = Phys.alloc a and freed = Phys.alloc a in
+  Phys.fill a ~addr:(Phys.addr_of_frame f) ~len:Phys.page_size ~pattern:[ 0xcc ];
+  Phys.free a freed;
+  let old = Phys.frame_bytes a f in
+  Phys.reclaim a;
+  check_int "only the live frame went to the store" 1 (Phys.spare_frames spare);
+  check_bool "the reclaimed frame is dead" false (Phys.is_live a f);
+  let b = Phys.create ~spare () in
+  let g = Phys.alloc b in
+  check_bool "the store's buffer was taken" true (Phys.frame_bytes b g == old);
+  check_bool "zero-filled" true
+    (Bytes.for_all (Char.equal '\x00') (Phys.frame_bytes b g));
+  Phys.reclaim b;
+  let (_ : int) = Phys.alloc a in
+  check_int "a reclaimed pool takes nothing" 1 (Phys.spare_frames spare)
+
+(* Frozen frames carry the digests the pool knew, without hashing, and
+   [import] records them; it refuses a frame that is not one page. *)
+let test_frozen_digests () =
+  let m = Phys.create () in
+  let known = Phys.alloc m and unknown = Phys.alloc m in
+  Phys.write_byte m (Phys.addr_of_frame known) 7;
+  Phys.write_byte m (Phys.addr_of_frame unknown) 9;
+  let d = Phys.digest m known in
+  let z = Phys.export m in
+  check_int "export hashes nothing" 1 (Phys.digests_computed m);
+  let carried f =
+    (List.find (fun l -> l.Phys.zl_frame = f) z.Phys.z_live).Phys.zl_digest
+  in
+  check_bool "a known digest is carried" true (carried known = Some d);
+  check_bool "an unknown one is not" true (carried unknown = None);
+  let r = Phys.create () in
+  Phys.import r z;
+  check_bool "import records it" true (Phys.digest r known = d);
+  check_int "so the restored pool hashes nothing for it" 0 (Phys.digests_computed r);
+  let short =
+    { z with Phys.z_live = [ { (List.hd z.Phys.z_live) with Phys.zl_bytes = Bytes.create 16 } ] }
+  in
+  Alcotest.check_raises "a frame not one page long"
+    (Invalid_argument "Phys_mem.import: frame contents not one page") (fun () ->
+      Phys.import (Phys.create ()) short)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -438,6 +486,8 @@ let suites =
         tc "refcounted sharing" test_refcounts;
         QCheck_alcotest.to_alcotest prop_fill_tiles;
         QCheck_alcotest.to_alcotest prop_digest_never_stale;
+        tc "reclaimed buffers are reused zero-filled" test_spare_reuse;
+        tc "frozen frames carry their digests" test_frozen_digests;
       ] );
     ( "mem.frame_cache",
       [

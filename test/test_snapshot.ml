@@ -37,6 +37,7 @@ module Metrics = Fc_obs.Metrics
 module J = Fc_obs.Jsonx
 module Action = Fc_machine.Action
 module Irq_paths = Fc_kernel.Irq_paths
+module Phys = Fc_mem.Phys_mem
 
 let profiles () = Lazy.force Test_env.profiles
 let image () = Lazy.force Test_env.image
@@ -181,12 +182,37 @@ let capture_machine ~fault_seed ~at =
   Injector.disarm inj;
   snap
 
+(* A live frame carries its MD5 when the capturing pool knew it, and
+   always after a decode (the FRAM section stores every page's), so two
+   snapshots of one machine state agree up to which digests they carry.
+   Every digest carried must be its frame's. *)
+let forget_digests (z : Os.frozen) =
+  let z_live =
+    List.map (fun l -> { l with Phys.zl_digest = None }) z.Os.z_phys.Phys.z_live
+  in
+  { z with Os.z_phys = { z.Os.z_phys with Phys.z_live } }
+
+let digests_true (z : Os.frozen) =
+  List.for_all
+    (fun l ->
+      match l.Phys.zl_digest with
+      | None -> true
+      | Some d -> Digest.bytes l.Phys.zl_bytes = d)
+    z.Os.z_phys.Phys.z_live
+
+let same_snapshot (a : Snapshot.t) (b : Snapshot.t) =
+  digests_true a.s_os && digests_true b.s_os
+  && { a with s_os = forget_digests a.s_os } = { b with s_os = forget_digests b.s_os }
+
+let every_digest (s : Snapshot.t) =
+  List.for_all (fun l -> l.Phys.zl_digest <> None) s.s_os.Os.z_phys.Phys.z_live
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"decode(encode snapshot) = snapshot" ~count:12
     (QCheck.int_range 1 100_000) (fun seed ->
       let snap = capture_machine ~fault_seed:seed ~at:(8 + (seed mod 40)) in
       match Snapshot.decode (Snapshot.encode snap) with
-      | Ok s -> s = snap
+      | Ok s -> same_snapshot s snap && every_digest s
       | Error e -> QCheck.Test.fail_report (Snapshot.error_to_string e))
 
 let prop_corrupt_total =
@@ -352,7 +378,9 @@ let restore_identity (snap : Snapshot.t) =
         [
           ("META", again.s_meta = snap.s_meta);
           ("TABL", again.s_tables = snap.s_tables);
-          ("OSST", again.s_os = snap.s_os);
+          ( "OSST",
+            digests_true again.s_os
+            && forget_digests again.s_os = forget_digests snap.s_os );
           ("HYPV", again.s_hyp = snap.s_hyp);
           ("FCCR", again.s_fc = snap.s_fc);
           ("CURS", again.s_cursor = snap.s_cursor);
@@ -477,7 +505,9 @@ let save_load_roundtrip () =
     (fun () ->
       Snapshot.save snap path;
       match Snapshot.load path with
-      | Ok s -> check_bool "load = save" true (s = snap)
+      | Ok s ->
+          check_bool "load = save" true (same_snapshot s snap);
+          check_bool "every loaded frame has its digest" true (every_digest s)
       | Error e -> Alcotest.fail (Snapshot.error_to_string e));
   match Snapshot.load "/nonexistent/snapshot.fcsnap" with
   | Error { section = "file"; _ } -> ()
