@@ -68,7 +68,6 @@ let clear_breakpoint t a = Os.clear_trap t.os a
 let has_breakpoint t a = List.mem a (Os.trap_addresses t.os)
 let breakpoint_exits t = Metrics.value t.breakpoint_exits
 let invalid_opcode_exits t = Metrics.value t.invalid_opcode_exits
-let vm_exits t = breakpoint_exits t + invalid_opcode_exits t
 let cycles_charged t = Metrics.value t.cycles_charged
 let on_breakpoint t f = t.bp_handlers <- t.bp_handlers @ [ f ]
 let on_invalid_opcode t f = t.io_handler <- f
@@ -159,16 +158,15 @@ let stack_frames t ~eip ~ebp ?esp ?max_depth () =
 
 (* The table is a function of the image and the VMI module list only. *)
 let symbols_for os mods =
-  let syms = Symbols.create () in
-  (* System.map: the base kernel's function symbols. *)
-  Symbols.add_unit syms (Image.unit_image (Os.image os));
+  (* System.map: the base kernel's function symbols, from the image. *)
+  let syms = Symbols.create (Os.image os) in
   (* VMI-visible modules: if the name matches a known distro module, we
      have its .ko symbols; assemble its layout at the observed base. *)
   List.iter
     (fun (name, base, _size) ->
       if List.mem_assoc name Catalog.module_functions then
         match Image.assemble_module (Os.image os) ~name ~base with
-        | Ok u -> Symbols.add_unit syms ~module_name:name u
+        | Ok u -> Symbols.add_unit syms u
         | Error _ -> ())
     mods;
   syms
@@ -184,7 +182,6 @@ let refresh_symbols t =
   end
 
 let symbols t = t.symbols
-let addr_of_symbol t name = Symbols.addr_of t.symbols name
 
 let render_addr t addr =
   match Symbols.find t.symbols addr with

@@ -63,7 +63,6 @@ val charge : t -> int -> unit
 
 val breakpoint_exits : t -> int
 val invalid_opcode_exits : t -> int
-val vm_exits : t -> int
 val cycles_charged : t -> int
 
 (* ---------------- VMI ---------------- *)
@@ -135,11 +134,12 @@ val sample_stack :
 
 val refresh_symbols : t -> unit
 (** Re-read the VMI module list and, if it changed, rebuild the symbol
-    registry: base kernel (System.map) plus per-function symbols for
-    VMI-visible modules whose names match known distro modules.  Modules
-    hidden from the guest list disappear — their frames render as
-    [<UNKNOWN>], as in Fig. 5.  The registry depends on nothing else, so
-    an unchanged list keeps the current one. *)
+    registry: base kernel (System.map, the image's own sorted function
+    array) plus per-function symbols for VMI-visible modules whose names
+    match known distro modules.  Modules hidden from the guest list
+    disappear — their frames render as [<UNKNOWN>], as in Fig. 5.  The
+    registry depends on nothing else, so an unchanged list keeps the
+    current one. *)
 
 val symbols : t -> Fc_kernel.Symbols.t
 
@@ -147,8 +147,6 @@ val render_addr : t -> int -> string
 (** ["0xc021a526 <do_sys_poll+0x136>"]; ["0xf8078bbe <mod:sebek+0xbe>"] for
     an address inside a VMI-visible module without function symbols;
     ["0xf8078bbe <UNKNOWN>"] otherwise. *)
-
-val addr_of_symbol : t -> string -> int option
 
 (** {1 Snapshot: freeze / restore} *)
 

@@ -16,8 +16,7 @@ type page = Block.body Pcs.t Atomic.t (* one page content's bodies by start pc *
 type t = {
   unit_image : Asm.unit_image;
   by_name : (string, Asm.placed) Hashtbl.t;
-  (* function starts sorted by address, for binary search *)
-  starts : Asm.placed array;
+  starts : Asm.placed array; (* [unit_image.functions], sorted by address *)
   boot_modules : (string * Asm.unit_image) list;
       (* every catalog module, assembled once at its boot base, in load
          order; never mutated after [build], so guests booted on other
@@ -139,22 +138,8 @@ let addr_of_exn t name =
   | Some a -> a
   | None -> invalid_arg ("Image.addr_of_exn: unknown function " ^ name)
 
-let placed_at t addr =
-  (* Binary search for the last start <= addr. *)
-  let n = Array.length t.starts in
-  let rec go lo hi =
-    if lo >= hi then lo - 1
-    else
-      let mid = (lo + hi) / 2 in
-      if t.starts.(mid).Asm.addr <= addr then go (mid + 1) hi else go lo mid
-  in
-  let i = go 0 n in
-  if i < 0 then None
-  else
-    let p = t.starts.(i) in
-    if addr < p.Asm.addr + p.Asm.size then Some p else None
-
 let functions t = t.unit_image.functions
+let sorted_functions t = t.starts
 
 let read_byte t gva =
   let off = gva - t.unit_image.base in

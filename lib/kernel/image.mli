@@ -40,10 +40,12 @@ val addr_of : t -> string -> int option
 
 val addr_of_exn : t -> string -> int
 
-val placed_at : t -> int -> Fc_isa.Asm.placed option
-(** The base-kernel function containing the address, if any. *)
-
 val functions : t -> Fc_isa.Asm.placed list
+
+val sorted_functions : t -> Fc_isa.Asm.placed array
+(** The base-kernel functions sorted by address, built once per image:
+    {!Symbols.create} searches this very array, so every guest's
+    symbol table shares it.  Read it, never write it. *)
 
 val read_byte : t -> int -> int option
 (** Read a byte of base kernel code by guest-virtual address. *)

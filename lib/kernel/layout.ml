@@ -3,7 +3,6 @@ let kernel_base = 0xc0000000
 let text_base = 0xc0100000
 let text_limit = 0xc0180000 (* 512 KiB reserved for base kernel code *)
 let data_base = 0xc8000000
-let current_task_ptr = data_base
 let current_task_ptr_cpu ~vid = data_base + (4 * vid)
 let module_list_head = data_base + 0x100
 let task_struct_base = data_base + 0x1000
@@ -21,7 +20,5 @@ let gva_to_gpa gva =
 
 let gpa_to_gva gpa = gpa + kernel_base
 let is_kernel_address a = a >= kernel_base
-let is_text_address a = a >= text_base && a < text_limit
 let is_module_address a = a >= module_area_base && a < module_area_limit
 let page_of a = a / page_size
-let page_addr a = a / page_size * page_size

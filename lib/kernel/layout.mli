@@ -24,13 +24,10 @@ val text_limit : int
 val data_base : int
 (** Kernel data region (task structs, module list, current pointer). *)
 
-val current_task_ptr : int
-(** Address of the guest word holding a pointer to the process running on
-    vCPU 0 — what VMI reads on a context-switch trap. *)
-
 val current_task_ptr_cpu : vid:int -> int
-(** The per-CPU current-task pointer (one guest word per vCPU, like the
-    kernel's per-CPU [current]); [~vid:0] equals {!current_task_ptr}. *)
+(** Address of the guest word holding a pointer to the process running
+    on vCPU [vid] (one guest word per vCPU, like the kernel's per-CPU
+    [current]) — what VMI reads on a context-switch trap. *)
 
 val module_list_head : int
 (** Address of the guest word heading the kernel module linked list. *)
@@ -52,15 +49,15 @@ val module_area_base : int
 val module_area_limit : int
 
 val gva_to_gpa : int -> int
-(** Direct-map translation for kernel addresses.
+(** Direct-map translation for kernel addresses — the whole kernel
+    address space, module area included, is mapped this way and there
+    are no guest page tables: a kernel page is mapped iff guest RAM backs
+    its guest-physical page ([Os]'s RAM map).
     @raise Invalid_argument below [kernel_base]. *)
 
 val gpa_to_gva : int -> int
 
 val is_kernel_address : int -> bool
-val is_text_address : int -> bool
 val is_module_address : int -> bool
 
 val page_of : int -> int
-val page_addr : int -> int
-(** Round down to the containing page's first address. *)

@@ -1,47 +1,31 @@
 module Asm = Fc_isa.Asm
 
-type unit_syms = { base : int; funcs : Asm.placed array }
+(* Each unit's functions sorted by address, newest unit first; the base
+   kernel's array is the image's own. *)
+type t = { mutable units : Asm.placed array list }
 
-type t = { mutable units : unit_syms list; by_name : (string, int) Hashtbl.t }
+let create image = { units = [ Image.sorted_functions image ] }
 
-let create () = { units = []; by_name = Hashtbl.create 1024 }
+let add_unit t (u : Asm.unit_image) =
+  t.units <- Array.of_list u.functions :: t.units
 
-let add_unit t ?module_name (u : Asm.unit_image) =
-  ignore module_name;
-  let funcs = Array.of_list u.functions in
-  t.units <- { base = u.base; funcs } :: t.units;
-  List.iter (fun (p : Asm.placed) -> Hashtbl.replace t.by_name p.pname p.addr) u.functions
-
-let remove_unit t ~base =
-  let removed, kept = List.partition (fun u -> u.base = base) t.units in
-  t.units <- kept;
-  List.iter
-    (fun u ->
-      Array.iter
-        (fun (p : Asm.placed) ->
-          match Hashtbl.find_opt t.by_name p.pname with
-          | Some a when a = p.addr -> Hashtbl.remove t.by_name p.pname
-          | Some _ | None -> ())
-        u.funcs)
-    removed
-
-let find_in_unit u addr =
-  let n = Array.length u.funcs in
+(* The last function starting at or below [addr], if [addr] is inside
+   it. *)
+let find_in funcs addr =
   let rec go lo hi =
     if lo >= hi then lo - 1
     else
       let mid = (lo + hi) / 2 in
-      if u.funcs.(mid).Asm.addr <= addr then go (mid + 1) hi else go lo mid
+      if funcs.(mid).Asm.addr <= addr then go (mid + 1) hi else go lo mid
   in
-  let i = go 0 n in
+  let i = go 0 (Array.length funcs) in
   if i < 0 then None
   else
-    let p = u.funcs.(i) in
+    let p = funcs.(i) in
     if addr < p.Asm.addr + p.Asm.size then Some (p.Asm.pname, addr - p.Asm.addr)
     else None
 
-let find t addr = List.find_map (fun u -> find_in_unit u addr) t.units
-let addr_of t name = Hashtbl.find_opt t.by_name name
+let find t addr = List.find_map (fun funcs -> find_in funcs addr) t.units
 
 let render t addr =
   match find t addr with

@@ -9,19 +9,18 @@
 
 type t
 
-val create : unit -> t
+val create : Image.t -> t
+(** The base kernel's function symbols (System.map): the image's own
+    sorted function array ({!Image.sorted_functions}), not a copy. *)
 
-val add_unit : t -> ?module_name:string -> Fc_isa.Asm.unit_image -> unit
-(** Register the functions of an assembled unit.  [module_name] tags
-    symbols from a loadable module. *)
-
-val remove_unit : t -> base:int -> unit
-(** Forget a unit by its base address (module unload / rootkit hiding). *)
+val add_unit : t -> Fc_isa.Asm.unit_image -> unit
+(** Register the functions of an assembled module.  Nothing is ever
+    removed: a table that must forget a module (a rootkit hiding itself)
+    is rebuilt without it. *)
 
 val find : t -> int -> (string * int) option
-(** [find t addr] — (symbol, offset) of the containing function. *)
-
-val addr_of : t -> string -> int option
+(** [find t addr] — (symbol, offset) of the containing function; the
+    newest unit registered wins an overlap. *)
 
 val render : t -> int -> string
 (** ["0xc021a526 <do_sys_poll+0x136>"], offset omitted when zero;

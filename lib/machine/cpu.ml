@@ -3,7 +3,6 @@ module Block = Fc_isa.Block
 
 type regs = { mutable eip : int; mutable ebp : int; mutable esp : int }
 
-let copy_regs r = { eip = r.eip; ebp = r.ebp; esp = r.esp }
 let sentinel_return = 0
 
 type fault =

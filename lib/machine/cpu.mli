@@ -14,8 +14,6 @@
 
 type regs = { mutable eip : int; mutable ebp : int; mutable esp : int }
 
-val copy_regs : regs -> regs
-
 val sentinel_return : int
 (** The pseudo return address marking "return to user mode" (0). *)
 

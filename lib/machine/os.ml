@@ -1,5 +1,4 @@
 module Phys = Fc_mem.Phys_mem
-module Pt = Fc_mem.Page_table
 module Ept = Fc_mem.Ept
 module Tlb = Fc_mem.Tlb
 module Layout = Fc_kernel.Layout
@@ -141,11 +140,10 @@ type t = {
   mutable active : int; (* the vCPU currently executing (sequential sim) *)
   ram : (int, int) Hashtbl.t;
       (* gpa_page -> hpa frame: the hypervisor's ground-truth map of guest
-         RAM.  The EPT starts out agreeing with it; kernel views later
-         redirect code-fetch translations while guest data accesses (and
-         guest writes, e.g. module loading) always reach real RAM. *)
-  master_pt : Pt.t;
-  mutable page_tables : Pt.t list;
+         RAM, and the set of mapped kernel pages ([ram_page]).  The EPT
+         starts out agreeing with it; kernel views later redirect
+         code-fetch translations while guest data accesses (and guest
+         writes, e.g. module loading) always reach real RAM. *)
   traps : (int, unit) Hashtbl.t;
   mutable trap_arr : int array; (* sorted mirror of [traps] for the hot path *)
   mutable trap_lo : int; (* min trap address, [max_int] when none *)
@@ -177,8 +175,9 @@ type t = {
   mutable at_round : (int * (t -> unit)) list;
   mutable rewriter : (Syscalls.t -> (string * string list) option) option;
   itimers : (int, unit) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t; (* OS ground truth, incl. hidden *)
-  mutable sleep_override : int option; (* wake delay for the next block *)
+  symbols : (string, int) Hashtbl.t;
+      (* module functions, incl. hidden modules; the base kernel's are
+         the image's ([resolve]) *)
   mutable faults : fault_hooks option;
   mutable tick : tick_hook option;
   run_cycles_f : Fc_obs.Metrics.family; (* os.run_cycles{comm} *)
@@ -209,7 +208,6 @@ let note_flushes t ~cause n =
   Fc_obs.Metrics.add (Fc_obs.Metrics.family_counter t.tlb_flushes_f cause) n
 
 let image t = t.image
-let config t = t.config
 let obs t = t.obs
 let phys t = t.phys
 let active_vcpu t = t.vcpus.(t.active)
@@ -221,7 +219,6 @@ let ept_of t ~vid =
   if vid < 0 || vid >= Array.length t.vcpus then invalid_arg "Os.ept_of: bad vcpu";
   t.vcpus.(vid).vept
 
-let processes t = List.rev t.procs_rev
 let find_process t ~pid = List.find_opt (fun (p : Process.t) -> p.pid = pid) t.procs_rev
 let current t = (active_vcpu t).vcurrent
 let in_interrupt t = (active_vcpu t).vin_interrupt
@@ -280,8 +277,6 @@ let set_coverage t f = t.cover <- f
 let set_event_trace t f = t.events <- f
 let set_branch_policy t f = t.branch_policy <- f
 let set_syscall_rewriter t f = t.rewriter <- Some f
-let clear_syscall_rewriter t = t.rewriter <- None
-let pending_itimer t ~pid = Hashtbl.mem t.itimers pid
 let arm_itimer t ~pid = Hashtbl.replace t.itimers pid ()
 let set_fault_hooks t h = t.faults <- h
 
@@ -303,15 +298,23 @@ let disarm_tick t = t.tick <- None
 
 let page_mask = Layout.page_size - 1
 
-(* Data path: guest-virtual -> guest-physical -> real RAM frame.  Used for
-   stacks, VMI and guest writes; kernel views never affect it. *)
+let kernel_page = Layout.page_of Layout.kernel_base
+
+(* The RAM frame of the guest-virtual page [page], if it is mapped: the
+   one translation, on every path.  The kernel address space is
+   direct-mapped ([Layout.gva_to_gpa]), so the guest-physical page is
+   [page - kernel_page], and a kernel page is mapped iff guest RAM backs
+   that page ([map_fresh_range] is the one writer of [ram], and never
+   unmaps).  User pages are never mapped. *)
+let ram_page t page =
+  if page < kernel_page then None else Hashtbl.find_opt t.ram (page - kernel_page)
+
+(* Data path: guest-virtual -> real RAM address.  Used for stacks, VMI
+   and guest writes; kernel views never affect it. *)
 let ram_translate t gva =
-  match Pt.translate t.master_pt gva with
+  match ram_page t (gva / Layout.page_size) with
   | None -> None
-  | Some gpa -> (
-      match Hashtbl.find_opt t.ram (gpa / Layout.page_size) with
-      | None -> None
-      | Some frame -> Some ((frame * Layout.page_size) + (gpa mod Layout.page_size)))
+  | Some frame -> Some ((frame * Layout.page_size) + (gva land page_mask))
 
 let ram_frame t ~gpa_page = Hashtbl.find_opt t.ram gpa_page
 
@@ -376,16 +379,13 @@ let dtlb_entry t page =
   end
   else begin
     Fc_obs.Metrics.incr t.tlb_d_misses;
-    match Pt.translate_page t.master_pt page with
+    match ram_page t page with
     | None -> Tlb.null v.vdtlb
-    | Some gpa_page -> (
-        match Hashtbl.find_opt t.ram gpa_page with
-        | None -> Tlb.null v.vdtlb
-        | Some frame ->
-            Tlb.fill e ~tag:page ~stamp:t.data_epoch ~frame
-              ~version:(Phys.version t.phys frame)
-              ~bytes:(Phys.frame_bytes t.phys frame) ~payload:();
-            e)
+    | Some frame ->
+        Tlb.fill e ~tag:page ~stamp:t.data_epoch ~frame
+          ~version:(Phys.version t.phys frame)
+          ~bytes:(Phys.frame_bytes t.phys frame) ~payload:();
+        e
   end
 
 (* iTLB lookup: additionally validated against the EPT view tag (the
@@ -408,10 +408,10 @@ let itlb_entry t page =
   end
   else begin
     Fc_obs.Metrics.incr t.tlb_i_misses;
-    match Pt.translate_page t.master_pt page with
+    match ram_page t page with
     | None -> Tlb.null v.vitlb
-    | Some gpa_page -> (
-        match Ept.translate_page v.vept gpa_page with
+    | Some _ -> (
+        match Ept.translate_page v.vept (page - kernel_page) with
         | None -> Tlb.null v.vitlb
         | Some frame ->
             let version = Phys.version t.phys frame in
@@ -443,10 +443,10 @@ let read_guest_byte t gva =
 (* Fetch path: goes through the EPT, so an installed kernel view redirects
    it to the view's frames. *)
 let fetch_code_slow t gva =
-  match Pt.translate t.master_pt gva with
+  match ram_page t (gva / Layout.page_size) with
   | None -> None
-  | Some gpa -> (
-      match Ept.translate (active_vcpu t).vept gpa with
+  | Some _ -> (
+      match Ept.translate (active_vcpu t).vept (Layout.gva_to_gpa gva) with
       | None -> None
       | Some hpa -> Some (Phys.read_byte t.phys hpa))
 
@@ -514,8 +514,8 @@ let write_guest_u32 t gva v =
       end
       else invalid_arg (Printf.sprintf "Os.write_guest_byte: unmapped 0x%x" gva)
 
-(* Map [lo, hi) of guest-virtual space to freshly allocated frames, in the
-   EPT and in every page table. *)
+(* Map [lo, hi) of guest-virtual space to freshly allocated frames: in
+   the RAM map, which maps the kernel pages, and in the EPT. *)
 let map_fresh_range t ~lo ~hi =
   let lo_page = Layout.page_of lo and hi_page = Layout.page_of (hi - 1) + 1 in
   let e0 = t.vcpus.(0).vept in
@@ -535,8 +535,7 @@ let map_fresh_range t ~lo ~hi =
       (fun v ->
         if v.vid > 0 && Ept.get_dir v.vept ~dir = None then
           Ept.install_dir v.vept ~dir (Some table))
-      t.vcpus;
-    List.iter (fun pt -> Pt.map pt ~gva_page ~gpa_page) t.page_tables
+      t.vcpus
   done;
   (* Guest RAM grew.  Existing translations are still valid (mappings are
      add-only) and unmapped pages are never cached, so this bump is
@@ -620,7 +619,7 @@ let vmi_module_list t =
 
 (* ---------------- modules ---------------- *)
 
-let register_symbols t (u : Asm.unit_image) =
+let register_module_symbols t (u : Asm.unit_image) =
   List.iter (fun (p : Asm.placed) -> Hashtbl.replace t.symbols p.pname p.addr) u.functions
 
 let rewrite_guest_module_list t =
@@ -661,7 +660,7 @@ let install_module t ~name (u : Asm.unit_image) =
   t.next_module_base <- Image.next_module_base u;
   let info = { mod_name = name; unit_image = u; hidden = false } in
   t.modules <- t.modules @ [ info ];
-  register_symbols t u;
+  register_module_symbols t u;
   rewrite_guest_module_list t;
   info
 
@@ -669,11 +668,6 @@ let load_module_fns t ~name fns =
   match Image.assemble_module_fns t.image ~base:t.next_module_base fns with
   | Error e -> raise (Guest_panic (Printf.sprintf "module %s: %s" name e))
   | Ok u -> install_module t ~name u
-
-let load_module t name =
-  match List.assoc_opt name Fc_kernel.Catalog.module_functions with
-  | None -> raise (Guest_panic ("unknown module " ^ name))
-  | Some fns -> load_module_fns t ~name fns
 
 let hide_module t name =
   match List.find_opt (fun m -> String.equal m.mod_name name) t.modules with
@@ -683,7 +677,12 @@ let hide_module t name =
       rewrite_guest_module_list t
 
 let modules t = t.modules
-let resolve t name = Hashtbl.find_opt t.symbols name
+(* A module function shadows a base-kernel function of the same name,
+   and a later module an earlier one ([Hashtbl.replace] in load order). *)
+let resolve t name =
+  match Hashtbl.find_opt t.symbols name with
+  | Some _ as a -> a
+  | None -> Image.addr_of t.image name
 
 let resolve_exn t name =
   match resolve t name with
@@ -763,10 +762,9 @@ let make ~config ~obs ~engine ~vcpus image =
   let tlb_i_hits = counter "tlb" "i_hits" in
   let phys = Phys.create ~metrics ?spare:(Option.map (fun s -> s.frames) store) () in
   let fast = match engine with Fast -> true | Reference -> false in
-  let master_pt = Pt.create () in
   let mk_vcpu vid =
     let name = if vid = 0 then "swapper" else Printf.sprintf "swapper/%d" vid in
-    let vidle = Process.create ~cpu:vid ~pid:vid ~name ~page_table:master_pt [] in
+    let vidle = Process.create ~cpu:vid ~pid:vid ~name [] in
     let vitlb, vdtlb = vcpu_caches ~fast in
     {
       vid;
@@ -789,8 +787,6 @@ let make ~config ~obs ~engine ~vcpus image =
       vcpus = Array.init vcpus mk_vcpu;
       active = 0;
       ram = Hashtbl.create 2048;
-      master_pt;
-      page_tables = [ master_pt ];
       traps = Hashtbl.create 8;
       trap_arr = [||];
       trap_lo = max_int;
@@ -820,8 +816,7 @@ let make ~config ~obs ~engine ~vcpus image =
       at_round = [];
       rewriter = None;
       itimers = Hashtbl.create 8;
-      symbols = Hashtbl.create 2048;
-      sleep_override = None;
+      symbols = Hashtbl.create 256;
       faults = None;
       tick = None;
       run_cycles_f = family "os" "run_cycles";
@@ -886,7 +881,6 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(engine = Fast) image =
   let text_lo = Image.text_base image and text_hi = Image.text_end image in
   map_fresh_range t ~lo:text_lo ~hi:text_hi;
   copy_code_in t ~base:text_lo (Image.unit_image image).Asm.code;
-  register_symbols t (Image.unit_image image);
   (* kernel data: current pointer, task structs, module nodes *)
   map_fresh_range t ~lo:Layout.data_base ~hi:(Layout.data_base + 0x10000);
   (* the whole module area is guest RAM from the start, like real memory;
@@ -927,14 +921,10 @@ let spawn ?cpu t ~name script =
     | Some _ -> invalid_arg "Os.spawn: bad cpu"
     | None -> pid mod Array.length t.vcpus
   in
-  (* map this process' kernel stack everywhere *)
   map_fresh_range t
     ~lo:(Layout.kstack_base + (pid * Layout.kstack_size))
     ~hi:(Layout.kstack_base + ((pid + 1) * Layout.kstack_size));
-  let page_table = Pt.create () in
-  Pt.copy_range ~src:t.master_pt ~dst:page_table ~lo_page:0 ~hi_page:max_int;
-  t.page_tables <- page_table :: t.page_tables;
-  let p = Process.create ~cpu ~pid ~name ~page_table script in
+  let p = Process.create ~cpu ~pid ~name script in
   t.procs_rev <- p :: t.procs_rev;
   write_task_struct t p;
   p
@@ -944,10 +934,10 @@ let spawn ?cpu t ~name script =
 (* The reference engine's decode: through the full translation chain and
    the per-offset decodes on the frame's line. *)
 let cached_decode_slow t pc =
-  match Pt.translate t.master_pt pc with
+  match ram_page t (pc / Layout.page_size) with
   | None -> Cpu.D_unmapped
-  | Some gpa -> (
-      match Ept.translate (active_vcpu t).vept gpa with
+  | Some _ -> (
+      match Ept.translate (active_vcpu t).vept (Layout.gva_to_gpa pc) with
       | None -> Cpu.D_unmapped
       | Some hpa ->
           let frame = hpa / Layout.page_size and off = hpa mod Layout.page_size in
@@ -1102,7 +1092,6 @@ let kill_oopsed t (p : Process.t) =
   ignore (Process.take_saved p);
   p.Process.in_kernel <- false;
   p.Process.state <- Process.Exited;
-  t.sleep_override <- None;
   Fc_obs.Metrics.incr (Fc_obs.Metrics.family_counter t.oops_kills_f p.Process.name)
 
 let run_cpu t (regs : Cpu.regs) dispatch =
@@ -1259,7 +1248,8 @@ let finish_syscall t (p : Process.t) =
   p.Process.syscall_count <- p.Process.syscall_count + 1;
   exec_resume_userspace t p
 
-let exec_syscall t (p : Process.t) variant_name =
+(* [delay]: the rounds the process sleeps if the syscall blocks. *)
+let exec_syscall t (p : Process.t) ~delay variant_name =
   let sc = Syscalls.find_exn variant_name in
   let queue_names =
     match t.rewriter with
@@ -1292,13 +1282,6 @@ let exec_syscall t (p : Process.t) variant_name =
       finish_syscall t p;
       `Done
   | `Blocked id ->
-      let delay =
-        match t.sleep_override with
-        | Some n ->
-            t.sleep_override <- None;
-            n
-        | None -> t.config.wake_delay
-      in
       Process.block p ~yield_id:id ~wake_round:(t.round_no + delay) ~regs
         ~dispatch:q;
       `Blocked
@@ -1386,14 +1369,12 @@ let perform_action t (p : Process.t) (act : Action.t) =
       (match outcome with
       | `Returned -> `Done
       | `Blocked _ -> raise (Guest_panic "fault path blocked"))
-  | Action.Syscall v -> exec_syscall t p v
-  | Action.Sleep rounds ->
-      t.sleep_override <- Some rounds;
-      let r = exec_syscall t p "nanosleep" in
-      t.sleep_override <- None;
-      r
+  | Action.Syscall v -> exec_syscall t p ~delay:t.config.wake_delay v
+  | Action.Sleep rounds -> exec_syscall t p ~delay:rounds "nanosleep"
   | Action.Exit ->
-      let (_ : [ `Done | `Blocked ]) = exec_syscall t p "exit" in
+      let (_ : [ `Done | `Blocked ]) =
+        exec_syscall t p ~delay:t.config.wake_delay "exit"
+      in
       p.Process.state <- Process.Exited;
       `Exited
 
@@ -1491,13 +1472,6 @@ let run ?(max_rounds = 1_000_000) ?(until = fun _ -> false) t =
   if live () && !rounds >= max_rounds then
     raise (Guest_panic "scheduler round budget exhausted")
 
-let run_process_solo t (p : Process.t) =
-  let others_live =
-    List.exists (fun (q : Process.t) -> q != p && not (Process.is_exited q)) t.procs_rev
-  in
-  if others_live then invalid_arg "Os.run_process_solo: other processes are live";
-  run t
-
 (* ---------------- snapshot: freeze / thaw ---------------- *)
 
 (* The frozen image captures everything [run] consults that cannot be
@@ -1518,7 +1492,6 @@ type frozen_proc = {
   zp_in_kernel : bool;
   zp_syscall_count : int;
   zp_last_scheduled_round : int;
-  zp_mappings : (int * int) list; (* gva_page -> gpa_page, sorted *)
 }
 
 type frozen_module = {
@@ -1538,7 +1511,6 @@ type frozen_timer = {
 type frozen_vcpu = {
   zv_dirs : (int * int) list; (* EPT dir -> pool table id, sorted *)
   zv_current_pid : int;
-  zv_in_interrupt : bool;
   zv_idle_last_round : int;
   zv_slice_start : int;
       (* the open run slice's start cycle: boot work before the first
@@ -1561,25 +1533,24 @@ type frozen = {
   z_next_pid : int;
   z_next_module_base : int;
   z_data_epoch : int;
-  z_trap_gen : int;
   z_ram : (int * int) list; (* gpa_page -> host frame, sorted *)
   z_phys : Phys.frozen;
-  z_master_pt : (int * int) list;
   z_vcpus : frozen_vcpu list;
   z_procs : frozen_proc list; (* newest first, as [procs_rev] *)
   z_modules : frozen_module list; (* load order *)
   z_timers : frozen_timer list; (* list order: clocksource then background *)
   z_traps : int list; (* sorted *)
   z_itimers : int list; (* sorted pids *)
-  z_sleep_override : int option;
 }
 
 let freeze t ~table_id =
   check_live t "Os.freeze";
   Array.iter
     (fun v ->
-      if v.vslice <> Fc_obs.Span.none then
-        invalid_arg "Os.freeze: vCPU mid-slice; snapshot only at round boundaries")
+      if v.vslice <> Fc_obs.Span.none || v.vin_interrupt then
+        invalid_arg
+          "Os.freeze: vCPU mid-slice or in an interrupt; snapshot only at \
+           round boundaries")
     t.vcpus;
   let freeze_proc (p : Process.t) =
     {
@@ -1596,7 +1567,6 @@ let freeze t ~table_id =
       zp_in_kernel = p.Process.in_kernel;
       zp_syscall_count = p.Process.syscall_count;
       zp_last_scheduled_round = p.Process.last_scheduled_round;
-      zp_mappings = Pt.mappings p.Process.page_table;
     }
   in
   {
@@ -1609,11 +1579,9 @@ let freeze t ~table_id =
     z_next_pid = t.next_pid;
     z_next_module_base = t.next_module_base;
     z_data_epoch = t.data_epoch;
-    z_trap_gen = t.trap_gen;
     z_ram =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ram []);
     z_phys = Phys.export t.phys;
-    z_master_pt = Pt.mappings t.master_pt;
     z_vcpus =
       Array.to_list
         (Array.map
@@ -1622,7 +1590,6 @@ let freeze t ~table_id =
                zv_dirs =
                  List.map (fun (d, tbl) -> (d, table_id tbl)) (Ept.dirs v.vept);
                zv_current_pid = v.vcurrent.Process.pid;
-               zv_in_interrupt = v.vin_interrupt;
                zv_idle_last_round = v.vidle.Process.last_scheduled_round;
                zv_slice_start = v.vslice_start;
                zv_tags = Ept.freeze_tags v.vept;
@@ -1651,7 +1618,6 @@ let freeze t ~table_id =
       List.sort Int.compare (Hashtbl.fold (fun a () acc -> a :: acc) t.traps []);
     z_itimers =
       List.sort Int.compare (Hashtbl.fold (fun p () acc -> p :: acc) t.itimers []);
-    z_sleep_override = t.sleep_override;
   }
 
 let thaw ?obs ~image ~table_of (z : frozen) =
@@ -1659,21 +1625,14 @@ let thaw ?obs ~image ~table_of (z : frozen) =
   if vcpus < 1 then invalid_arg "Os.thaw: no vCPUs in frozen state";
   let obs = match obs with Some o -> o | None -> Fc_obs.Obs.create () in
   let t = make ~config:z.z_config ~obs ~engine:z.z_engine ~vcpus image in
-  List.iter
-    (fun (gva_page, gpa_page) -> Pt.map t.master_pt ~gva_page ~gpa_page)
-    z.z_master_pt;
   (* processes, newest first as stored: identity (and [pick_ready]'s
      tie-break order) depends on [procs_rev] order *)
   t.procs_rev <-
     List.map
       (fun zp ->
-        let page_table = Pt.create () in
-        List.iter
-          (fun (gva_page, gpa_page) -> Pt.map page_table ~gva_page ~gpa_page)
-          zp.zp_mappings;
         let p =
           Process.create ~cpu:zp.zp_cpu ~pid:zp.zp_pid ~name:zp.zp_name
-            ~page_table zp.zp_script
+            zp.zp_script
         in
         p.Process.state <- zp.zp_state;
         p.Process.saved_regs <-
@@ -1686,9 +1645,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
         p.Process.last_scheduled_round <- zp.zp_last_scheduled_round;
         p)
       z.z_procs;
-  t.page_tables <-
-    List.map (fun (p : Process.t) -> p.Process.page_table) t.procs_rev
-    @ [ t.master_pt ];
   List.iteri
     (fun vid zv ->
       let v = t.vcpus.(vid) in
@@ -1707,7 +1663,6 @@ let thaw ?obs ~image ~table_of (z : frozen) =
              invalid_arg
                (Printf.sprintf "Os.thaw: vCPU %d current pid %d not in snapshot"
                   vid zv.zv_current_pid));
-      v.vin_interrupt <- zv.zv_in_interrupt;
       v.vslice_start <- zv.zv_slice_start)
     z.z_vcpus;
   List.iter (fun (gpa_page, frame) -> Hashtbl.replace t.ram gpa_page frame) z.z_ram;
@@ -1740,16 +1695,12 @@ let thaw ?obs ~image ~table_of (z : frozen) =
     List.map
       (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
       z.z_timers;
-  t.sleep_override <- z.z_sleep_override;
   Phys.import t.phys z.z_phys;
-  (* traps: refill the set, rebuild the sorted mirror, then pin the
-     generation back to the frozen value (lines are empty, so only
-     monotonic faithfulness matters) *)
+  (* traps: refill the set and rebuild the sorted mirror; the lines are
+     empty, so no block carries an older trap generation *)
   List.iter (fun a -> Hashtbl.replace t.traps a ()) z.z_traps;
   rebuild_traps t;
-  t.trap_gen <- z.z_trap_gen;
-  (* symbols: base image first, then modules in load order — the same
-     registration sequence [create]/[load_module] produced *)
-  register_symbols t (Image.unit_image image);
-  List.iter (fun m -> register_symbols t m.unit_image) t.modules;
+  (* module symbols in load order, the sequence [install_module]
+     registered them in *)
+  List.iter (fun m -> register_module_symbols t m.unit_image) t.modules;
   t

@@ -1,6 +1,8 @@
 (** The guest operating system simulation — scheduler, syscalls,
-    interrupts, module loading — running over the vCPU, guest page
-    tables and the EPT.
+    interrupts, module loading — running over the vCPU and the EPT.
+    There are no guest page tables: the kernel address space is
+    direct-mapped ({!Fc_kernel.Layout.gva_to_gpa}), and a kernel address
+    is mapped iff guest RAM backs its guest-physical page.
 
     This is the "guest VM" of the paper.  The hypervisor side
     (FACE-CHANGE) observes it only through the narrow interface a real
@@ -127,7 +129,6 @@ val active_vcpu_id : t -> int
     granularity, so it is always well defined). *)
 
 val image : t -> Fc_kernel.Image.t
-val config : t -> config
 val phys : t -> Fc_mem.Phys_mem.t
 
 val ept : t -> Fc_mem.Ept.t
@@ -142,8 +143,6 @@ val spawn : ?cpu:int -> t -> name:string -> Action.t list -> Process.t
 (** Spawn a process; pinned to [cpu] if given, else assigned round-robin
     across the vCPUs. *)
 
-val processes : t -> Process.t list
-val find_process : t -> pid:int -> Process.t option
 val current : t -> Process.t
 
 val current_of : t -> vid:int -> Process.t
@@ -161,9 +160,6 @@ type module_info = {
   mutable hidden : bool;
 }
 
-val load_module : t -> string -> module_info
-(** Load a default module by catalog name. *)
-
 val load_module_fns : t -> name:string -> Fc_kernel.Kfunc.t list -> module_info
 (** Load arbitrary module code (rootkits). *)
 
@@ -175,9 +171,11 @@ val modules : t -> module_info list
 (** OS-side ground truth, including hidden modules. *)
 
 val resolve : t -> string -> int option
-(** Resolve a function name to its guest address, searching the base
-    kernel then loaded modules (including hidden ones — this is the OS's
-    own view, not VMI's). *)
+(** Resolve a function name to its guest address: the loaded modules'
+    functions first (including hidden ones — this is the OS's own view,
+    not VMI's), the newest module's if several define it, then the base
+    kernel's, looked up in the image.  So a module function shadows a
+    base-kernel function of the same name. *)
 
 val resolve_exn : t -> string -> int
 
@@ -285,9 +283,11 @@ val set_branch_policy : t -> (int -> bool) option -> unit
     drive rarely-taken error paths that profiling missed. *)
 
 val read_guest_byte : t -> int -> int option
-(** VMI / data path: read guest-virtual memory through the page tables and
-    the hypervisor's ground-truth RAM map.  Kernel views never affect this
-    path — they only redirect instruction fetch. *)
+(** VMI / data path: read guest-virtual memory through the layout's
+    direct map and the hypervisor's ground-truth RAM map — [None] for a
+    user or negative address and for a kernel page with no RAM.  Kernel
+    views never affect this path — they only redirect instruction
+    fetch. *)
 
 val read_guest_u32 : t -> int -> int option
 
@@ -302,8 +302,9 @@ val iter_ram :
     once and the guest's dTLB is neither consulted nor counted. *)
 
 val fetch_code : t -> int -> int option
-(** Instruction-fetch path: translates through the {e EPT}, so it sees the
-    currently installed kernel view.  What the vCPU decodes from; also what
+(** Instruction-fetch path: the layout's direct map, then the {e EPT},
+    so it sees the currently installed kernel view.  The same addresses
+    are mapped as on {!read_guest_byte}.  What the vCPU decodes from; also what
     a hypervisor uses to inspect the active view's bytes. *)
 
 val ram_frame : t -> gpa_page:int -> int option
@@ -352,11 +353,6 @@ val run : ?max_rounds:int -> ?until:(t -> bool) -> t -> unit
 (** Drive the scheduler until every non-idle process has exited, [until]
     returns true (checked each round), or [max_rounds] elapses. *)
 
-val run_process_solo : t -> Process.t -> unit
-(** Run a single process to completion, round-robining only with
-    interrupt delivery — used by the profiler for per-application
-    sessions. *)
-
 val inject_irq : t -> Fc_kernel.Irq_paths.source -> unit
 (** Deliver one interrupt in the current context, immediately. *)
 
@@ -368,9 +364,6 @@ val set_syscall_rewriter : t -> (Fc_kernel.Syscalls.t -> (string * string list) 
 (** Kernel-level attack hook: rewrite a syscall's (entry, dispatch) before
     execution — how rootkit models detour the kernel's control flow. *)
 
-val clear_syscall_rewriter : t -> unit
-
-val pending_itimer : t -> pid:int -> bool
 val arm_itimer : t -> pid:int -> unit
 (** A [setitimer]-armed process receives [Timer_itimer] expiries (the
     Cymothoa parasite's SIGALRM path) on subsequent timer interrupts. *)
@@ -378,14 +371,17 @@ val arm_itimer : t -> pid:int -> unit
 (** {1 Snapshot: freeze / thaw}
 
     The frozen machine as plain data: scheduler and process state,
-    timers, traps, itimers, the guest-RAM map, the physical frame pool,
-    and each vCPU's EPT directory shape (tables referenced by pool id —
+    timers, traps, itimers, the guest-RAM map (which is also the set of
+    mapped kernel pages), the physical frame pool, and each vCPU's EPT
+    directory shape (tables referenced by pool id —
     the snapshot codec owns the identity-preserving table pool, so
     tables shared between vCPUs, the hypervisor's pristine set and the
     views stay shared after restore).
 
     Not captured, by design: TLBs and lines with their superblocks (caches —
-    rebuilt demand-side, invisible to the differential fingerprints),
+    rebuilt demand-side, invisible to the differential fingerprints,
+    so the trap generation their blocks are stamped with is not
+    captured either),
     trace/event/fault/tick hooks and the exit handler (re-attached by
     the owning layer after {!thaw}), and counter values (restored by the
     codec's metrics section, last). *)
@@ -401,7 +397,6 @@ type frozen_proc = {
   zp_in_kernel : bool;
   zp_syscall_count : int;
   zp_last_scheduled_round : int;
-  zp_mappings : (int * int) list;  (** gva_page -> gpa_page, sorted *)
 }
 
 type frozen_module = {
@@ -421,7 +416,6 @@ type frozen_timer = {
 type frozen_vcpu = {
   zv_dirs : (int * int) list;  (** EPT dir -> pool table id, sorted *)
   zv_current_pid : int;
-  zv_in_interrupt : bool;
   zv_idle_last_round : int;
   zv_slice_start : int;
       (** start cycle of the still-open run slice — pending
@@ -442,24 +436,22 @@ type frozen = {
   z_next_pid : int;
   z_next_module_base : int;
   z_data_epoch : int;
-  z_trap_gen : int;
   z_ram : (int * int) list;  (** gpa_page -> host frame, sorted *)
   z_phys : Fc_mem.Phys_mem.frozen;
-  z_master_pt : (int * int) list;
   z_vcpus : frozen_vcpu list;
   z_procs : frozen_proc list;  (** newest first, matching [procs_rev] *)
   z_modules : frozen_module list;  (** load order *)
   z_timers : frozen_timer list;
   z_traps : int list;  (** sorted *)
   z_itimers : int list;  (** sorted pids *)
-  z_sleep_override : int option;
 }
 
 val freeze : t -> table_id:(Fc_mem.Ept.table -> int) -> frozen
 (** Capture the machine at a scheduler round boundary.  [table_id] maps
     each EPT leaf table to its identity-preserving pool id (assigned by
     the snapshot codec).  Raises [Invalid_argument] if any vCPU has an
-    open run slice — snapshots are only meaningful between rounds. *)
+    open run slice or is inside an interrupt — snapshots are only
+    meaningful between rounds. *)
 
 val thaw :
   ?obs:Fc_obs.Obs.t ->

@@ -7,7 +7,6 @@ type t = {
   pid : int;
   name : string;
   mutable cpu : int;
-  page_table : Fc_mem.Page_table.t;
   mutable script : Action.t list;
   mutable state : run_state;
   mutable saved_regs : Cpu.regs option;
@@ -17,12 +16,11 @@ type t = {
   mutable last_scheduled_round : int;
 }
 
-let create ?(cpu = 0) ~pid ~name ~page_table script =
+let create ?(cpu = 0) ~pid ~name script =
   {
     pid;
     name;
     cpu;
-    page_table;
     script;
     state = Ready;
     saved_regs = None;
@@ -35,7 +33,6 @@ let create ?(cpu = 0) ~pid ~name ~page_table script =
 let kstack_top t = Fc_kernel.Layout.kstack_top ~pid:t.pid
 let is_ready t = t.state = Ready
 let is_exited t = t.state = Exited
-let is_blocked t = match t.state with Blocked _ -> true | _ -> false
 
 let block t ~yield_id ~wake_round ~regs ~dispatch =
   t.state <- Blocked { yield_id; wake_round };
@@ -57,7 +54,6 @@ let take_saved t =
       t.saved_dispatch <- Queue.create ();
       Some (regs, d)
 
-let append_script t acts = t.script <- t.script @ acts
 let prepend_script t acts = t.script <- acts @ t.script
 
 let pp ppf t =

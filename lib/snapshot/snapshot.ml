@@ -435,7 +435,7 @@ let frozen_proc =
      and+ zp_syscall_count = field (fun p -> p.Os.zp_syscall_count) int
      and+ zp_last_scheduled_round =
        field (fun p -> p.Os.zp_last_scheduled_round) int
-     and+ zp_mappings = field (fun p -> p.Os.zp_mappings) (list int_pair) in
+     in
      {
        Os.zp_pid;
        zp_name;
@@ -447,7 +447,6 @@ let frozen_proc =
        zp_in_kernel;
        zp_syscall_count;
        zp_last_scheduled_round;
-       zp_mappings;
      })
 
 let frozen_module =
@@ -483,14 +482,12 @@ let frozen_vcpu =
   record
     (let+ zv_dirs = field (fun v -> v.Os.zv_dirs) (list int_pair)
      and+ zv_current_pid = field (fun v -> v.Os.zv_current_pid) int
-     and+ zv_in_interrupt = field (fun v -> v.Os.zv_in_interrupt) bool
      and+ zv_idle_last_round = field (fun v -> v.Os.zv_idle_last_round) int
      and+ zv_slice_start = field (fun v -> v.Os.zv_slice_start) int
      and+ zv_tags = field (fun v -> v.Os.zv_tags) ept_tags in
      {
        Os.zv_dirs;
        zv_current_pid;
-       zv_in_interrupt;
        zv_idle_last_round;
        zv_slice_start;
        zv_tags;
@@ -573,17 +570,14 @@ let os store =
      and+ z_next_pid = field (fun z -> z.Os.z_next_pid) int
      and+ z_next_module_base = field (fun z -> z.Os.z_next_module_base) int
      and+ z_data_epoch = field (fun z -> z.Os.z_data_epoch) int
-     and+ z_trap_gen = field (fun z -> z.Os.z_trap_gen) int
      and+ z_ram = field (fun z -> z.Os.z_ram) (list int_pair)
      and+ z_phys = field (fun z -> z.Os.z_phys) (phys store)
-     and+ z_master_pt = field (fun z -> z.Os.z_master_pt) (list int_pair)
      and+ z_vcpus = field (fun z -> z.Os.z_vcpus) (list frozen_vcpu)
      and+ z_procs = field (fun z -> z.Os.z_procs) (list frozen_proc)
      and+ z_modules = field (fun z -> z.Os.z_modules) (list frozen_module)
      and+ z_timers = field (fun z -> z.Os.z_timers) (list frozen_timer)
      and+ z_traps = field (fun z -> z.Os.z_traps) (list int)
-     and+ z_itimers = field (fun z -> z.Os.z_itimers) (list int)
-     and+ z_sleep_override = field (fun z -> z.Os.z_sleep_override) (option int) in
+     and+ z_itimers = field (fun z -> z.Os.z_itimers) (list int) in
      {
        Os.z_config;
        z_engine;
@@ -594,17 +588,14 @@ let os store =
        z_next_pid;
        z_next_module_base;
        z_data_epoch;
-       z_trap_gen;
        z_ram;
        z_phys;
-       z_master_pt;
        z_vcpus;
        z_procs;
        z_modules;
        z_timers;
        z_traps;
        z_itimers;
-       z_sleep_override;
      })
 
 (* --- hypervisor / FACE-CHANGE / cursor / metrics --- *)
@@ -725,12 +716,14 @@ let metric =
 
 let magic = "FCSN"
 
-(* 4: the OS section no longer carries version 3's divergent-page list.
+(* 5: the OS section no longer carries page tables (the master table
+   and each process's), the trap generation, the sleep override or each
+   vCPU's in-interrupt flag.  4: nor version 3's divergent-page list.
    3: it carries one engine byte (reference or fast) in place of version
    2's tlb/sblocks/tagged flags and global generation.  2: it gained
    per-vCPU EPT tag state.  Older streams are rejected with the typed
    unsupported-version error, as always. *)
-let version = 4
+let version = 5
 
 let meta_codec = list (pair string string)
 let tables_codec = array (list int_pair)

@@ -68,7 +68,11 @@ val restore :
 
 val version : int
 (** The wire-format version written into (and required of) every
-    container.  Version 4 drops the divergent-page set; version 3
+    container.  Version 5 drops the guest page tables (the master
+    table and every process's: kernel addresses translate by the layout
+    and the RAM map), the trap generation, the sleep override and each
+    vCPU's in-interrupt flag (none of which a restore at a round
+    boundary needs); version 4 drops the divergent-page set; version 3
     records the execution engine as one byte ([Os.Reference] or
     [Os.Fast]); version 2 added per-vCPU EPT tag state (active view,
     era, per-view generations) and the divergent-page set.  Older

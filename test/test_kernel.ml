@@ -133,11 +133,10 @@ let test_image_lookup () =
   let img = Lazy.force image in
   let a = Image.addr_of_exn img "sys_poll" in
   check_int "aligned" 0 (a mod 16);
-  (match Image.placed_at img (a + 5) with
-  | Some p -> check_bool "containing" true (p.Asm.pname = "sys_poll")
-  | None -> Alcotest.fail "placed_at failed");
+  let syms = Symbols.create img in
+  check_bool "containing" true (Symbols.find syms (a + 5) = Some ("sys_poll", 5));
   check_bool "unknown" true (Image.addr_of img "nosuch" = None);
-  check_bool "gap address" true (Image.placed_at img (Image.text_base img - 1) = None)
+  check_bool "gap address" true (Symbols.find syms (Image.text_base img - 1) = None)
 
 let test_fig3_parity_layout () =
   (* sys_poll's call to do_sys_poll returns to an odd address; do_sys_poll's
@@ -310,8 +309,7 @@ let test_kvmclock_only_at_runtime () =
 
 let test_symbols_render () =
   let img = Lazy.force image in
-  let syms = Symbols.create () in
-  Symbols.add_unit syms (Image.unit_image img);
+  let syms = Symbols.create img in
   let a = Image.addr_of_exn img "do_sys_poll" in
   Alcotest.(check string)
     "zero offset"
@@ -325,20 +323,26 @@ let test_symbols_render () =
     "unknown" "0xf8078bbe <UNKNOWN>"
     (Symbols.render syms 0xf8078bbe)
 
+(* The hypervisor hides a module by rebuilding its table without it
+   ([Hypervisor.refresh_symbols]); this is that rebuild. *)
 let test_symbols_module_add_remove () =
   let img = Lazy.force image in
-  let syms = Symbols.create () in
-  Symbols.add_unit syms (Image.unit_image img);
   let base = Layout.module_area_base in
   let u = Result.get_ok (Image.assemble_module img ~name:"kvmclock" ~base) in
-  Symbols.add_unit syms ~module_name:"kvmclock" u;
-  let a = Option.get (Symbols.addr_of syms "kvm_clock_read") in
-  check_bool "module symbol resolves" true (Symbols.find syms a <> None);
+  let a = (Option.get (Asm.find_function u "kvm_clock_read")).Asm.addr in
+  let with_module = Symbols.create img in
+  Symbols.add_unit with_module u;
+  check_bool "module symbol resolves" true
+    (Symbols.find with_module (a + 1) = Some ("kvm_clock_read", 1));
   (* Hiding the module (KBeast-style) makes its frames UNKNOWN. *)
-  Symbols.remove_unit syms ~base;
-  check_bool "hidden module is UNKNOWN" true (Symbols.find syms a = None);
-  check_bool "base still resolves" true
-    (Symbols.find syms (Image.addr_of_exn img "sys_poll") <> None)
+  let hidden = Symbols.create img in
+  check_bool "hidden module is UNKNOWN" true (Symbols.find hidden a = None);
+  List.iter
+    (fun syms ->
+      check_bool "base still resolves" true
+        (Symbols.find syms (Image.addr_of_exn img "sys_poll")
+        = Some ("sys_poll", 0)))
+    [ with_module; hidden ]
 
 (* ------------------------------------------------------------------ *)
 (* Layout                                                              *)

@@ -5,6 +5,7 @@ module Os = Fc_machine.Os
 module Image = Fc_kernel.Image
 module Layout = Fc_kernel.Layout
 module Irq_paths = Fc_kernel.Irq_paths
+module Snapshot = Fc_snapshot.Snapshot
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -339,6 +340,80 @@ let test_os_rootkit_module_load () =
   Os.run os;
   check_bool "hook executed" true (!hits = 1)
 
+(* [os] pushed through the wire format and thawed. *)
+let thawed os =
+  match Snapshot.decode (Snapshot.encode (Snapshot.capture os)) with
+  | Ok s -> (Snapshot.restore ~image:(Os.image os) s).Snapshot.r_os
+  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+
+(* The OS keeps only module symbols and looks the base kernel up in the
+   image, after them: a module function shadows a base-kernel function
+   of the same name, as it did when both lived in one table, and still
+   does once the machine is thawed. *)
+let test_os_module_symbol_shadows_base () =
+  let os = fresh_os () in
+  let base = Image.addr_of_exn (Os.image os) "sys_getpid" in
+  check_int "base kernel's before the load" base (Os.resolve_exn os "sys_getpid");
+  let info =
+    Os.load_module_fns os ~name:"shadow"
+      [ Fc_kernel.Kfunc.v ~sub:"shadow" "sys_getpid" [] ]
+  in
+  let shadow =
+    (Option.get (Fc_isa.Asm.find_function info.Os.unit_image "sys_getpid"))
+      .Fc_isa.Asm.addr
+  in
+  check_bool "in the module area" true (Layout.is_module_address shadow);
+  check_int "module's after the load" shadow (Os.resolve_exn os "sys_getpid");
+  check_int "module's after a thaw" shadow
+    (Os.resolve_exn (thawed os) "sys_getpid");
+  check_int "other names still the image's"
+    (Image.addr_of_exn (Os.image os) "schedule")
+    (Os.resolve_exn os "schedule")
+
+(* Kernel addresses translate by the layout: on a guest with no view
+   installed, every RAM page reads its frame's bytes at
+   [gpa + kernel_base] on both the data and the fetch path, and an
+   address with no RAM behind it reads [None] on both — on either
+   engine, and after a thaw. *)
+let test_os_addresses_translate_by_layout () =
+  let offsets =
+    List.init (Layout.page_size / 61) (fun i -> i * 61) @ [ Layout.page_size - 1 ]
+  in
+  let last_gpa_page = Layout.page_of (Layout.gva_to_gpa Layout.module_area_limit) in
+  let check_guest label os =
+    let phys = Os.phys os and pages = ref 0 in
+    for gpa_page = 0 to last_gpa_page do
+      match Os.ram_frame os ~gpa_page with
+      | None -> ()
+      | Some frame ->
+          incr pages;
+          let gva = Layout.gpa_to_gva (gpa_page * Layout.page_size) in
+          let bytes = Fc_mem.Phys_mem.frame_bytes phys frame in
+          List.iter
+            (fun off ->
+              let a = gva + off and want = Some (Bytes.get_uint8 bytes off) in
+              if Os.read_guest_byte os a <> want || Os.fetch_code os a <> want then
+                Alcotest.failf "%s: 0x%x does not read its frame's byte" label a)
+            offsets
+    done;
+    List.iter
+      (fun a ->
+        if Os.read_guest_byte os a <> None || Os.fetch_code os a <> None then
+          Alcotest.failf "%s: 0x%x is mapped" label a)
+      [ 0; 0xbffff000; -1; -Layout.page_size; Layout.kernel_base ];
+    !pages
+  in
+  List.iter
+    (fun engine ->
+      let os = Os.create ~engine (Lazy.force image) in
+      let (_ : Process.t) = Os.spawn os ~name:"sleeper" [ Action.Exit ] in
+      let label = Os.engine_name engine in
+      let booted = check_guest label os in
+      check_bool "guest RAM was read" true (booted > 300);
+      check_int (label ^ ": the same RAM after a thaw") booted
+        (check_guest (label ^ ", thawed") (thawed os)))
+    [ Os.Reference; Os.Fast ]
+
 let test_os_guest_panic_without_handler () =
   let os = fresh_os () in
   (* Punch a hole in the EPT for the text page containing sys_getpid's
@@ -521,6 +596,8 @@ let suites =
         tc "itimer expiry path" test_os_itimer_path;
         tc "module hide (VMI vs ground truth)" test_os_module_load_hide;
         tc "rootkit module load + syscall rewrite" test_os_rootkit_module_load;
+        tc "a module symbol shadows the base kernel's" test_os_module_symbol_shadows_base;
+        tc "kernel addresses translate by the layout" test_os_addresses_translate_by_layout;
         tc "guest panic without handler" test_os_guest_panic_without_handler;
         tc "unchanged resume of an invalid opcode oopses the task"
           test_os_unchanged_invalid_opcode_oopses;

@@ -1,5 +1,4 @@
 module Phys = Fc_mem.Phys_mem
-module Pt = Fc_mem.Page_table
 module Ept = Fc_mem.Ept
 
 let check_int = Alcotest.(check int)
@@ -130,34 +129,6 @@ let test_frame_cache_invalidation () =
   check_int "frame recycled" f2 f3;
   check_bool "stale after free+recycle" true (Fc.find c "b" = None);
   check_int "nothing resident" 0 (Fc.resident c)
-
-(* ------------------------------------------------------------------ *)
-(* Page_table                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_pt_translate () =
-  let pt = Pt.create () in
-  Pt.map pt ~gva_page:0x10 ~gpa_page:0x99;
-  check_bool "mapped page" true (Pt.translate_page pt 0x10 = Some 0x99);
-  check_bool "unmapped" true (Pt.translate_page pt 0x11 = None);
-  check_int "offset preserved" ((0x99 * 4096) + 123)
-    (Option.get (Pt.translate pt ((0x10 * 4096) + 123)))
-
-let test_pt_unmap () =
-  let pt = Pt.create () in
-  Pt.map pt ~gva_page:1 ~gpa_page:2;
-  Pt.unmap pt ~gva_page:1;
-  check_bool "unmapped" true (Pt.translate_page pt 1 = None)
-
-let test_pt_copy_range () =
-  let src = Pt.create () and dst = Pt.create () in
-  Pt.map src ~gva_page:5 ~gpa_page:50;
-  Pt.map src ~gva_page:10 ~gpa_page:100;
-  Pt.map src ~gva_page:20 ~gpa_page:200;
-  Pt.copy_range ~src ~dst ~lo_page:6 ~hi_page:20;
-  check_bool "below excluded" true (Pt.translate_page dst 5 = None);
-  check_bool "inside copied" true (Pt.translate_page dst 10 = Some 100);
-  check_bool "hi exclusive" true (Pt.translate_page dst 20 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Ept                                                                 *)
@@ -493,12 +464,6 @@ let suites =
       [
         tc "hit takes a reference" test_frame_cache_hit_increfs;
         tc "lazy invalidation (write, free+recycle)" test_frame_cache_invalidation;
-      ] );
-    ( "mem.page_table",
-      [
-        tc "map/translate" test_pt_translate;
-        tc "unmap" test_pt_unmap;
-        tc "copy_range bounds" test_pt_copy_range;
       ] );
     ( "mem.ept",
       [

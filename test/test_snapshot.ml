@@ -11,7 +11,7 @@
      offset — never raise;
    - restore identity: capture, encode, decode, restore and capture
      again gives the same snapshot (METR as a multiset);
-   - the version-4 bytes of every variant constructor, pinned by digest;
+   - the version-5 bytes of every variant constructor, pinned by digest;
    - warm start: a fleet cell booted from wire-format snapshots
      fingerprints identically to a cold boot;
    - live migration: pre-copy + stop-and-copy lands a guest that
@@ -430,14 +430,16 @@ let restore_identity_case () =
       (identity_guest ~seed)
   done
 
-(* ---------------- the version-4 bytes of every constructor ---------------- *)
+(* ---------------- the version-5 bytes of every constructor ---------------- *)
 
 (* The golden, edited to hold every variant constructor on the wire: 9
    irq sources, 5 actions, 3 run states, 8 fault kinds, 4 governor
    states, both clocksources and metric value kinds, and — across the
    two values — both engines and both [on_unhandled] answers.  The
-   digest of their encodings was recorded from the version-4 writer the
-   per-type tag tables replaced; a swapped tag changes it. *)
+   digest of their encodings was recorded from the version-5 writer;
+   the version-4 one, recorded from the writer the per-type tag tables
+   replaced, differed only by the fields version 5 dropped.  A swapped
+   tag changes it. *)
 let every_constructor (g : Snapshot.t) ~engine ~on_unhandled =
   let os = g.Snapshot.s_os in
   let irqs =
@@ -490,7 +492,7 @@ let constructor_bytes_pinned () =
   let a = every_constructor g ~engine:Os.Fast ~on_unhandled:`Degrade in
   let b = every_constructor g ~engine:Os.Reference ~on_unhandled:`Die in
   let wa = Snapshot.encode a and wb = Snapshot.encode b in
-  check_string "digest of the version-4 bytes" "bc3c55bcb342fb217550c829d4faad4a"
+  check_string "digest of the version-5 bytes" "9e43f0f6582515138b72ed63cfd475e5"
     (Digest.to_hex (Digest.string (wa ^ wb)));
   check_bool "decode (encode a) = a" true (Snapshot.decode wa = Ok a);
   check_bool "decode (encode b) = b" true (Snapshot.decode wb = Ok b)
@@ -650,11 +652,13 @@ let suites =
           (version_rejected 2);
         Alcotest.test_case "previous-version (v3) stream rejected" `Quick
           (version_rejected 3);
+        Alcotest.test_case "previous-version (v4) stream rejected" `Quick
+          (version_rejected 4);
         Alcotest.test_case "empty input and trailing bytes" `Quick
           empty_and_trailing;
         Alcotest.test_case "save/load roundtrip + missing file" `Quick
           save_load_roundtrip;
-        Alcotest.test_case "every constructor keeps its version-4 bytes" `Quick
+        Alcotest.test_case "every constructor keeps its version-5 bytes" `Quick
           constructor_bytes_pinned;
         Alcotest.test_case "restore rebuilds what capture recorded" `Slow
           restore_identity_case;
