@@ -12,10 +12,8 @@ let counter_keys =
     ("instructions", "os.instructions"); ("cycles", "os.cycles");
     ("i_hits", "tlb.i_hits"); ("i_misses", "tlb.i_misses");
     ("d_hits", "tlb.d_hits"); ("d_misses", "tlb.d_misses");
-    ("i_flushes", "tlb.i_flushes"); ("d_flushes", "tlb.d_flushes");
     ("sb_built", "sb.blocks_built"); ("sb_hits", "sb.hits");
-    ("sb_invals", "sb.invalidations"); ("fl_growth", "tlb.flushes{growth}");
-    ("fl_explicit", "tlb.flushes{explicit}");
+    ("sb_invals", "sb.invalidations");
   ]
 
 type arm = {
@@ -204,9 +202,7 @@ let render t =
     | Os.Reference -> ()
     | Os.Fast ->
         pr "  %-18s   sblocks: %d built, %d hits, %d invalidations\n" ""
-          (c "sb_built") (c "sb_hits") (c "sb_invals");
-        pr "  %-18s   flushes: %d growth, %d explicit\n" "" (c "fl_growth")
-          (c "fl_explicit")
+          (c "sb_built") (c "sb_hits") (c "sb_invals")
   in
   pr "UnixBench suite:\n";
   List.iter arm_line t.unixbench;

@@ -15,7 +15,7 @@
     engine's own time.
 
     Host times vary run to run and are {e recorded, never gated}; the
-    TLB, superblock and flush-cause counters and instruction counts are
+    TLB and superblock counters and instruction counts are
     deterministic and pinned by [bench/check.exe BENCH_perf.json]. *)
 
 type arm = {
@@ -27,9 +27,8 @@ type arm = {
   a_layers : Fc_obs.Layers.t;  (** the arm's host time, by layer *)
   a_counters : (string * int) list;
       (** registry counters summed over the arm's guests, by JSON key:
-          instructions, cycles, TLB hits/misses/flushes, superblock
-          builds/hits/invalidations and the growth and
-          explicit [tlb.flushes] causes *)
+          instructions, cycles, TLB hits/misses and superblock
+          builds/hits/invalidations *)
 }
 
 val schema_version : int

@@ -36,7 +36,6 @@ type t = {
   opts : opts;
   mutable views : View.t list;
   mutable bindings : (string * int) list;
-  mutable next_index : int;
   active : int array;           (* active view index, per vCPU *)
   pending : int option array;   (* deferred switch armed at resume, per vCPU *)
   ctx_switch_addr : int;
@@ -122,9 +121,9 @@ let unbind t ~comm = t.bindings <- List.remove_assoc comm t.bindings
 (* ---------------- view switching (per-vCPU, the paper's SV-C) ------- *)
 
 (* Install a view's directory entries on one vCPU (VPID-style): quiet
-   directory installs plus one active-tag change.  Nothing is flushed —
-   translations cached under [to_index] in an earlier activation still
-   carry its current (view, generation) tag and revalidate by compare. *)
+   directory installs plus one active-id change.  Nothing is flushed —
+   translations cached under [to_index] in an earlier activation carry
+   its id and revalidate by compare. *)
 let install_tables t ~vid ~to_index tables =
   let ept = Os.ept_of (Hyp.os t.hyp) ~vid in
   List.iter
@@ -566,7 +565,6 @@ let make ~opts ~governor ~log hyp =
       opts;
       views = [];
       bindings = [];
-      next_index = 1;
       active = Array.make nvcpus full_view_index;
       pending = Array.make nvcpus None;
       ctx_switch_addr = Image.addr_of_exn image "__switch_to";
@@ -634,14 +632,13 @@ let enable ?(opts = default_opts) ?governor hyp =
   t
 
 let load_view t config =
-  let index = t.next_index in
-  t.next_index <- index + 1;
   let charged_before = Hyp.cycles_charged t.hyp in
   let sid = span_enter t Fc_obs.Span.View_build in
   let v =
     View.build ~hyp:t.hyp ~whole_function_load:t.opts.whole_function_load
-      ~share_frames:t.opts.share_frames ~index config
+      ~share_frames:t.opts.share_frames config
   in
+  let index = View.index v in
   span_exit t sid;
   Metrics.observe t.view_build_cycles (Hyp.cycles_charged t.hyp - charged_before);
   t.views <- t.views @ [ v ];
@@ -680,10 +677,7 @@ let unload_view t index =
         Obs.emit t.obs
           (Event.View_unload
              { index; app = View.app v; cow_breaks = View.cow_breaks v });
-      View.destroy v;
-      (* retire only the dead view's tag — survivors (and the full view)
-         keep every cached translation *)
-      Os.retire_view_translations (Hyp.os t.hyp) ~view:index
+      View.destroy v
 
 let disable t =
   if t.enabled then begin
@@ -695,9 +689,7 @@ let disable t =
     List.iter
       (fun v ->
         t.retired_cow_breaks <- t.retired_cow_breaks + View.cow_breaks v;
-        let index = View.index v in
-        View.destroy v;
-        Os.retire_view_translations (Hyp.os t.hyp) ~view:index)
+        View.destroy v)
       t.views;
     t.views <- [];
     t.bindings <- [];
@@ -710,7 +702,6 @@ type frozen = {
   zf_opts : opts;
   zf_views : View.frozen list; (* load order *)
   zf_bindings : (string * int) list; (* assoc order kept verbatim *)
-  zf_next_index : int;
   zf_active : int list; (* per vCPU *)
   zf_pending : int option list; (* per vCPU *)
   zf_retired_cow_breaks : int;
@@ -727,7 +718,6 @@ let freeze t ~table_id =
     zf_opts = t.opts;
     zf_views = List.map (View.freeze ~table_id) t.views;
     zf_bindings = t.bindings;
-    zf_next_index = t.next_index;
     zf_active = Array.to_list t.active;
     zf_pending = Array.to_list t.pending;
     zf_retired_cow_breaks = t.retired_cow_breaks;
@@ -755,7 +745,6 @@ let restore ~hyp ~table_of (z : frozen) =
   in
   t.views <- List.map (fun zv -> View.restore ~hyp ~table_of zv) z.zf_views;
   t.bindings <- z.zf_bindings;
-  t.next_index <- z.zf_next_index;
   List.iteri (fun vid i -> t.active.(vid) <- i) z.zf_active;
   List.iteri (fun vid p -> t.pending.(vid) <- p) z.zf_pending;
   t.retired_cow_breaks <- z.zf_retired_cow_breaks;

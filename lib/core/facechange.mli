@@ -68,7 +68,9 @@ val full_view_index : int
 
 val load_view : t -> Fc_profiler.View_config.t -> int
 (** Materialize a view and bind the selector for the configuration's
-    application name to it.  Returns the view index. *)
+    application name to it.  Returns the view index: an id the machine
+    mints once ({!Fc_machine.Os.fresh_view_id}), so it is fresh even
+    after a {!disable} and a second {!enable}. *)
 
 val unload_view : t -> int -> unit
 (** Destroy a view; processes bound to it fall back to the full view.  If
@@ -139,7 +141,6 @@ type frozen = {
   zf_opts : opts;
   zf_views : View.frozen list;  (** load order *)
   zf_bindings : (string * int) list;
-  zf_next_index : int;
   zf_active : int list;  (** per vCPU *)
   zf_pending : int option list;  (** per vCPU *)
   zf_retired_cow_breaks : int;

@@ -66,7 +66,7 @@ let map_page t gpa_page frame =
       Ept.table_set table ~idx (Some frame);
       (* The table just mutated may already be installed in a vCPU's EPT
          (installed tables are shared by reference), and [table_set]
-         moves no directory entry and no view generation.  The
+         moves no directory entry and no view id.  The
          invalidation is frame-targeted instead: every cached translation
          validates [Phys_mem.version] of its fill-time frame, so bumping
          the displaced frame's version kills exactly the entries that resolve
@@ -278,8 +278,7 @@ let make ~hyp ~index ~share ~tables config =
     destroyed = false;
   }
 
-let build ~hyp ?(whole_function_load = true) ?(share_frames = true) ~index
-    config =
+let build ~hyp ?(whole_function_load = true) ?(share_frames = true) config =
   let os = Hyp.os hyp in
   let image = Os.image os in
   let text_lo = Image.text_base image and text_hi = Image.text_end image in
@@ -293,7 +292,9 @@ let build ~hyp ?(whole_function_load = true) ?(share_frames = true) ~index
         | None -> (dir, Ept.table_create ()))
       (Image.code_dirs image)
   in
-  let t = make ~hyp ~index ~share:share_frames ~tables config in
+  let t =
+    make ~hyp ~index:(Os.fresh_view_id os) ~share:share_frames ~tables config
+  in
   (* Pass 1: compute the load set — the exact whole-function relaxation
      walk, recorded (as absolute guest-virtual spans) in an interval
      index instead of written byte-by-byte.  Byte and cycle accounting is

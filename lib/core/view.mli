@@ -29,10 +29,11 @@ val build :
   hyp:Fc_hypervisor.Hypervisor.t ->
   ?whole_function_load:bool ->
   ?share_frames:bool ->
-  index:int ->
   Fc_profiler.View_config.t ->
   t
-(** Materialize a view from a configuration.  [whole_function_load]
+(** Materialize a view from a configuration, under a view id minted by
+    {!Fc_machine.Os.fresh_view_id}, so no two views of a machine ever
+    share an id.  [whole_function_load]
     (default true) is the paper's relaxation; disabling it loads raw
     profiled byte ranges instead (the ablation shows why that is a bad
     idea: more recoveries, and UD2 fill that starts at odd addresses).
@@ -41,6 +42,9 @@ val build :
     privately, with bit-identical guest-visible behavior. *)
 
 val index : t -> int
+(** The view's id: the tag its cached translations carry while it is
+    active ({!Fc_mem.Ept.set_view}). *)
+
 val config : t -> Fc_profiler.View_config.t
 val app : t -> string
 

@@ -100,11 +100,11 @@ type vcpu = {
   mutable vslice : int; (* open run-slice span id, Span.none when closed *)
   mutable vslice_start : int; (* cycle at which the current slice began *)
   vitlb : line Tlb.t;
-      (* fetch-path TLB: stamped with the EPT view tag, validated against
-         the frame version, payload = the frame's line *)
+      (* fetch-path TLB: stamped with the active view id, validated
+         against the frame version, payload = the frame's line *)
   vdtlb : unit Tlb.t;
-      (* data-path TLB: tagged with the OS data-mapping generation; guest
-         RAM mappings never change once installed, so no version check *)
+      (* data-path TLB: guest RAM mappings never change once installed,
+         so a slot holding its page is valid *)
 }
 
 (* Fault-injection hooks (see lib/faults).  Same zero-cost-when-disabled
@@ -162,7 +162,15 @@ type t = {
       (* bumped whenever the trap set changes: superblocks embed the
          generation at build time, so a new trap address landing inside a
          cached block invalidates it without scanning the cache *)
-  mutable data_epoch : int; (* bumped when guest RAM mappings grow *)
+  mutable next_view : int;
+      (* the next kernel view id [fresh_view_id] mints: ids are never
+         reused on a machine, so a retired view's cached translations
+         can never match again *)
+  mutable in_run : bool;
+      (* set for [run]'s round loop, and left set if a round raises: a
+         kernel invocation may be in flight, its registers and dispatch
+         queue on the host stack where [freeze], which refuses, cannot
+         see them *)
   mutable round_no : int;
   mutable context_switches : int;
   mutable procs_rev : Process.t list; (* excludes idles; reverse pid order *)
@@ -190,7 +198,6 @@ type t = {
   sb_built : Fc_obs.Metrics.counter;
   sb_hits : Fc_obs.Metrics.counter;
   sb_invals : Fc_obs.Metrics.counter;
-  tlb_flushes_f : Fc_obs.Metrics.family; (* tlb.flushes{cause} *)
   mutable store : spares option;
       (* where new fast lines take their block arrays from and where
          [reclaim] returns them; [None] outside a store and once
@@ -199,13 +206,6 @@ type t = {
 }
 
 and handler = t -> Cpu.regs -> vm_exit -> exit_action
-
-(* Invalidation events, attributed by cause to the [tlb.flushes{cause}]
-   family: ["growth"] (guest RAM grew) and ["explicit"] (a view was
-   retired).  View switches and COW breaks invalidate nothing
-   machine-wide, so they have no cause of their own. *)
-let note_flushes t ~cause n =
-  Fc_obs.Metrics.add (Fc_obs.Metrics.family_counter t.tlb_flushes_f cause) n
 
 let image t = t.image
 let obs t = t.obs
@@ -366,14 +366,14 @@ let line_for t frame ~version =
       ln
 
 (* dTLB lookup for the page holding [gva-page].  A valid entry needs only
-   the tag and the data-mapping generation: guest RAM translations are
-   add-only (map_fresh_range), so nothing else can invalidate them.
-   Returns the TLB's null entry ([tag] < 0) when the page is unmapped —
-   unmapped pages are never cached, so a later mapping is seen at once. *)
+   the tag: guest RAM translations are add-only ([map_fresh_range]
+   refuses a mapped page), so nothing can invalidate them.  Returns the
+   TLB's null entry ([tag] < 0) when the page is unmapped — unmapped
+   pages are never cached, so a later mapping is seen at once. *)
 let dtlb_entry t page =
   let v = active_vcpu t in
   let e = Tlb.slot v.vdtlb page in
-  if e.Tlb.tag = page && e.Tlb.stamp = t.data_epoch then begin
+  if e.Tlb.tag = page then begin
     Fc_obs.Metrics.incr t.tlb_d_hits;
     e
   end
@@ -382,16 +382,15 @@ let dtlb_entry t page =
     match ram_page t page with
     | None -> Tlb.null v.vdtlb
     | Some frame ->
-        Tlb.fill e ~tag:page ~stamp:t.data_epoch ~frame
+        Tlb.fill e ~tag:page ~stamp:0 ~frame
           ~version:(Phys.version t.phys frame)
           ~bytes:(Phys.frame_bytes t.phys frame) ~payload:();
         e
   end
 
-(* iTLB lookup: additionally validated against the EPT view tag (the
-   packed (era, view, generation): a generation bump on the cached view
-   flushes its entries in O(1), while a view switch merely changes the
-   active tag — entries cached under the re-entered view match again)
+(* iTLB lookup: additionally validated against the active view id (a
+   view switch merely changes it — entries cached under the re-entered
+   view match again — and a retired view's id is never active again)
    and the backing frame's version (so a COW break or a lazy recovery
    write to the very frame we cached is caught with no eager flush; the
    version bump also proves [bytes] still belongs to this frame). *)
@@ -421,12 +420,10 @@ let itlb_entry t page =
             e)
   end
 
-(* A destroyed view's translations can never be revalidated (view ids are
-   not reused), but bumping its generation keeps the invalidation honest
-   while other views' cached entries stay untouched. *)
-let retire_view_translations t ~view =
-  Array.iter (fun v -> Ept.bump_view v.vept ~view) t.vcpus;
-  note_flushes t ~cause:"explicit" (Array.length t.vcpus)
+let fresh_view_id t =
+  let id = t.next_view in
+  t.next_view <- id + 1;
+  id
 
 let read_guest_byte_slow t gva =
   match ram_translate t gva with
@@ -515,19 +512,25 @@ let write_guest_u32 t gva v =
       else invalid_arg (Printf.sprintf "Os.write_guest_byte: unmapped 0x%x" gva)
 
 (* Map [lo, hi) of guest-virtual space to freshly allocated frames: in
-   the RAM map, which maps the kernel pages, and in the EPT. *)
+   the RAM map, which maps the kernel pages, and in the EPT.  The RAM
+   map is add-only, so a page already in it is refused: that is what
+   keeps a dTLB entry valid for as long as its slot holds its page. *)
 let map_fresh_range t ~lo ~hi =
   let lo_page = Layout.page_of lo and hi_page = Layout.page_of (hi - 1) + 1 in
   let e0 = t.vcpus.(0).vept in
   for gva_page = lo_page to hi_page - 1 do
     let gpa_page = Layout.page_of (Layout.gva_to_gpa (gva_page * Layout.page_size)) in
+    if Hashtbl.mem t.ram gpa_page then
+      invalid_arg
+        (Printf.sprintf "Os.map_fresh_range: 0x%x is already mapped"
+           (gva_page * Layout.page_size));
     let frame = Phys.alloc t.phys in
     Hashtbl.replace t.ram gpa_page frame;
     (* map in vCPU 0, then alias its leaf table into any vCPU that does
        not have that directory yet: RAM mappings stay shared while each
        vCPU keeps its own directory (views replace directory entries
        per-vCPU).  The installs are quiet: a fresh page was never cached
-       (no negative caching), so no generation needs to move. *)
+       (no negative caching), so nothing cached can be stale. *)
     Ept.install_page e0 ~gpa_page ~hpa_frame:frame;
     let dir = Ept.dir_of_page gpa_page in
     let table = Option.get (Ept.get_dir e0 ~dir) in
@@ -536,13 +539,7 @@ let map_fresh_range t ~lo ~hi =
         if v.vid > 0 && Ept.get_dir v.vept ~dir = None then
           Ept.install_dir v.vept ~dir (Some table))
       t.vcpus
-  done;
-  (* Guest RAM grew.  Existing translations are still valid (mappings are
-     add-only) and unmapped pages are never cached, so this bump is
-     belt-and-braces rather than load-bearing — it also serves as the
-     deterministic tlb.d_flushes count. *)
-  t.data_epoch <- t.data_epoch + 1;
-  note_flushes t ~cause:"growth" 1
+  done
 
 (* Host-side bulk access to guest RAM (kernel text and module code in,
    original code out for view building and recovery): [f gva hpa n] for
@@ -730,11 +727,7 @@ let wire_instruments t =
   gauge "context_switches" (fun () -> t.context_switches);
   gauge "vcpus" (fun () -> Array.length t.vcpus);
   gauge "processes" (fun () -> List.length t.procs_rev);
-  gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache);
-  let tlb_gauge name f = Fc_obs.Metrics.gauge metrics ~subsystem:"tlb" name f in
-  tlb_gauge "i_flushes" (fun () ->
-      Array.fold_left (fun acc v -> acc + Ept.flushes v.vept) 0 t.vcpus);
-  tlb_gauge "d_flushes" (fun () -> t.data_epoch)
+  gauge "decode_cache_frames" (fun () -> Hashtbl.length t.decode_cache)
 
 (* The job running on this domain ([reusing]): the store its machines
    draw from, and every machine booted since it began. *)
@@ -799,7 +792,8 @@ let make ~config ~obs ~engine ~vcpus image =
       instrs = ref 0;
       fast;
       trap_gen = 0;
-      data_epoch = 0;
+      next_view = 1;
+      in_run = false;
       round_no = 0;
       context_switches = 0;
       procs_rev = [];
@@ -829,7 +823,6 @@ let make ~config ~obs ~engine ~vcpus image =
       sb_built;
       sb_hits;
       sb_invals;
-      tlb_flushes_f = family "tlb" "flushes";
       store;
       reclaimed = false;
     }
@@ -1434,6 +1427,7 @@ let run ?(max_rounds = 1_000_000) ?(until = fun _ -> false) t =
   check_live t "Os.run";
   let live () = List.exists (fun p -> not (Process.is_exited p)) t.procs_rev in
   let rounds = ref 0 in
+  t.in_run <- true;
   while live () && (not (until t)) && !rounds < max_rounds do
     incr rounds;
     t.round_no <- t.round_no + 1;
@@ -1469,6 +1463,7 @@ let run ?(max_rounds = 1_000_000) ?(until = fun _ -> false) t =
   (* flush run-slice accounting and close the spans so the trace stays
      balanced; a later run (or switch) re-opens slices as needed *)
   Array.iter (end_run_slice t) t.vcpus;
+  t.in_run <- false;
   if live () && !rounds >= max_rounds then
     raise (Guest_panic "scheduler round budget exhausted")
 
@@ -1517,10 +1512,7 @@ type frozen_vcpu = {
          run (or the tail of an interrupted slice) is still pending
          attribution to os.run_cycles{current}, and the restored machine
          must charge the same window the uninterrupted one would *)
-  zv_tags : Ept.tags;
-      (* per-view generations, active view/era and the flush count: a
-         restored machine's tlb.i_flushes gauge and tag validity evolve
-         exactly as the uninterrupted one's would *)
+  zv_view : int; (* the active view id *)
 }
 
 type frozen = {
@@ -1532,7 +1524,7 @@ type frozen = {
   z_context_switches : int;
   z_next_pid : int;
   z_next_module_base : int;
-  z_data_epoch : int;
+  z_next_view : int;
   z_ram : (int * int) list; (* gpa_page -> host frame, sorted *)
   z_phys : Phys.frozen;
   z_vcpus : frozen_vcpu list;
@@ -1545,13 +1537,9 @@ type frozen = {
 
 let freeze t ~table_id =
   check_live t "Os.freeze";
-  Array.iter
-    (fun v ->
-      if v.vslice <> Fc_obs.Span.none || v.vin_interrupt then
-        invalid_arg
-          "Os.freeze: vCPU mid-slice or in an interrupt; snapshot only at \
-           round boundaries")
-    t.vcpus;
+  if t.in_run || Array.exists (fun v -> v.vin_interrupt) t.vcpus then
+    invalid_arg
+      "Os.freeze: inside Os.run or an interrupt; snapshot only between runs";
   let freeze_proc (p : Process.t) =
     {
       zp_pid = p.Process.pid;
@@ -1578,7 +1566,7 @@ let freeze t ~table_id =
     z_context_switches = t.context_switches;
     z_next_pid = t.next_pid;
     z_next_module_base = t.next_module_base;
-    z_data_epoch = t.data_epoch;
+    z_next_view = t.next_view;
     z_ram =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ram []);
     z_phys = Phys.export t.phys;
@@ -1592,7 +1580,7 @@ let freeze t ~table_id =
                zv_current_pid = v.vcurrent.Process.pid;
                zv_idle_last_round = v.vidle.Process.last_scheduled_round;
                zv_slice_start = v.vslice_start;
-               zv_tags = Ept.freeze_tags v.vept;
+               zv_view = Ept.tag v.vept;
              })
            t.vcpus);
     z_procs = List.map freeze_proc t.procs_rev;
@@ -1652,10 +1640,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       List.iter
         (fun (dir, id) -> Ept.install_dir v.vept ~dir (Some (table_of id)))
         zv.zv_dirs;
-      (* tags last: the frozen view/era/generations (and flush count)
-         overwrite whatever construction did, so the i_flushes gauge and
-         tag validity resume exactly where the snapshot left them *)
-      Ept.restore_tags v.vept zv.zv_tags;
+      Ept.set_view v.vept ~view:zv.zv_view;
       (if zv.zv_current_pid <> vid then
          match find_process t ~pid:zv.zv_current_pid with
          | Some p -> v.vcurrent <- p
@@ -1686,7 +1671,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
       z.z_modules;
   t.cycles := z.z_cycles;
   t.instrs := z.z_instrs;
-  t.data_epoch <- z.z_data_epoch;
+  t.next_view <- z.z_next_view;
   t.round_no <- z.z_round_no;
   t.context_switches <- z.z_context_switches;
   t.next_pid <- z.z_next_pid;

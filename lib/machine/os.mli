@@ -312,11 +312,13 @@ val ram_frame : t -> gpa_page:int -> int option
     "original kernel code pages" that recovery fetches from, and the frames
     a full kernel view maps back to. *)
 
-val retire_view_translations : t -> view:int -> unit
-(** Retire a destroyed view's tag on every vCPU: its cached translations
-    can never revalidate (view ids are not reused), and other views'
-    entries are untouched.  Counted in [tlb.flushes{explicit}]; guest-RAM growth is [tlb.flushes{growth}]
-    — view switches and COW breaks flush nothing. *)
+val fresh_view_id : t -> int
+(** Mint a kernel view id: 1 on a fresh machine, then one more per
+    call, never reused on this machine — also across FACE-CHANGE
+    instances and snapshots (a thawed machine resumes the count).  The
+    active id is the tag the iTLB validates against ({!Fc_mem.Ept.tag}),
+    so a retired view's cached translations can never match again and
+    retiring a view invalidates nothing. *)
 
 val vmi_current_task : t -> int * string
 (** Read the guest's current-task pointer chain: (pid, comm). *)
@@ -351,7 +353,9 @@ val context_switches : t -> int
 
 val run : ?max_rounds:int -> ?until:(t -> bool) -> t -> unit
 (** Drive the scheduler until every non-idle process has exited, [until]
-    returns true (checked each round), or [max_rounds] elapses. *)
+    returns true (checked each round), or [max_rounds] elapses.  From
+    inside (a VM-exit handler, a round hook) {!freeze} refuses, and so
+    it does after a run that raised out of a round. *)
 
 val inject_irq : t -> Fc_kernel.Irq_paths.source -> unit
 (** Deliver one interrupt in the current context, immediately. *)
@@ -420,10 +424,7 @@ type frozen_vcpu = {
   zv_slice_start : int;
       (** start cycle of the still-open run slice — pending
           [os.run_cycles] attribution the restored machine must charge *)
-  zv_tags : Fc_mem.Ept.tags;
-      (** active view/era, per-view generations and the flush count —
-          restored last so tag validity and the [tlb.i_flushes] gauge
-          resume exactly where the snapshot left them *)
+  zv_view : int;  (** the active view id ({!Fc_mem.Ept.tag}) *)
 }
 
 type frozen = {
@@ -435,7 +436,7 @@ type frozen = {
   z_context_switches : int;
   z_next_pid : int;
   z_next_module_base : int;
-  z_data_epoch : int;
+  z_next_view : int;  (** the next id {!fresh_view_id} mints *)
   z_ram : (int * int) list;  (** gpa_page -> host frame, sorted *)
   z_phys : Fc_mem.Phys_mem.frozen;
   z_vcpus : frozen_vcpu list;
@@ -449,9 +450,11 @@ type frozen = {
 val freeze : t -> table_id:(Fc_mem.Ept.table -> int) -> frozen
 (** Capture the machine at a scheduler round boundary.  [table_id] maps
     each EPT leaf table to its identity-preserving pool id (assigned by
-    the snapshot codec).  Raises [Invalid_argument] if any vCPU has an
-    open run slice or is inside an interrupt — snapshots are only
-    meaningful between rounds. *)
+    the snapshot codec).  Raises [Invalid_argument] from inside {!run}
+    (a VM-exit handler or a round hook: the running kernel invocation's
+    registers and dispatch queue are on the host stack, out of reach),
+    after a run that raised out of a round, or if any vCPU is inside an
+    interrupt — snapshots are only meaningful between runs. *)
 
 val thaw :
   ?obs:Fc_obs.Obs.t ->

@@ -13,67 +13,21 @@ let table_copy (t : table) : table = Array.copy t
 let table_set (t : table) ~idx v = t.(idx) <- v
 let table_get (t : table) ~idx = t.(idx)
 
-(* Tag layout (VPID/PCID style), packed into one non-negative OCaml int:
-
-     [ era : rest | view : view_bits | gen : gen_bits ]
-
-   A cached translation is valid iff its packed tag equals the active
-   tag — a single integer compare, no field extraction on the hot
-   path.  The [era] field makes generation wraparound safe: when a
-   view's generation would overflow [gen_bits], the era is bumped and
-   every per-view generation resets to 0, so every tag minted in any
-   earlier era mismatches forever. *)
-let gen_bits = 20
-let view_bits = 20
-let max_gen = (1 lsl gen_bits) - 1
-let max_view = (1 lsl view_bits) - 1
-
-let pack ~era ~view ~gen =
-  (((era lsl view_bits) lor view) lsl gen_bits) lor gen
-
+(* The active view id is the tag cached translations carry (VPID
+   style): an entry is valid iff its tag equals the active one.  View
+   ids are never reused on a machine, so a retired view's tag can never
+   be active again and retiring it invalidates nothing. *)
 type t = {
   dirs : (int, table) Hashtbl.t;
   mutable view : int;  (** active view id (0 = the full/original view) *)
-  mutable era : int;  (** bumped on wraparound or full flush *)
-  gens : (int, int) Hashtbl.t;  (** view id -> current generation *)
-  mutable active_tag : int;  (** pack era/view/gen of the active view *)
-  mutable flushes : int;  (** generation bumps + full flushes, ever *)
 }
 
-let create () : t =
-  {
-    dirs = Hashtbl.create 32;
-    view = 0;
-    era = 0;
-    gens = Hashtbl.create 8;
-    active_tag = pack ~era:0 ~view:0 ~gen:0;
-    flushes = 0;
-  }
-
-let gen t ~view = Option.value ~default:0 (Hashtbl.find_opt t.gens view)
-let tag t = t.active_tag
-let flushes t = t.flushes
-let retag t = t.active_tag <- pack ~era:t.era ~view:t.view ~gen:(gen t ~view:t.view)
+let create () : t = { dirs = Hashtbl.create 32; view = 0 }
+let tag t = t.view
 
 let set_view t ~view =
-  if view < 0 || view > max_view then invalid_arg "Ept.set_view: view id out of range";
-  t.view <- view;
-  retag t
-
-let flush_all t =
-  t.era <- t.era + 1;
-  Hashtbl.reset t.gens;
-  t.flushes <- t.flushes + 1;
-  retag t
-
-let bump_view t ~view =
-  let g = gen t ~view in
-  if g >= max_gen then flush_all t
-  else begin
-    Hashtbl.replace t.gens view (g + 1);
-    t.flushes <- t.flushes + 1;
-    if view = t.view then retag t
-  end
+  if view < 0 then invalid_arg "Ept.set_view: negative view id";
+  t.view <- view
 
 let install_dir t ~dir v =
   match v with
@@ -126,28 +80,3 @@ let table_of_entries entries : table =
       t.(idx) <- Some f)
     entries;
   t
-
-type tags = {
-  zt_view : int;
-  zt_era : int;
-  zt_flushes : int;
-  zt_gens : (int * int) list;  (** (view id, generation), sorted by view *)
-}
-
-let freeze_tags t =
-  {
-    zt_view = t.view;
-    zt_era = t.era;
-    zt_flushes = t.flushes;
-    zt_gens =
-      List.sort compare
-        (Hashtbl.fold (fun v g acc -> (v, g) :: acc) t.gens []);
-  }
-
-let restore_tags t z =
-  t.view <- z.zt_view;
-  t.era <- z.zt_era;
-  t.flushes <- z.zt_flushes;
-  Hashtbl.reset t.gens;
-  List.iter (fun (v, g) -> Hashtbl.replace t.gens v g) z.zt_gens;
-  retag t

@@ -15,28 +15,16 @@
 
     {1 View-tagged translation validity}
 
-    Cached translations (software TLB entries, superblock stamps) are
-    validated against a packed {e (era, view, generation)} tag,
-    mirroring hardware VPID/PCID:
-
-    - every kernel view gets a compact id; view 0 is the full/original
-      kernel view;
-    - each view carries its own generation counter, bumped when that
-      view's cached translations must die ({!bump_view});
-    - the {e active tag} packs the era, the active view id and that
-      view's current generation into one int.
-
-    A cached entry is valid iff its fill-time tag equals the active tag —
-    one integer compare.  Switching between two already-seen views only
-    changes the active tag ({!set_view} + {!install_dir}); nothing is
-    flushed, and translations cached under the re-entered view revalidate
-    by comparison.  Retiring one view bumps only that view's generation,
-    so other views' cached translations survive.
-
-    Generation wraparound: when a view's generation would exceed
-    [2^gen_bits - 1] the {e era} is bumped instead and every per-view
-    generation resets to 0 — tags minted in any earlier era can never
-    compare equal again, making overflow safe at O(1) amortized cost. *)
+    Cached translations (software TLB entries) carry the view id they
+    were filled under, mirroring hardware VPID: view 0 is the
+    full/original kernel view, and every other view gets an id minted
+    once per machine and never reused ([Os.fresh_view_id]).  An entry is
+    valid iff its tag equals the active view id — one integer compare.
+    Switching between two already-seen views only changes the active id
+    ({!set_view} + {!install_dir}); nothing is flushed, and translations
+    cached under the re-entered view revalidate by comparison.  A
+    retired view's id is never active again, so its entries can never
+    match and retiring it needs no invalidation. *)
 
 val entries_per_table : int
 (** 1024. *)
@@ -64,60 +52,32 @@ val table_get : table -> idx:int -> int option
 type t
 
 val create : unit -> t
-(** Active view 0, era 0, every generation 0. *)
-
-val gen_bits : int
-(** Generation field width of the packed tag (20). *)
-
-val view_bits : int
-(** View-id field width of the packed tag (20). *)
-
-val max_view : int
-(** Largest representable view id, [2^view_bits - 1]. *)
+(** Active view 0, no directories. *)
 
 val tag : t -> int
-(** The active packed [(era, view, generation)] tag.  Consumers stamp
-    cached translations with this value at fill time and treat any later
-    mismatch as a miss.  Strictly non-negative. *)
-
-val gen : t -> view:int -> int
-(** Current generation of [view] (0 if never bumped this era). *)
-
-val flushes : t -> int
-(** Number of invalidation events ever applied: every generation bump
-    ({!bump_view}) plus every {!flush_all}. *)
+(** The active view id.  Consumers stamp cached translations with this
+    value at fill time and treat any later mismatch as a miss.  Strictly
+    non-negative. *)
 
 val set_view : t -> view:int -> unit
 (** Make [view] the active view.  {b Flushes nothing} — translations
     cached under the new view in an earlier activation revalidate by tag
     compare.  Callers are responsible for also pointing the directory at
     the view's tables ({!install_dir}).
-    @raise Invalid_argument if [view] is outside [[0, max_view]]. *)
-
-val bump_view : t -> view:int -> unit
-(** Bump [view]'s generation (whether or not it is active), invalidating
-    every translation cached under it; other views are untouched.  Used
-    to retire a destroyed view (unload, disable, quarantine): view ids
-    are never reused by the hypervisor, so a retired tag can never be
-    minted again. *)
-
-val flush_all : t -> unit
-(** Drop every cached translation for {e all} views by bumping the era:
-    any tag minted before this call mismatches forever.  The
-    belt-and-braces big hammer; per-view bumps are the normal path. *)
+    @raise Invalid_argument if [view] is negative. *)
 
 val install_dir : t -> dir:int -> table option -> unit
 (** Point directory entry [dir] at a (possibly shared) page table, or
-    clear it with [None].  {b Quiet}: no generation moves.  The view
-    switch path — combined with {!set_view}, switching to an
-    already-seen view flushes nothing because its cached translations
-    carry the view's own still-current tag. *)
+    clear it with [None].  {b Quiet}: no tag moves.  The view switch
+    path — combined with {!set_view}, switching to an already-seen view
+    flushes nothing because its cached translations carry the view's own
+    id. *)
 
 val get_dir : t -> dir:int -> table option
 
 val install_page : t -> gpa_page:int -> hpa_frame:int -> unit
 (** Single-page mapping; allocates the directory's table if absent.
-    {b Quiet}: no generation moves, so it is sound only for mapping a
+    {b Quiet}: no tag moves, so it is sound only for mapping a
     {e previously unmapped} page — consumers never cache negative
     translations, so nothing stale can exist for it.  The guest-RAM
     growth path. *)
@@ -151,19 +111,3 @@ val table_entries : table -> (int * int) list
 val table_of_entries : (int * int) list -> table
 (** Rebuild a table from its sparse entries.
     @raise Invalid_argument on a slot outside [[0, entries_per_table)]. *)
-
-type tags = {
-  zt_view : int;
-  zt_era : int;
-  zt_flushes : int;
-  zt_gens : (int * int) list;  (** (view id, generation), sorted by view *)
-}
-(** Frozen tag state, serialized by the snapshot codec so restored
-    guests keep their per-view generations (and flush gauge) instead of
-    restarting every counter at zero. *)
-
-val freeze_tags : t -> tags
-val restore_tags : t -> tags -> unit
-(** Overwrites the live tag state (view, era, generations, flush count)
-    and recomputes the active tag.  Directory contents are untouched —
-    the snapshot layer installs those separately via {!install_dir}. *)

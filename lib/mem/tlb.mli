@@ -13,12 +13,13 @@
 
     - [tag = page] — the slot actually holds this page (direct-mapped
       conflicts just overwrite each other);
-    - [stamp = <current validity stamp>] — no mapping change since fill.
-      The fetch path uses {!Ept.tag} (the packed view/generation tag, so
-      a kernel-view switch retags rather than flushes and a re-entered
-      view's entries revalidate by compare, mirroring VPID); the data
-      path uses an OS-level generation counter bumped when guest RAM
-      grows.
+    - [stamp = <current validity stamp>] (fetch path only) — the view
+      the entry was filled under is the active one.  The fetch path
+      uses {!Ept.tag}, the active view id: a kernel-view switch changes
+      the id rather than flushing, and a re-entered view's entries
+      revalidate by compare, mirroring VPID.  The data path needs no
+      stamp: guest RAM mappings are add-only, so a slot holding its
+      page is valid.
     - [version = Phys_mem.version frame] (fetch path only) — no write to
       the backing frame since fill, which keeps copy-on-write breaks and
       lazy recovery writes coherent with {e zero} eager flushing, and
@@ -31,7 +32,7 @@
 type 'a entry = {
   mutable tag : int;      (** guest-virtual page number; [-1] = empty *)
   mutable stamp : int;    (** caller-defined validity stamp at fill time
-                              (fetch: {!Ept.tag}; data: RAM generation) *)
+                              (fetch: {!Ept.tag}; data: unused, 0) *)
   mutable frame : int;    (** host frame backing the page *)
   mutable version : int;  (** {!Phys_mem.version} of [frame] at fill time *)
   mutable bytes : Bytes.t;  (** the frame's live storage *)
@@ -64,8 +65,7 @@ val fill :
   bytes:Bytes.t -> payload:'a -> unit
 
 val invalidate_all : 'a t -> unit
-(** Drop every entry.  A last-resort reset: stamp mismatches are the
-    normal flush mechanism, and retiring a single view's tag
-    ({!Ept.bump_view}) invalidates just that view's entries without
-    touching translations other views still hold — prefer those over
-    this full wipe outside tests. *)
+(** Drop every entry.  A last-resort reset (a reclaimed machine's
+    storage goes to another guest): stamp and version mismatches are
+    the normal invalidation mechanism, and a retired view's entries die
+    by never matching the active view id again. *)

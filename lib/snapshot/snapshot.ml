@@ -467,30 +467,19 @@ let frozen_timer =
      and+ zt_next_at = field (fun t -> t.Os.zt_next_at) int in
      { Os.zt_source; zt_period; zt_next_at })
 
-(* Format version 2: each vCPU carries its EPT tag state (active view,
-   era, per-view generations, flush count) so view-tagged translation
-   validity — and the tlb.i_flushes gauge — survive restore. *)
-let ept_tags =
-  record
-    (let+ zt_view = field (fun z -> z.Ept.zt_view) int
-     and+ zt_era = field (fun z -> z.Ept.zt_era) int
-     and+ zt_flushes = field (fun z -> z.Ept.zt_flushes) int
-     and+ zt_gens = field (fun z -> z.Ept.zt_gens) (list int_pair) in
-     { Ept.zt_view; zt_era; zt_flushes; zt_gens })
-
 let frozen_vcpu =
   record
     (let+ zv_dirs = field (fun v -> v.Os.zv_dirs) (list int_pair)
      and+ zv_current_pid = field (fun v -> v.Os.zv_current_pid) int
      and+ zv_idle_last_round = field (fun v -> v.Os.zv_idle_last_round) int
      and+ zv_slice_start = field (fun v -> v.Os.zv_slice_start) int
-     and+ zv_tags = field (fun v -> v.Os.zv_tags) ept_tags in
+     and+ zv_view = field (fun v -> v.Os.zv_view) int in
      {
        Os.zv_dirs;
        zv_current_pid;
        zv_idle_last_round;
        zv_slice_start;
-       zv_tags;
+       zv_view;
      })
 
 (* The physical pool splits across two sections: frame contents live in
@@ -569,7 +558,7 @@ let os store =
      and+ z_context_switches = field (fun z -> z.Os.z_context_switches) int
      and+ z_next_pid = field (fun z -> z.Os.z_next_pid) int
      and+ z_next_module_base = field (fun z -> z.Os.z_next_module_base) int
-     and+ z_data_epoch = field (fun z -> z.Os.z_data_epoch) int
+     and+ z_next_view = field (fun z -> z.Os.z_next_view) int
      and+ z_ram = field (fun z -> z.Os.z_ram) (list int_pair)
      and+ z_phys = field (fun z -> z.Os.z_phys) (phys store)
      and+ z_vcpus = field (fun z -> z.Os.z_vcpus) (list frozen_vcpu)
@@ -587,7 +576,7 @@ let os store =
        z_context_switches;
        z_next_pid;
        z_next_module_base;
-       z_data_epoch;
+       z_next_view;
        z_ram;
        z_phys;
        z_vcpus;
@@ -648,7 +637,6 @@ let fc =
      and+ zf_views = field (fun z -> z.Facechange.zf_views) (list view)
      and+ zf_bindings =
        field (fun z -> z.Facechange.zf_bindings) (list (pair string int))
-     and+ zf_next_index = field (fun z -> z.Facechange.zf_next_index) int
      and+ zf_active = field (fun z -> z.Facechange.zf_active) (list int)
      and+ zf_pending = field (fun z -> z.Facechange.zf_pending) (list (option int))
      and+ zf_retired_cow_breaks =
@@ -664,7 +652,6 @@ let fc =
        Facechange.zf_opts;
        zf_views;
        zf_bindings;
-       zf_next_index;
        zf_active;
        zf_pending;
        zf_retired_cow_breaks;
@@ -716,14 +703,18 @@ let metric =
 
 let magic = "FCSN"
 
-(* 5: the OS section no longer carries page tables (the master table
-   and each process's), the trap generation, the sleep override or each
-   vCPU's in-interrupt flag.  4: nor version 3's divergent-page list.
+(* 6: each vCPU carries its active view id in place of version 5's tag
+   state (era, flush count, per-view generations), the OS section the
+   next view id in place of the data epoch, and the FACE-CHANGE section
+   no next view index.  5: the OS section no longer carries page tables
+   (the master table and each process's), the trap generation, the
+   sleep override or each vCPU's in-interrupt flag.  4: nor version 3's
+   divergent-page list.
    3: it carries one engine byte (reference or fast) in place of version
    2's tlb/sblocks/tagged flags and global generation.  2: it gained
    per-vCPU EPT tag state.  Older streams are rejected with the typed
    unsupported-version error, as always. *)
-let version = 5
+let version = 6
 
 let meta_codec = list (pair string string)
 let tables_codec = array (list int_pair)

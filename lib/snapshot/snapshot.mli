@@ -68,7 +68,11 @@ val restore :
 
 val version : int
 (** The wire-format version written into (and required of) every
-    container.  Version 5 drops the guest page tables (the master
+    container.  Version 6 carries each vCPU's active view id in place
+    of its EPT tag state (era, flush count, per-view generations: view
+    ids are never reused, so nothing else is needed) and the machine's
+    next view id in place of the data epoch, and drops FACE-CHANGE's
+    next view index; version 5 drops the guest page tables (the master
     table and every process's: kernel addresses translate by the layout
     and the RAM map), the trap generation, the sleep override and each
     vCPU's in-interrupt flag (none of which a restore at a round

@@ -119,7 +119,7 @@ let test_view_ud2_fill_and_load () =
       (Range_list.add_range Range_list.empty Fc_ranges.Segment.Base_kernel
          ~lo:(f + 4) ~hi:(f + 8))
   in
-  let v = View.build ~hyp ~index:1 cfg in
+  let v = View.build ~hyp cfg in
   (* whole containing function loaded although only 4 bytes profiled *)
   check_bool "function start loaded" true (View.read_code v ~gva:f = Some 0x55);
   (* an unprofiled function elsewhere is UD2 *)
@@ -140,7 +140,7 @@ let test_view_raw_load_ablation () =
       (Range_list.add_range Range_list.empty Fc_ranges.Segment.Base_kernel
          ~lo:(f + 4) ~hi:(f + 8))
   in
-  let v = View.build ~hyp ~whole_function_load:false ~index:1 cfg in
+  let v = View.build ~hyp ~whole_function_load:false cfg in
   check_bool "function start NOT loaded" true (View.read_code v ~gva:f = Some 0x0f);
   check_bool "profiled bytes loaded" true
     (View.read_code v ~gva:(f + 4) <> Some 0x0f || View.read_code v ~gva:(f + 5) <> Some 0x0b);
@@ -149,7 +149,7 @@ let test_view_raw_load_ablation () =
 let test_view_module_pages_ud2 () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
-  let v = View.build ~hyp ~index:1 (View_config.make ~app:"mini" Range_list.empty) in
+  let v = View.build ~hyp (View_config.make ~app:"mini" Range_list.empty) in
   let kvm = Os.resolve_exn os "kvm_clock_get_cycles" in
   check_bool "module code ud2 in view" true (View.read_code v ~gva:kvm = Some 0x0f);
   check_bool "module page covered" true (View.covers v ~gva:kvm);
@@ -159,7 +159,7 @@ let test_view_destroy_frees_frames () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let before = Fc_mem.Phys_mem.live_frames (Os.phys os) in
-  let v = View.build ~hyp ~index:1 (View_config.make ~app:"mini" Range_list.empty) in
+  let v = View.build ~hyp (View_config.make ~app:"mini" Range_list.empty) in
   check_bool "allocated" true (Fc_mem.Phys_mem.live_frames (Os.phys os) > before);
   View.destroy v;
   check_int "freed" before (Fc_mem.Phys_mem.live_frames (Os.phys os))
@@ -179,7 +179,7 @@ let test_view_module_relative_load () =
       (Range_list.add_range Range_list.empty
          (Fc_ranges.Segment.Kernel_module "kvmclock") ~lo:0 ~hi:8)
   in
-  let v = View.build ~hyp ~index:1 cfg in
+  let v = View.build ~hyp cfg in
   check_bool "module function loaded at runtime base" true
     (View.read_code v ~gva:base = Some 0x55);
   View.destroy v

@@ -167,7 +167,7 @@ let prop_view_contents =
       let img = Lazy.force image in
       let os = Os.create img in
       let hyp = Hyp.attach os in
-      let v = View.build ~hyp ~index:1 cfg in
+      let v = View.build ~hyp cfg in
       let loaded = expanded_functions img cfg in
       let in_loaded a =
         List.exists
@@ -199,7 +199,7 @@ let prop_view_destroy_frees =
       let os = Os.create (Lazy.force image) in
       let hyp = Hyp.attach os in
       let before = Fc_mem.Phys_mem.live_frames (Os.phys os) in
-      let v = View.build ~hyp ~index:1 cfg in
+      let v = View.build ~hyp cfg in
       View.destroy v;
       Fc_mem.Phys_mem.live_frames (Os.phys os) = before)
 

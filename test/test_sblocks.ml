@@ -2,8 +2,7 @@
    each frame's line, found through the iTLB): coherence of the
    invalidation sources — the backing frame's version (COW breaks and
    in-place recovery writes) and trap-set changes — and the absence of
-   any from translation changes (a view switch to different frames, an
-   era roll with unchanged translations); interrupt delivery parity;
+   any from a view switch to different frames; interrupt delivery parity;
    bounded lines under view churn; the image's body memo (engaged, and
    keyed by page content); the fast engine as the default; and
    reference-vs-fast parity under a random fault plan.  Every scenario
@@ -105,38 +104,6 @@ let test_view_switch_keeps_blocks () =
   check_bool "retention keeps rebuilds below hits" true
     (metric os_on "sb.hits" > metric os_on "sb.blocks_built")
 
-(* The converse: an era roll ([Ept.flush_all], what a generation
-   overflow does) kills every iTLB tag even though no translation
-   changed.  The refilled entries resolve each pc to the same frame, so
-   to the same line and its warm blocks: the roll rebuilds nothing.  A
-   view is built first, so its pages really have other frames. *)
-let test_epoch_rebuilds_nothing () =
-  let scenario ~roll os noted =
-    let hyp = Hyp.attach os in
-    let cfg = Profiles.config_of (profiles ()) "top" in
-    let v = View.build ~hyp ~index:1 cfg in
-    spawn_app os ~name:"gzip" ();
-    Os.schedule_at_round os 3 (fun os ->
-        note os noted "hits_pre" "sb.hits";
-        note os noted "flushes_pre" "tlb.i_flushes";
-        if roll then Ept.flush_all (Os.ept os));
-    Os.run os;
-    note os noted "flushes_end" "tlb.i_flushes";
-    View.destroy v
-  in
-  let os_on, noted = twin_check ~label:"epoch-roll" (scenario ~roll:true) in
-  let os_still, _, _ = run_engine ~engine:Os.Fast (scenario ~roll:false) in
-  check_bool "blocks warm before the bump" true (noted_exn noted "hits_pre" > 0);
-  check_bool "the epoch really moved" true
-    (noted_exn noted "flushes_end" > noted_exn noted "flushes_pre");
-  check_int "the roll builds no extra block"
-    (metric os_still "sb.blocks_built")
-    (metric os_on "sb.blocks_built");
-  check_int "unchanged translations never invalidate" 0
-    (metric os_on "sb.invalidations");
-  check_int "nor does the run without the roll" 0
-    (metric os_still "sb.invalidations")
-
 (* In-place write: [Phys.touch] on the hot syscall-path text frame bumps
    its version without changing a byte — the signal an in-place
    lazy-recovery write emits, and the only invalidation source in this
@@ -147,14 +114,12 @@ let test_version_invalidates () =
     Os.schedule_at_round os 3 (fun os ->
         note os noted "invals_pre" "sb.invalidations";
         note os noted "hits_pre" "sb.hits";
-        note os noted "flushes_at_write" "tlb.i_flushes";
         let a = Os.resolve_exn os "syscall_call" in
         let gpa_page = Layout.page_of (Layout.gva_to_gpa a) in
         match Os.ram_frame os ~gpa_page with
         | Some frame -> if touch then Phys.touch (Os.phys os) frame
         | None -> Alcotest.fail "syscall_call frame missing");
-    Os.run os;
-    note os noted "flushes_end" "tlb.i_flushes"
+    Os.run os
   in
   let os_on, noted = twin_check ~label:"in-place-write" (scenario ~touch:true) in
   let os_kept, _, _ = run_engine ~engine:Os.Fast (scenario ~touch:false) in
@@ -165,11 +130,7 @@ let test_version_invalidates () =
   (* the frame's blocks died for good, so the hot path ran on rebuilt
      ones, never on the stale blocks *)
   check_bool "invalidated blocks were rebuilt" true
-    (metric os_on "sb.blocks_built" > metric os_kept "sb.blocks_built");
-  (* and no tag moved: the invalidation was version-driven *)
-  check_int "no epoch bump involved"
-    (noted_exn noted "flushes_at_write")
-    (noted_exn noted "flushes_end")
+    (metric os_on "sb.blocks_built" > metric os_kept "sb.blocks_built")
 
 (* A COW break during enforced execution: the first write into a shared
    view frame splices a private copy into the installed table
@@ -188,7 +149,7 @@ let test_cow_break_rebuilds () =
     let idx = Facechange.load_view fc (Profiles.config_of p "top") in
     (* a byte-identical sibling forces the loaded view's pages into
        shared frames, so the write below must break COW *)
-    let sib = View.build ~hyp ~index:77 (Profiles.config_of p "top") in
+    let sib = View.build ~hyp (Profiles.config_of p "top") in
     spawn_app os ~name:"top" ~len:8 ();
     Os.schedule_at_round os 4 (fun os ->
         note os noted "hits_pre" "sb.hits";
@@ -450,8 +411,6 @@ let suites =
       [
         tc "view switch to different frames drops no block"
           test_view_switch_keeps_blocks;
-        tc "epoch bump with unchanged translations rebuilds nothing"
-          test_epoch_rebuilds_nothing;
         tc "in-place code write (frame version) invalidates, then rebuilds"
           test_version_invalidates;
         tc "COW break during enforced execution rebuilds on the private frame"

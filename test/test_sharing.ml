@@ -53,12 +53,12 @@ let test_identical_views_share_frames () =
   let hyp = Hyp.attach os in
   let baseline = Phys.live_frames (Os.phys os) in
   let cfg = Lazy.force toplike_config in
-  let v1 = View.build ~hyp ~index:1 cfg in
+  let v1 = View.build ~hyp cfg in
   (* within one view, all pure-UD2 fill pages collapse onto one frame *)
   check_bool "intra-view dedup" true
     (View.frame_count v1 < View.private_page_count v1);
   let before_v2 = Phys.live_frames (Os.phys os) in
-  let v2 = View.build ~hyp ~index:2 cfg in
+  let v2 = View.build ~hyp cfg in
   check_int "second identical view costs zero frames" 0
     (Phys.live_frames (Os.phys os) - before_v2);
   check_int "all of its pages are shared" (View.private_page_count v2)
@@ -73,8 +73,8 @@ let test_shared_and_private_builds_byte_identical () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let cfg = Lazy.force toplike_config in
-  let vs = View.build ~hyp ~index:1 cfg in
-  let vp = View.build ~hyp ~share_frames:false ~index:2 cfg in
+  let vs = View.build ~hyp cfg in
+  let vp = View.build ~hyp ~share_frames:false cfg in
   check_int "private build shares nothing" (View.private_page_count vp)
     (View.frame_count vp);
   check_int "same pages either way" (View.private_page_count vs)
@@ -310,7 +310,7 @@ let test_view_page_key_includes_original_bytes () =
              (Phys.addr_of_frame frame + (gpa mod Phys.page_size))
              byte);
         let hyp = Hyp.attach os in
-        let v = View.build ~hyp ~index:1 cfg in
+        let v = View.build ~hyp cfg in
         let order = if patched = patched_first then "first" else "second" in
         Alcotest.(check (option int))
           (Printf.sprintf "the %s guest's view holds its own byte" order)

@@ -11,7 +11,8 @@
      offset — never raise;
    - restore identity: capture, encode, decode, restore and capture
      again gives the same snapshot (METR as a multiset);
-   - the version-5 bytes of every variant constructor, pinned by digest;
+   - the version-6 bytes of every variant constructor, pinned by digest;
+   - a capture from inside [Os.run] (a VM-exit handler) is refused;
    - warm start: a fleet cell booted from wire-format snapshots
      fingerprints identically to a cold boot;
    - live migration: pre-copy + stop-and-copy lands a guest that
@@ -343,6 +344,37 @@ let version_rejected v () =
       Alcotest.fail ("expected version error, got " ^ Snapshot.error_to_string e)
   | Ok _ -> Alcotest.failf "previous-version (v%d) snapshot decoded" v
 
+(* A capture from inside [Os.run] sees a kernel invocation in flight
+   (its registers and dispatch queue live on the host stack, not in the
+   frozen state), so it is refused whether or not the trace is armed;
+   once the run returns, the same machine captures. *)
+let capture_in_exit_handler_refused () =
+  List.iter
+    (fun armed ->
+      let label = if armed then "armed" else "disarmed" in
+      let os = Os.create (image ()) in
+      if armed then Fc_obs.Trace.arm (Fc_obs.Obs.trace (Os.obs os));
+      let outcomes = ref [] in
+      Os.set_trap os (Os.resolve_exn os "sys_getpid");
+      Os.set_exit_handler os (fun os _ exit ->
+          match exit with
+          | Os.Exit_breakpoint _ ->
+              let o =
+                match Os.freeze os ~table_id:(fun _ -> 0) with
+                | _ -> "frozen"
+                | exception Invalid_argument _ -> "refused"
+              in
+              outcomes := o :: !outcomes;
+              Os.Resume
+          | Os.Exit_invalid_opcode | Os.Exit_fault _ -> Os.Panic "unexpected exit");
+      ignore (Os.spawn os ~name:"p" Action.[ Syscall "getpid"; Exit ] : Process.t);
+      Os.run os;
+      check_bool (label ^ ": the handler ran, mid-syscall, and was refused") true
+        (!outcomes = [ "refused" ]);
+      check_bool (label ^ ": after the run the machine captures") true
+        (match Snapshot.capture os with _ -> true))
+    [ false; true ]
+
 let empty_and_trailing () =
   (match Snapshot.decode "" with
   | Error { section = "header"; _ } -> ()
@@ -430,16 +462,15 @@ let restore_identity_case () =
       (identity_guest ~seed)
   done
 
-(* ---------------- the version-5 bytes of every constructor ---------------- *)
+(* ---------------- the version-6 bytes of every constructor ---------------- *)
 
 (* The golden, edited to hold every variant constructor on the wire: 9
    irq sources, 5 actions, 3 run states, 8 fault kinds, 4 governor
    states, both clocksources and metric value kinds, and — across the
    two values — both engines and both [on_unhandled] answers.  The
-   digest of their encodings was recorded from the version-5 writer;
-   the version-4 one, recorded from the writer the per-type tag tables
-   replaced, differed only by the fields version 5 dropped.  A swapped
-   tag changes it. *)
+   digest of their encodings was recorded from the version-6 writer;
+   the version-5 and version-4 ones differed only by the fields later
+   versions dropped or replaced.  A swapped tag changes it. *)
 let every_constructor (g : Snapshot.t) ~engine ~on_unhandled =
   let os = g.Snapshot.s_os in
   let irqs =
@@ -492,7 +523,7 @@ let constructor_bytes_pinned () =
   let a = every_constructor g ~engine:Os.Fast ~on_unhandled:`Degrade in
   let b = every_constructor g ~engine:Os.Reference ~on_unhandled:`Die in
   let wa = Snapshot.encode a and wb = Snapshot.encode b in
-  check_string "digest of the version-5 bytes" "9e43f0f6582515138b72ed63cfd475e5"
+  check_string "digest of the version-6 bytes" "8ca9018578ebc0102ece0c1d560abdf6"
     (Digest.to_hex (Digest.string (wa ^ wb)));
   check_bool "decode (encode a) = a" true (Snapshot.decode wa = Ok a);
   check_bool "decode (encode b) = b" true (Snapshot.decode wb = Ok b)
@@ -654,14 +685,22 @@ let suites =
           (version_rejected 3);
         Alcotest.test_case "previous-version (v4) stream rejected" `Quick
           (version_rejected 4);
+        Alcotest.test_case "previous-version (v5) stream rejected" `Quick
+          (version_rejected 5);
         Alcotest.test_case "empty input and trailing bytes" `Quick
           empty_and_trailing;
         Alcotest.test_case "save/load roundtrip + missing file" `Quick
           save_load_roundtrip;
-        Alcotest.test_case "every constructor keeps its version-5 bytes" `Quick
+        Alcotest.test_case "every constructor keeps its version-6 bytes" `Quick
           constructor_bytes_pinned;
         Alcotest.test_case "restore rebuilds what capture recorded" `Slow
           restore_identity_case;
+      ] );
+    ( "snapshot-capture",
+      [
+        Alcotest.test_case
+          "a capture from a VM-exit handler is refused, armed or not" `Quick
+          capture_in_exit_handler_refused;
       ] );
     ( "snapshot-warm-start",
       [ Alcotest.test_case "fleet digest parity" `Slow warm_start_parity ] );

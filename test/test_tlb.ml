@@ -1,6 +1,7 @@
 (* The software TLBs (lib/mem/tlb.ml + the Os fast paths): coherence
    under view switches, COW breaks and in-place recovery writes, dTLB
-   visibility of new mappings, view-tag survival, and the load-bearing
+   visibility of new mappings and warm entries kept across RAM growth,
+   view-tag survival, never-reused view ids, and the load-bearing
    property that the fast engine is behavior-invisible — a fast guest
    and a reference guest retire the same instructions, charge the same
    cycles, emit the same traces and capture identical stats, faults and
@@ -21,11 +22,16 @@ module Profiles = Fc_benchkit.Profiles
 module Fault = Fc_faults.Fault
 module Frand = Fc_faults.Frand
 module Injector = Fc_faults.Injector
+module Snapshot = Fc_snapshot.Snapshot
 module J = Fc_obs.Jsonx
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let profiles () = Lazy.force Test_env.profiles
+
+let counters os =
+  let m = Fc_obs.Obs.metrics (Os.obs os) in
+  fun key -> Option.value ~default:0 (Fc_obs.Metrics.find m key)
 
 (* ---------------- the Tlb module itself ---------------- *)
 
@@ -77,7 +83,7 @@ let test_view_switch_invalidates_itlb () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let cfg = Fc_benchkit.Profiles.config_of (profiles ()) "top" in
-  let v = View.build ~hyp ~index:1 cfg in
+  let v = View.build ~hyp cfg in
   let g = divergent_gva os v in
   let before = Os.fetch_code os g in
   (* warm the iTLB on the original translation, then switch: the active
@@ -94,12 +100,12 @@ let test_cow_break_visible_on_next_fetch () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let cfg = Fc_benchkit.Profiles.config_of (profiles ()) "top" in
-  let v1 = View.build ~hyp ~index:1 cfg in
+  let v1 = View.build ~hyp cfg in
   (* a byte-identical sibling forces v1's pages into shared frames, so
      the write below must break COW: a fresh frame is spliced into the
      installed table with no directory install and no tag change — only
      the version touch on the displaced frame can invalidate the TLB *)
-  let v2 = View.build ~hyp ~index:2 cfg in
+  let v2 = View.build ~hyp cfg in
   let g = divergent_gva os v1 in
   install_view os v1;
   check_bool "warm fetch under the view" true
@@ -119,7 +125,7 @@ let test_inplace_recovery_visible_on_next_fetch () =
   let cfg = Fc_benchkit.Profiles.config_of (profiles ()) "top" in
   (* private frames: the recovery write lands in place, and only the
      frame-version check can invalidate the warm iTLB entry *)
-  let v = View.build ~hyp ~share_frames:false ~index:1 cfg in
+  let v = View.build ~hyp ~share_frames:false cfg in
   let g = divergent_gva os v in
   install_view os v;
   check_bool "warm fetch under the view" true
@@ -140,6 +146,21 @@ let test_dtlb_sees_new_mappings () =
     Os.spawn os ~name:"x" [ Fc_machine.Action.Exit ]
   in
   check_bool "mapped after spawn" true (Os.read_guest_byte os a <> None)
+
+(* Guest RAM is add-only, so growth leaves every warm dTLB entry valid:
+   spawning a process maps its kernel stack, and a kernel-data byte read
+   before it is still a dTLB hit after it. *)
+let test_dtlb_survives_ram_growth () =
+  let os = Os.create (Lazy.force image) in
+  let a = Layout.current_task_ptr_cpu ~vid:0 in
+  let before = Os.read_guest_byte os a in
+  check_bool "kernel data is mapped" true (before <> None);
+  let (_ : Process.t) = Os.spawn os ~name:"x" [ Fc_machine.Action.Exit ] in
+  let c = counters os in
+  let hits = c "tlb.d_hits" and misses = c "tlb.d_misses" in
+  check_bool "same byte after the spawn" true (Os.read_guest_byte os a = before);
+  check_int "the read is a dTLB hit" (hits + 1) (c "tlb.d_hits");
+  check_int "with no new miss" misses (c "tlb.d_misses")
 
 let test_word_access_roundtrip () =
   let os = Os.create (Lazy.force image) in
@@ -164,16 +185,12 @@ let test_word_access_roundtrip () =
 
 (* ---------------- view-tag survival across switches ---------------- *)
 
-let counters os =
-  let m = Fc_obs.Obs.metrics (Os.obs os) in
-  fun key -> Option.value ~default:0 (Fc_obs.Metrics.find m key)
-
 let test_seen_view_reentry_keeps_itlb_warm () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let p = profiles () in
-  let v1 = View.build ~hyp ~index:1 (Profiles.config_of p "top") in
-  let v2 = View.build ~hyp ~index:2 (Profiles.config_of p "apache") in
+  let v1 = View.build ~hyp (Profiles.config_of p "top") in
+  let v2 = View.build ~hyp (Profiles.config_of p "apache") in
   let g = divergent_gva os v1 in
   install_view os v1;
   let expect = View.read_code v1 ~gva:g in
@@ -184,12 +201,9 @@ let test_seen_view_reentry_keeps_itlb_warm () =
   install_view os v1;
   let c = counters os in
   let hits = c "tlb.i_hits" and misses = c "tlb.i_misses" in
-  let flushes = Ept.flushes (Os.ept os) in
   check_bool "re-entry fetch reads the view" true (Os.fetch_code os g = expect);
   check_int "re-entry is an iTLB hit" (hits + 1) (c "tlb.i_hits");
   check_int "no iTLB miss on re-entry" misses (c "tlb.i_misses");
-  check_int "the round trip flushed nothing" flushes
-    (Ept.flushes (Os.ept os));
   View.destroy v2;
   View.destroy v1
 
@@ -197,10 +211,10 @@ let test_cow_break_invalidates_only_broken_page () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
   let cfg = Fc_benchkit.Profiles.config_of (profiles ()) "top" in
-  let v1 = View.build ~hyp ~index:1 cfg in
+  let v1 = View.build ~hyp cfg in
   (* byte-identical sibling: v1 and v2 share frames, so a write to v1
      breaks COW rather than landing in place *)
-  let v2 = View.build ~hyp ~index:2 cfg in
+  let v2 = View.build ~hyp cfg in
   let g = divergent_gva os v1 in
   (* a second warm page, untouched by the break, to prove the
      invalidation really is frame-targeted *)
@@ -234,54 +248,53 @@ let test_cow_break_invalidates_only_broken_page () =
   View.destroy v2;
   View.destroy v1
 
-(* The quarantine/unload paths: retiring one view's tag must invalidate
-   only that view's cached translations, never tax surviving views. *)
-let test_retire_view_spares_other_views () =
+(* Back to the full view: [view]'s directories get their original
+   tables again, under view id 0. *)
+let install_full_view os hyp view =
+  let ept = Os.ept os in
+  List.iter
+    (fun (dir, _) -> Ept.install_dir ept ~dir (Hyp.original_table hyp ~dir))
+    (View.tables view);
+  Ept.set_view ept ~view:Facechange.full_view_index
+
+(* View ids are minted once per machine and never reused, so an unload
+   invalidates nothing: the dead view's id is never active again, and
+   every other view's cached translations stay warm.  Fresh ids survive
+   an unload and reload, a second [enable] on the same machine and a
+   snapshot roundtrip. *)
+let test_view_ids_never_repeat () =
   let os = Os.create (Lazy.force image) in
   let hyp = Hyp.attach os in
-  let cfg = Fc_benchkit.Profiles.config_of (profiles ()) "top" in
-  let v1 = View.build ~hyp ~index:1 cfg in
-  let v2 = View.build ~hyp ~index:2 cfg in
+  let p = profiles () in
+  let load fc app = Facechange.load_view fc (Profiles.config_of p app) in
+  let fc = Facechange.enable hyp in
+  let i1 = load fc "top" in
+  let i2 = load fc "apache" in
+  let v1 = Option.get (Facechange.find_view fc i1) in
   let g = divergent_gva os v1 in
   install_view os v1;
   let expect = Os.fetch_code os g in
   let c = counters os in
-  Os.retire_view_translations os ~view:(View.index v2);
-  let hits = c "tlb.i_hits" in
-  check_bool "v1 fetch after retiring v2" true (Os.fetch_code os g = expect);
-  check_int "v1's warm entry survived v2's retirement" (hits + 1)
-    (c "tlb.i_hits");
-  Os.retire_view_translations os ~view:(View.index v1);
-  let misses = c "tlb.i_misses" in
-  check_bool "v1 fetch after retiring v1" true (Os.fetch_code os g = expect);
-  check_int "the retired view's entry is dead" (misses + 1)
-    (c "tlb.i_misses");
-  View.destroy v2;
-  View.destroy v1
-
-(* Generation wraparound: driving one view's generation past the field
-   width must spill into an era bump that kills every outstanding tag at
-   once — tags from the old era can never compare equal again. *)
-let test_ept_gen_overflow_era_bump () =
-  let e = Ept.create () in
-  Ept.set_view e ~view:3;
-  let t0 = Ept.tag e in
-  Ept.bump_view e ~view:3;
-  let t1 = Ept.tag e in
-  check_bool "a bump changes the tag" true (t1 <> t0);
-  let max_gen = (1 lsl Ept.gen_bits) - 1 in
-  (* drive the generation to the ceiling... *)
-  for _ = 2 to max_gen do
-    Ept.bump_view e ~view:3
-  done;
-  check_int "at the ceiling" max_gen (Ept.gen e ~view:3);
-  (* ...then one more bump must roll the era instead of overflowing *)
-  Ept.bump_view e ~view:3;
-  check_int "generations restart in the new era" 0 (Ept.gen e ~view:3);
-  let fresh = Ept.tag e in
-  check_bool "old-era tags never match again" true
-    (fresh <> t0 && fresh <> t1);
-  check_bool "the tag stays non-negative" true (fresh >= 0)
+  Facechange.unload_view fc i2;
+  let hits = c "tlb.i_hits" and misses = c "tlb.i_misses" in
+  check_bool "v1 fetch after unloading v2" true (Os.fetch_code os g = expect);
+  check_int "v1's warm entry survived the unload" (hits + 1) (c "tlb.i_hits");
+  check_int "no iTLB miss" misses (c "tlb.i_misses");
+  install_full_view os hyp v1;
+  let i3 = load fc "apache" in
+  check_bool "a reload mints a fresh id" true (not (List.mem i3 [ i1; i2 ]));
+  Facechange.disable fc;
+  let fc = Facechange.enable hyp in
+  let i4 = load fc "top" in
+  check_bool "a second enable mints a fresh id" true
+    (not (List.mem i4 [ i1; i2; i3 ]));
+  match Snapshot.decode (Snapshot.encode (Snapshot.capture ~fc ~hyp os)) with
+  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  | Ok s ->
+      let r = Snapshot.restore ~image:(Lazy.force image) s in
+      let i5 = load (Option.get r.Snapshot.r_fc) "apache" in
+      check_bool "a load after a restore mints a fresh id" true
+        (not (List.mem i5 [ i1; i2; i3; i4 ]))
 
 (* ---------------- behavior parity: reference vs fast ---------------- *)
 
@@ -344,16 +357,15 @@ let suites =
           test_inplace_recovery_visible_on_next_fetch;
         tc "dTLB never caches negative translations"
           test_dtlb_sees_new_mappings;
+        tc "RAM growth keeps warm dTLB entries" test_dtlb_survives_ram_growth;
         tc "word-level u32 access agrees with byte reads"
           test_word_access_roundtrip;
         tc "seen-view re-entry keeps iTLB entries warm (no flush)"
           test_seen_view_reentry_keeps_itlb_warm;
         tc "COW break invalidates only the broken page's frame"
           test_cow_break_invalidates_only_broken_page;
-        tc "retiring a view spares other views' cached translations"
-          test_retire_view_spares_other_views;
-        tc "generation overflow rolls the era, killing old tags"
-          test_ept_gen_overflow_era_bump;
+        tc "view ids never repeat: unload, re-enable and restore mint fresh ids"
+          test_view_ids_never_repeat;
         tc "enforced faulted run: full fingerprint parity"
           test_parity_enforced_run;
       ] );
